@@ -1,4 +1,4 @@
-"""Ternary-quantized linear layers: QAT, trapping diagnostics, packing, LUT inference."""
+"""Ternary-quantized linear layers: QAT, trapping diagnostics, and packing."""
 
 from .quantizer import (
     Granularity,

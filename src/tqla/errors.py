@@ -25,10 +25,6 @@ class InsufficientHistory(TqlaError):
     """Operation needs more recorded snapshots than are available."""
 
 
-class InvalidCode(TqlaError):
-    """Ternary code or packed index outside its value range."""
-
-
 class FormatError(TqlaError):
     """Malformed input file. `offset` is the byte position when known."""
 

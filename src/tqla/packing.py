@@ -10,7 +10,10 @@ lexicographic order (-1 < 0 < +1), which puts the zero pattern at index 0:
     5:(+,-,-)   6:(+,-,0)   7:(+,-,+)   8:(+,0,-)   9:(+,0,0)
    10:(+,0,+)  11:(+,+,-)  12:(+,+,0)  13:(+,+,+)
 
-Indices 14 and 15 are invalid and rejected when reading a file.
+Indices 14 and 15 are invalid. The reader accepts exactly what the writer
+produces: the zero pattern carries a clear sign bit, padding columns hold
+zero codes, and padding nibbles and sign bits after the last triple are
+clear; anything else raises ``FormatError`` with its byte offset.
 
 On-disk "TQLA" layout (all little-endian):
 
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InvalidCode, InvalidParam, InvalidShape
+from .errors import FormatError, InvalidParam, InvalidShape
 from .quantizer import (
     PER_TENSOR,
     DeadzoneMask,
@@ -72,39 +75,9 @@ for _i, _p in enumerate(PATTERNS):
         _KEY_TO_SIGN[_key] = _s
 _KEY_TO_SIGN[9 * 1 + 3 * 1 + 1] = 1  # zero triple is canonically positive
 
-
-@dataclass(frozen=True)
-class TripleCode:
-    """4-bit pattern index plus sign; index 0 is the zero pattern, sign +1."""
-
-    index: int
-    sign: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < N_PATTERNS:
-            raise InvalidCode(f"index must be in [0, {N_PATTERNS}), got {self.index}")
-        if self.sign not in (-1, 1):
-            raise InvalidCode(f"sign must be +1 or -1, got {self.sign}")
-        if self.index == 0 and self.sign != 1:
-            raise InvalidCode("the zero pattern always carries sign +1")
-
-
-def canonical_code(triple) -> TripleCode:
-    """Encode three ternary values as (canonical index, sign)."""
-    t = np.asarray(triple)
-    if t.shape != (3,):
-        raise InvalidCode(f"expected 3 elements, got shape {t.shape}")
-    if not np.isin(t, (-1, 0, 1)).all():
-        raise InvalidCode(f"elements must be in {{-1, 0, +1}}, got {t.tolist()}")
-    key = 9 * (int(t[0]) + 1) + 3 * (int(t[1]) + 1) + (int(t[2]) + 1)
-    return TripleCode(index=int(_KEY_TO_INDEX[key]), sign=int(_KEY_TO_SIGN[key]))
-
-
-def decode(code: TripleCode) -> np.ndarray:
-    """Invert canonical_code: sign times the canonical pattern."""
-    if not 0 <= code.index < N_PATTERNS:
-        raise InvalidCode(f"index must be in [0, {N_PATTERNS}), got {code.index}")
-    return (code.sign * PATTERNS[code.index]).astype(np.int8)
+# _TAIL_ZERO[r][i]: pattern i is zero after its first r elements, so it may
+# close a row whose cols % 3 == r
+_TAIL_ZERO = (None,) + tuple(~PATTERNS[:, r:].any(axis=1) for r in (1, 2))
 
 
 def _encode_matrix(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -296,9 +269,10 @@ def read_packed(path) -> PackedModel:
         idx_offset = offset
         raw, offset = _take(blob, offset, (n_triples + 1) // 2, "packed indices")
         index_bytes = np.frombuffer(raw, dtype=np.uint8)
-        _validate_indices(index_bytes, n_triples, idx_offset)
+        sign_offset = offset
         raw, offset = _take(blob, offset, (n_triples + 7) // 8, "packed signs")
         sign_bytes = np.frombuffer(raw, dtype=np.uint8)
+        _validate_codes(index_bytes, sign_bytes, rows, cols, idx_offset, sign_offset)
         if group_size == 0:
             n_scales = 1
         else:
@@ -323,20 +297,31 @@ def read_packed(path) -> PackedModel:
     return PackedModel(lam=float(lam), layers=layers, version=version)
 
 
-def _validate_indices(index_bytes: np.ndarray, n_triples: int, base_offset: int) -> None:
-    low = index_bytes & 0x0F
-    high = index_bytes >> 4
+def _validate_codes(index_bytes, sign_bytes, rows, cols, idx_offset, sign_offset) -> None:
+    """Reject any packed codes the writer cannot produce."""
+    per_row = -(-cols // 3)
+    n_triples = rows * per_row
     nibbles = np.empty(index_bytes.size * 2, dtype=np.uint8)
-    nibbles[0::2] = low
-    nibbles[1::2] = high
-    bad = np.flatnonzero(nibbles[:n_triples] >= N_PATTERNS)
-    if bad.size:
-        k = int(bad[0])
+    nibbles[0::2] = index_bytes & 0x0F
+    nibbles[1::2] = index_bytes >> 4
+    idx = nibbles[:n_triples]
+    invalid = idx >= N_PATTERNS
+    if invalid.any():
+        k = int(np.argmax(invalid))
+        raise FormatError(f"invalid pattern index {int(idx[k])}", offset=idx_offset + k // 2)
+    if nibbles[n_triples:].any():
+        raise FormatError("nonzero padding nibble", offset=idx_offset + n_triples // 2)
+    if cols % 3:
+        # the last triple of each row is padded with zero codes
+        ok = _TAIL_ZERO[cols % 3][idx[per_row - 1 :: per_row]]
+        if not ok.all():
+            k = int(np.argmin(ok)) * per_row + per_row - 1
+            raise FormatError("nonzero code in a padding column", offset=idx_offset + k // 2)
+    if n_triples % 8 and sign_bytes[-1] >> (n_triples % 8):
         raise FormatError(
-            f"invalid pattern index {int(nibbles[k])}",
-            offset=base_offset + k // 2,
+            "set sign bit after the last triple", offset=sign_offset + n_triples // 8
         )
-    if n_triples % 2 and index_bytes.size and nibbles[n_triples] != 0:
-        raise FormatError(
-            "nonzero padding nibble", offset=base_offset + n_triples // 2
-        )
+    negative_zero = sign_bytes & np.packbits(idx == 0, bitorder="little")
+    if negative_zero.any():
+        k = int(np.argmax(negative_zero != 0))
+        raise FormatError("negative sign on the zero pattern", offset=sign_offset + k)

@@ -1,27 +1,43 @@
 """Quantization-aware training primitives.
 
 A ``QuantLinearLayer`` keeps full-precision shadow weights that accumulate
-gradient updates while every forward pass requantizes them fresh. Each
-scheme has an explicit closed-form backward rule; there is no autograd.
+gradient updates while every forward pass requantizes them fresh. Every
+scheme is one entry of ``SCHEME_TABLE``; a single forward and a single
+backward read the entry. Gradients are closed-form; there is no autograd.
 
-Forward rules (x is (batch, cols), weights are (rows, cols)):
+With x (batch, cols), weights (rows, cols), ``w_q = codes * alpha`` and
+``dead`` the deadzone mask (|w| < delta), each scheme computes
+``y = x @ w_q.T`` plus its entry's term:
 
-  ternary   y = x @ (codes * alpha).T
-  minima    y += eps * sign(x) @ (sign(w) * dead).T
-  tequila   y += lam * (deadzone row sums), broadcast over the batch
-  lsq       ternary with a learnable per-group alpha (threshold frozen)
-  dlt       ternary with learnable alpha plus a learnable x-coupled bias b
-  seq       dead positions evaluate as alpha * b instead of zero
+  absmean        none; alpha = mean |w|, delta = alpha / 2
+  twn            none; delta = 0.75 * mean |w|, alpha = mean |w| over |w| >= delta
+  lsq            none; alpha learnable, delta frozen at its absmean start
+  seq            x @ C.T with coupling C = alpha * b * dead (dead weights read alpha * b)
+  dlt            x @ C.T with coupling C = b; alpha and b learnable, delta frozen
+  minima         eps * sign(x) @ (sign(w) * dead).T; with eps == 0 it runs as absmean
+  tequila        lam * (row sums of the dead weights), broadcast over the batch
+  tequila-nomix  as tequila; its dead weights drop the STE term of their gradient
 
-Backward rules mirror the forwards with the quantizer treated straight
-through: outside the deadzone the upstream gradient is scaled by the group
-alpha, inside it passes unscaled (plain STE), and the reactivation schemes
-replace or augment the deadzone branch as documented on each function.
+The backward treats the quantizer straight through. With e = g.T @ x, live
+weights get e * alpha; dead weights get the entry's dead-branch gradient:
+
+  STE      e                                       (absmean, twn, lsq, seq, dlt)
+  minima   eps * g.T @ sign(x)
+  tequila  e + lam * sum_b g[b][r]
+  nomix    lam * sum_b g[b][r]
+
+The input gradient is g @ w_q, plus g @ C for a coupling. The partials of
+the learnable slots hold codes and deadzone membership fixed:
+
+  alpha_g (lsq, dlt)  sum over the group of code * e
+  b_g (dlt)           sum over the group of e
+  b_g (seq)           alpha_g * sum over the group's dead positions of e
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -32,46 +48,109 @@ from .quantizer import (
     QuantizedTensor,
     DeadzoneMask,
     _as_matrix,
-    _ternarize_elementwise,
+    _ternary_tensor,
     deadzone_mask,
     dequantize,
     quantize,
     tequila_bias,
 )
 
-SCHEMES = ("absmean", "twn", "lsq", "seq", "dlt", "minima", "tequila", "tequila-nomix")
-
 DEFAULT_LAMBDA = 1e-3
 DEFAULT_EPSILON = 1e-3
 DEFAULT_LEARNING_RATE = 1e-4
 
 
+# Entry callables reach quantizer functions through this module's globals
+# (never a stored reference), so rebinding those names reaches every scheme.
+
+
+def _minima_term(layer, x, mask):
+    return layer.epsilon * (np.sign(x) @ (np.sign(layer.shadow_weights) * mask.mask).T)
+
+
+def _tequila_term(layer, x, mask):
+    return tequila_bias(layer.shadow_weights, mask, layer.lam)
+
+
+def _dead_ste(layer, e, g, x):
+    return e
+
+
+def _dead_minima(layer, e, g, x):
+    return layer.epsilon * (g.T @ np.sign(x))
+
+
+def _dead_tequila(layer, e, g, x):
+    return e + layer.lam * g.sum(axis=0)[:, None]
+
+
+def _dead_nomix(layer, e, g, x):
+    return layer.lam * g.sum(axis=0)[:, None]
+
+
+def _dlt_coupling(q, mask, b):
+    return q.layout().expand(b)
+
+
+def _seq_coupling(q, mask, b):
+    return q.element_scales() * q.layout().expand(b) * mask.mask
+
+
+def _dlt_grad_b(e, q, mask):
+    return q.layout().reduce_sum(e)
+
+
+def _seq_grad_b(e, q, mask):
+    return q.scales * q.layout().reduce_sum(e * mask.mask)
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One row of ``SCHEME_TABLE``; the module docstring gives the maths."""
+
+    #: ``quantize`` estimator; the starting alpha and delta when alpha is learnable
+    estimator: str
+    #: learnable slots besides the shadow weights: "alpha" and/or "b"
+    learnable: tuple = ()
+    #: (layer, x, mask) -> term added to y
+    extra: Callable | None = None
+    #: (layer, e, g, x) -> weight gradient at dead positions
+    dead_grad: Callable = _dead_ste
+    #: (e, quantized, mask) -> gradient of b
+    grad_b: Callable | None = None
+    #: (quantized, mask, b) -> C; forward adds x @ C.T, backward adds g @ C
+    coupling: Callable | None = None
+
+
+SCHEME_TABLE = {
+    "absmean": Scheme("absmean"),
+    "twn": Scheme("twn"),
+    "lsq": Scheme("absmean", learnable=("alpha",)),
+    "seq": Scheme("absmean", learnable=("b",), grad_b=_seq_grad_b, coupling=_seq_coupling),
+    "dlt": Scheme("absmean", learnable=("alpha", "b"), grad_b=_dlt_grad_b, coupling=_dlt_coupling),
+    "minima": Scheme("absmean", extra=_minima_term, dead_grad=_dead_minima),
+    "tequila": Scheme("absmean", extra=_tequila_term, dead_grad=_dead_tequila),
+    "tequila-nomix": Scheme("absmean", extra=_tequila_term, dead_grad=_dead_nomix),
+}
+
+SCHEMES = tuple(SCHEME_TABLE)
+
+
 @dataclass
 class ForwardCache:
-    """Everything a backward pass needs, captured at forward time.
+    """What a backward pass needs from its recorded forward.
 
-    Stored exactly once per recorded forward and consumed exactly once by
-    the matching backward; a second consume raises ``CacheError``.
+    Only the input, the codes with their group statistics, the deadzone
+    mask, a copy of b and the extra forward term are kept; per-element
+    float arrays are rebuilt in the backward pass.
     """
 
     x: np.ndarray
     quantized: QuantizedTensor
     mask: DeadzoneMask
-    bias: np.ndarray | None
-    scheme: str
-    lam: float
-    epsilon: float
     learnable_b: np.ndarray | None = None
-    consumed: bool = False
-
-
-def _consume(cache: ForwardCache) -> ForwardCache:
-    if cache is None:
-        raise CacheError("backward called without a recorded forward")
-    if cache.consumed:
-        raise CacheError("forward cache already consumed")
-    cache.consumed = True
-    return cache
+    #: the entry's extra forward term; for tequila, the per-row deadzone bias
+    bias: np.ndarray | None = None
 
 
 @dataclass
@@ -107,14 +186,14 @@ class QuantLinearLayer:
         layer = cls(
             shadow_weights=w, scheme=scheme, granularity=granularity, lam=lam, epsilon=epsilon
         )
-        if scheme in ("lsq", "dlt"):
+        entry = SCHEME_TABLE[scheme]
+        if "alpha" in entry.learnable:
             # alpha becomes learnable; the threshold keeps its initial estimate
-            q0 = quantize(w, "absmean", granularity)
+            q0 = quantize(w, entry.estimator, granularity)
             layer.learnable_alpha = q0.scales.copy()
             layer.frozen_thresholds = q0.thresholds.copy()
-        if scheme in ("dlt", "seq"):
-            n_groups = GroupLayout(granularity, *w.shape).n_groups
-            layer.learnable_b = np.zeros(n_groups)
+        if "b" in entry.learnable:
+            layer.learnable_b = np.zeros(layer.layout().n_groups)
         return layer
 
     @property
@@ -136,45 +215,62 @@ class QuantLinearLayer:
             out["b"] = self.learnable_b
         return out
 
+    def _entry(self) -> Scheme:
+        # minima without a reactivation strength is plain absmean, both ways
+        if self.scheme == "minima" and self.epsilon == 0.0:
+            return SCHEME_TABLE["absmean"]
+        return SCHEME_TABLE[self.scheme]
+
+    def quantized(self) -> QuantizedTensor:
+        """The ternary view of the shadow weights as of now."""
+        entry = self._entry()
+        if "alpha" not in entry.learnable:
+            return quantize(self.shadow_weights, entry.estimator, self.granularity)
+        return _ternary_tensor(
+            self.shadow_weights,
+            self.learnable_alpha.copy(),
+            self.frozen_thresholds.copy(),
+            self.layout(),
+        )
+
     def forward(self, x, record: bool = True) -> np.ndarray:
-        op = _FORWARDS[self.scheme]
+        """y = x @ w_q.T plus the entry's coupling and extra term.
+
+        ``record=False`` leaves any recorded forward in place.
+        """
+        entry = self._entry()
+        x = _as_batch(x, self.cols)
+        q = self.quantized()
+        mask = deadzone_mask(self.shadow_weights, q)
+        b = None if self.learnable_b is None else self.learnable_b.copy()
+        y = x @ dequantize(q).T
+        if entry.coupling is not None:
+            y = y + x @ entry.coupling(q, mask, b).T
+        term = None
+        if entry.extra is not None:
+            term = entry.extra(self, x, mask)
+            y = y + term
         if record:
-            return op(x, self)
-        saved = self._cache
-        try:
-            return op(x, self)
-        finally:
-            self._cache = saved
+            self._cache = ForwardCache(x=x, quantized=q, mask=mask, learnable_b=b, bias=term)
+        return y
 
     def backward(self, g) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Consume the cache; returns (grad wrt input, grads per parameter)."""
-        cache = self._cache
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise CacheError("backward called without a recorded forward")
+        entry = self._entry()
         g = np.asarray(g, dtype=np.float64)
-        if self.scheme in ("lsq", "dlt", "seq"):
-            grad_w, grad_alpha, grad_b = backward_learnable(g, cache, self.scheme)
-        elif self.scheme == "minima":
-            grad_w, grad_alpha, grad_b = backward_minima(g, cache), None, None
-        elif self.scheme in ("tequila", "tequila-nomix"):
-            grad_w, grad_alpha, grad_b = backward_tequila(g, cache), None, None
-        else:
-            grad_w, grad_alpha, grad_b = backward_ste(g, cache), None, None
-        grad_x = g @ dequantize(cache.quantized)
-        if self.scheme == "dlt":
-            grad_x = grad_x + g @ cache.quantized.layout().expand(cache.learnable_b)
-        elif self.scheme == "seq":
-            layout = cache.quantized.layout()
-            coupling = (
-                cache.quantized.element_scales()
-                * layout.expand(cache.learnable_b)
-                * cache.mask.mask
-            )
-            grad_x = grad_x + g @ coupling
-        grads = {"w": grad_w}
-        if grad_alpha is not None:
-            grads["alpha"] = grad_alpha
-        if grad_b is not None:
-            grads["b"] = grad_b
-        self._cache = None
+        x, q, mask = cache.x, cache.quantized, cache.mask
+        e = g.T @ x
+        grads = {"w": np.where(mask.mask, entry.dead_grad(self, e, g, x), e * q.element_scales())}
+        if "alpha" in entry.learnable:
+            grads["alpha"] = q.layout().reduce_sum(e * q.codes)
+        if "b" in entry.learnable:
+            grads["b"] = entry.grad_b(e, q, mask)
+        grad_x = g @ dequantize(q)
+        if entry.coupling is not None:
+            grad_x = grad_x + g @ entry.coupling(q, mask, cache.learnable_b)
         return grad_x, grads
 
 
@@ -185,194 +281,6 @@ def _as_batch(x, cols: int) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != cols:
         raise InvalidShape(f"input shape {x.shape} does not match layer cols {cols}")
     return x
-
-
-def _fresh_quantized(layer: QuantLinearLayer) -> QuantizedTensor:
-    """Requantize the shadow weights as of now, per the layer's scheme."""
-    if layer.scheme == "twn":
-        return quantize(layer.shadow_weights, "twn", layer.granularity)
-    if layer.scheme in ("lsq", "dlt"):
-        layout = layer.layout()
-        codes = _ternarize_elementwise(
-            layer.shadow_weights, layout.expand(layer.frozen_thresholds)
-        )
-        # degenerate-group rule: a zero scale forces zero codes
-        degenerate = layout.expand(layer.learnable_alpha) == 0.0
-        if degenerate.any():
-            codes = np.where(degenerate, np.int8(0), codes)
-        return QuantizedTensor(
-            codes=codes,
-            scales=layer.learnable_alpha.copy(),
-            thresholds=layer.frozen_thresholds.copy(),
-            granularity=layer.granularity,
-        )
-    return quantize(layer.shadow_weights, "absmean", layer.granularity)
-
-
-def _linear(x: np.ndarray, q: QuantizedTensor) -> np.ndarray:
-    return x @ dequantize(q).T
-
-
-def _record(layer, x, q, mask, bias=None) -> ForwardCache:
-    cache = ForwardCache(
-        x=x,
-        quantized=q,
-        mask=mask,
-        bias=bias,
-        scheme=layer.scheme,
-        lam=layer.lam,
-        epsilon=layer.epsilon,
-        learnable_b=None if layer.learnable_b is None else layer.learnable_b.copy(),
-    )
-    layer._cache = cache
-    return cache
-
-
-def forward_ternary(x, layer: QuantLinearLayer) -> np.ndarray:
-    """Plain ternary forward: y = x @ (codes * alpha).T."""
-    x = _as_batch(x, layer.cols)
-    q = _fresh_quantized(layer)
-    mask = deadzone_mask(layer.shadow_weights, q)
-    _record(layer, x, q, mask)
-    return _linear(x, q)
-
-
-def forward_minima(x, layer: QuantLinearLayer) -> np.ndarray:
-    """Ternary forward plus signed-minima contributions from dead weights.
-
-    Each dead weight contributes eps * sign(x_j) * sign(w_rj); sign(0) = 0.
-    With eps == 0 no weight is reactivated and the layer takes the plain
-    ternary path (forward and backward).
-    """
-    if layer.epsilon == 0.0:
-        return forward_ternary(x, layer)
-    x = _as_batch(x, layer.cols)
-    q = _fresh_quantized(layer)
-    mask = deadzone_mask(layer.shadow_weights, q)
-    _record(layer, x, q, mask)
-    dead_signs = np.sign(layer.shadow_weights) * mask.mask
-    return _linear(x, q) + layer.epsilon * (np.sign(x) @ dead_signs.T)
-
-
-def forward_tequila(x, layer: QuantLinearLayer) -> np.ndarray:
-    """Ternary forward plus the per-row deadzone bias lam * sum of dead weights.
-
-    The bias is recomputed from the current shadow weights on every forward;
-    it is frozen only when a model is packed for inference.
-    """
-    x = _as_batch(x, layer.cols)
-    q = _fresh_quantized(layer)
-    mask = deadzone_mask(layer.shadow_weights, q)
-    bias = tequila_bias(layer.shadow_weights, mask, layer.lam)
-    _record(layer, x, q, mask, bias=bias)
-    return _linear(x, q) + bias
-
-
-def forward_lsq(x, layer: QuantLinearLayer) -> np.ndarray:
-    """Ternary forward with the learnable per-group alpha."""
-    return forward_ternary(x, layer)
-
-
-def forward_dlt(x, layer: QuantLinearLayer) -> np.ndarray:
-    """Learnable-bias forward: y = x @ (codes * alpha).T + x @ b_elem.T."""
-    x = _as_batch(x, layer.cols)
-    q = _fresh_quantized(layer)
-    mask = deadzone_mask(layer.shadow_weights, q)
-    _record(layer, x, q, mask)
-    b_elem = q.layout().expand(layer.learnable_b)
-    return _linear(x, q) + x @ b_elem.T
-
-
-def forward_seq(x, layer: QuantLinearLayer) -> np.ndarray:
-    """Zero-point forward: dead positions evaluate as alpha_g * b_g."""
-    x = _as_batch(x, layer.cols)
-    q = _fresh_quantized(layer)
-    mask = deadzone_mask(layer.shadow_weights, q)
-    _record(layer, x, q, mask)
-    coupling = q.element_scales() * q.layout().expand(layer.learnable_b) * mask.mask
-    return _linear(x, q) + x @ coupling.T
-
-
-def backward_ste(g, cache: ForwardCache) -> np.ndarray:
-    """Straight-through gradient for the shadow weights.
-
-    grad[r][j] = sum_b g[b][r] * x[b][j], scaled by the group alpha outside
-    the deadzone and passed through unscaled inside it.
-    """
-    cache = _consume(cache)
-    e = g.T @ cache.x
-    alpha_elem = cache.quantized.element_scales()
-    return np.where(cache.mask.mask, e, e * alpha_elem)
-
-
-def backward_minima(g, cache: ForwardCache) -> np.ndarray:
-    """Dead weights receive eps * sum_b sign(x) * g; live weights follow STE."""
-    if cache is not None and cache.epsilon == 0.0:
-        return backward_ste(g, cache)
-    cache = _consume(cache)
-    e = g.T @ cache.x
-    s = g.T @ np.sign(cache.x)
-    alpha_elem = cache.quantized.element_scales()
-    return np.where(cache.mask.mask, cache.epsilon * s, e * alpha_elem)
-
-
-def backward_tequila(g, cache: ForwardCache) -> np.ndarray:
-    """Mixed gradients: dead weights get the STE term plus the bias-path term.
-
-    Dead: grad[r][j] = sum_b g[b][r] * x[b][j] + lam * sum_b g[b][r].
-    Live: plain STE with the group alpha. The "tequila-nomix" variant drops
-    the STE term and keeps only the bias path for dead weights.
-    """
-    cache = _consume(cache)
-    e = g.T @ cache.x
-    alpha_elem = cache.quantized.element_scales()
-    g_row = g.sum(axis=0)
-    bias_path = cache.lam * g_row[:, None]
-    if cache.scheme == "tequila-nomix":
-        return np.where(cache.mask.mask, bias_path, e * alpha_elem)
-    return np.where(cache.mask.mask, e, e * alpha_elem) + np.where(
-        cache.mask.mask, bias_path, 0.0
-    )
-
-
-def backward_learnable(g, cache: ForwardCache, scheme: str):
-    """Gradients for schemes with learnable alpha / b.
-
-    The shadow-weight gradient is plain STE. grad_alpha and grad_b are the
-    exact partials of the forward with codes and deadzone membership frozen:
-
-      lsq/dlt  d y / d alpha_g = sum over group of code * x
-      dlt      d y / d b_g     = sum over group of x
-      seq      d y / d b_g     = alpha_g * sum over dead group positions of x
-    """
-    if scheme not in ("lsq", "dlt", "seq"):
-        raise UnsupportedScheme(f"backward_learnable does not handle {scheme!r}")
-    cache = _consume(cache)
-    e = g.T @ cache.x
-    alpha_elem = cache.quantized.element_scales()
-    grad_w = np.where(cache.mask.mask, e, e * alpha_elem)
-    layout = cache.quantized.layout()
-    grad_alpha = None
-    grad_b = None
-    if scheme in ("lsq", "dlt"):
-        grad_alpha = layout.reduce_sum(e * cache.quantized.codes)
-    if scheme == "dlt":
-        grad_b = layout.reduce_sum(e)
-    elif scheme == "seq":
-        grad_b = cache.quantized.scales * layout.reduce_sum(e * cache.mask.mask)
-    return grad_w, grad_alpha, grad_b
-
-
-_FORWARDS = {
-    "absmean": forward_ternary,
-    "twn": forward_ternary,
-    "lsq": forward_lsq,
-    "dlt": forward_dlt,
-    "seq": forward_seq,
-    "minima": forward_minima,
-    "tequila": forward_tequila,
-    "tequila-nomix": forward_tequila,
-}
 
 
 @dataclass

@@ -12,7 +12,7 @@ naive scalar loop over the same elements; the test suite relies on this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -148,6 +148,7 @@ class QuantizedTensor:
     scales: np.ndarray
     thresholds: np.ndarray
     granularity: Granularity
+    _layout: GroupLayout | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rows(self) -> int:
@@ -158,7 +159,10 @@ class QuantizedTensor:
         return self.codes.shape[1]
 
     def layout(self) -> GroupLayout:
-        return GroupLayout(self.granularity, self.rows, self.cols)
+        """The group layout of this tensor, built on first use and then reused."""
+        if self._layout is None:
+            self._layout = GroupLayout(self.granularity, self.rows, self.cols)
+        return self._layout
 
     def element_scales(self) -> np.ndarray:
         return self.layout().expand(self.scales)
@@ -189,11 +193,6 @@ class DeadzoneMask:
     """Boolean mask of weights strictly inside the deadzone (|w| < delta)."""
 
     mask: np.ndarray
-    count_per_row: np.ndarray
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "DeadzoneMask":
-        return cls(mask=mask, count_per_row=mask.sum(axis=1).astype(np.int64))
 
 
 def _as_matrix(w) -> np.ndarray:
@@ -308,11 +307,23 @@ def quantize(w, scheme: str, granularity: Granularity) -> QuantizedTensor:
     w = _as_matrix(w)
     layout = GroupLayout(granularity, *w.shape)
     alphas, deltas = _group_params(w, scheme, layout)
+    return _ternary_tensor(w, alphas, deltas, layout)
+
+
+def _ternary_tensor(w: np.ndarray, alphas, deltas, layout: GroupLayout) -> QuantizedTensor:
+    """``quantize`` with the per-group (alpha, delta) given; no validation.
+
+    The returned tensor reuses ``layout`` instead of building its own.
+    """
     codes = _ternarize_elementwise(w, layout.expand(deltas))
     degenerate = layout.expand(alphas) == 0.0
     if degenerate.any():
         codes = np.where(degenerate, np.int8(0), codes)
-    return QuantizedTensor(codes=codes, scales=alphas, thresholds=deltas, granularity=granularity)
+    q = QuantizedTensor(
+        codes=codes, scales=alphas, thresholds=deltas, granularity=layout.granularity
+    )
+    q._layout = layout
+    return q
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
@@ -325,8 +336,7 @@ def deadzone_mask(w, q: QuantizedTensor) -> DeadzoneMask:
     w = _as_matrix(w)
     if w.shape != q.codes.shape:
         raise InvalidShape(f"weights {w.shape} do not match codes {q.codes.shape}")
-    mask = np.abs(w) < q.element_thresholds()
-    return DeadzoneMask.from_mask(mask)
+    return DeadzoneMask(mask=np.abs(w) < q.element_thresholds())
 
 
 def tequila_bias(w, mask: DeadzoneMask, lam: float) -> np.ndarray:

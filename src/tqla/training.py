@@ -15,7 +15,7 @@ produce identical reports bit for bit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .qat import (
     SCHEMES,
     OptimizerState,
     QuantLinearLayer,
-    _fresh_quantized,
     optimizer_step,
 )
 from .quantizer import Granularity, dequantize, quantize
@@ -148,9 +147,6 @@ class TrainConfig:
             raise InvalidParam(f"unknown config keys: {sorted(d)}")
         return cls(**kwargs)
 
-    def with_overrides(self, **kw):
-        return replace(self, **kw)
-
 
 @dataclass
 class TrainReport:
@@ -259,7 +255,7 @@ class QuantMlp:
 
     def quantized_pairs(self):
         """Fresh (shadow weights, quantized view) per layer, for diagnostics."""
-        return [(layer.shadow_weights, _fresh_quantized(layer)) for layer in self.layers]
+        return [(layer.shadow_weights, layer.quantized()) for layer in self.layers]
 
 
 #: Scale of the per-row constants added to regression targets. Sized so a

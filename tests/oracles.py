@@ -3,10 +3,13 @@
 Everything here is written with plain Python loops and floats, element by
 element, deliberately avoiding the vectorized code paths under test. Sums
 accumulate strictly left to right so results are comparable bit for bit
-with the package's sequential group statistics.
+with the package's sequential group statistics. The one vectorized helper,
+``twn_alpha_grid``, runs numpy over its search grid, not over a tested path.
 """
 
 import math
+
+import numpy as np
 
 
 def group_of(r, c, rows, cols, kind, group_size):
@@ -108,23 +111,25 @@ def tequila_bias_scalar(w, mask, lam):
 
 
 def twn_alpha_grid(values, delta, step_fraction=1e-5):
-    """Brute-force alpha minimizing sum((w - alpha*code)^2) on a dense grid."""
+    """Brute-force alpha minimizing sum((w - alpha*code)^2) on a dense grid.
+
+    The grid is scanned as numpy vectors, one element of ``values`` at a
+    time, so each grid point's error accumulates left to right exactly as
+    a scalar loop would; ties go to the smallest alpha.
+    """
     codes = [ternarize_scalar(v, delta) for v in values]
     hi = 2.0 * max(abs(v) for v in values)
     if hi == 0.0:
         return 0.0, 0.0
     step = step_fraction * hi
-    best_alpha, best_err = 0.0, None
     n_steps = int(round(hi / step))
-    for k in range(n_steps + 1):
-        alpha = k * step
-        err = 0.0
-        for v, q in zip(values, codes):
-            d = v - alpha * q
-            err += d * d
-        if best_err is None or err < best_err:
-            best_alpha, best_err = alpha, err
-    return best_alpha, best_err
+    alphas = np.arange(n_steps + 1, dtype=np.float64) * step
+    errs = np.zeros_like(alphas)
+    for v, q in zip(values, codes):
+        d = v - alphas * q
+        errs += d * d
+    k = int(np.argmin(errs))
+    return float(alphas[k]), float(errs[k])
 
 
 def recon_error(values, alpha, delta):

@@ -1,0 +1,129 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tqla import Granularity, deadzone_mask, quantize, tequila_bias
+from tqla.errors import FormatError
+from tqla.packing import PATTERNS, pack_model, read_packed, write_packed
+
+HEADER_BYTES = 16
+LAYER_HEADER_BYTES = 12
+LAM = 1e-3
+
+
+def granularities(cols):
+    return st.one_of(
+        st.just(Granularity("per-tensor")),
+        st.just(Granularity("per-channel")),
+        st.integers(1, cols + 3).map(lambda n: Granularity("per-group", n)),
+    )
+
+
+@st.composite
+def layers(draw):
+    rows = draw(st.integers(1, 9))
+    cols = draw(st.integers(1, 20))
+    granularity = draw(granularities(cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.standard_normal((rows, cols)) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    if draw(st.booleans()):
+        w[: draw(st.integers(0, rows))] = 0.0  # degenerate groups
+    return w, granularity
+
+
+def write_model(path, stack):
+    packed = []
+    for w, granularity in stack:
+        q = quantize(w, "absmean", granularity)
+        packed.append((q, w, deadzone_mask(w, q)))
+    write_packed(pack_model(packed, LAM), path)
+    return packed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(layers(), min_size=1, max_size=3))
+def test_roundtrip(tmp_path_factory, stack):
+    path = tmp_path_factory.mktemp("rt") / "model.tqla"
+    written = write_model(path, stack)
+    model = read_packed(path)
+    assert model.lam == float(np.float32(LAM))
+    assert len(model.layers) == len(written)
+    for layer, (q, w, mask) in zip(model.layers, written):
+        codes = layer.unpack_codes()
+        np.testing.assert_array_equal(codes[:, : layer.cols], q.codes)
+        assert not codes[:, layer.cols :].any()
+        assert layer.n_scales == q.scales.size
+        np.testing.assert_array_equal(layer.scales, q.scales.astype(np.float32))
+        np.testing.assert_array_equal(layer.bias, tequila_bias(w, mask, LAM).astype(np.float32))
+    blob = path.read_bytes()
+    write_packed(model, path)
+    assert path.read_bytes() == blob
+
+
+def one_layer_file(tmp_path, codes_row):
+    """A 1-row file whose codes are exactly ``codes_row`` (per-tensor)."""
+    w = np.asarray([codes_row], dtype=np.float64)
+    path = tmp_path / "model.tqla"
+    ((q, _, _),) = write_model(path, [(w, Granularity("per-tensor"))])
+    assert q.codes.tolist() == [codes_row]
+    return path
+
+
+def patch(path, offset, value):
+    blob = bytearray(path.read_bytes())
+    blob[offset] = value
+    path.write_bytes(bytes(blob))
+
+
+def expect_format_error(path, offset):
+    with pytest.raises(FormatError) as info:
+        read_packed(path)
+    assert info.value.offset == offset
+    return str(info.value)
+
+
+def test_set_sign_bit_after_last_triple_rejected(tmp_path):
+    # 4 columns -> 2 triples -> 1 index byte, then 1 sign byte with 6 padding bits
+    path = one_layer_file(tmp_path, [1, -1, 0, 1])
+    sign_offset = HEADER_BYTES + LAYER_HEADER_BYTES + 1
+    assert read_packed(path).layers[0].sign_bytes.tolist() == [0]
+    patch(path, sign_offset, 0b10000000)
+    assert "sign bit" in expect_format_error(path, sign_offset)
+
+
+def test_negative_zero_pattern_rejected(tmp_path):
+    # the first triple is all zero (index 0); its sign bit must stay clear
+    path = one_layer_file(tmp_path, [0, 0, 0, 1, -1, 1])
+    sign_offset = HEADER_BYTES + LAYER_HEADER_BYTES + 1
+    assert read_packed(path).layers[0].sign_bytes.tolist() == [0]
+    patch(path, sign_offset, 0b1)
+    assert "zero pattern" in expect_format_error(path, sign_offset)
+
+
+def test_nonzero_code_in_padding_column_rejected(tmp_path):
+    # 4 columns: the second triple holds column 3 and two padding columns
+    path = one_layer_file(tmp_path, [1, 1, 1, 1])
+    idx_offset = HEADER_BYTES + LAYER_HEADER_BYTES
+    index = read_packed(path).layers[0].index_bytes[0]
+    assert PATTERNS[index >> 4].tolist() == [1, 0, 0]
+    patch(path, idx_offset, (index & 0x0F) | (3 << 4))  # (0, +, 0)
+    assert "padding column" in expect_format_error(path, idx_offset)
+
+
+def test_invalid_index_and_padding_nibble_rejected(tmp_path):
+    path = one_layer_file(tmp_path, [1, -1, 0])
+    idx_offset = HEADER_BYTES + LAYER_HEADER_BYTES
+    patch(path, idx_offset, 14)
+    assert "invalid pattern index 14" in expect_format_error(path, idx_offset)
+    path = one_layer_file(tmp_path, [1, -1, 0])
+    patch(path, idx_offset, read_packed(path).layers[0].index_bytes[0] | 0x10)
+    assert "padding nibble" in expect_format_error(path, idx_offset)
+
+
+def test_truncation_and_trailing_bytes(tmp_path):
+    path = one_layer_file(tmp_path, [1, -1, 0, 1])
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-1])
+    assert "truncated" in expect_format_error(path, len(blob) - 4)
+    path.write_bytes(blob + b"\0")
+    assert "trailing" in expect_format_error(path, len(blob))

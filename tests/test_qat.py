@@ -4,21 +4,7 @@ import pytest
 import oracles
 from tqla import Granularity, dequantize, tequila_bias
 from tqla.errors import CacheError, GradientError, InvalidShape, UnsupportedScheme
-from tqla.qat import (
-    OptimizerState,
-    QuantLinearLayer,
-    backward_learnable,
-    backward_minima,
-    backward_ste,
-    backward_tequila,
-    forward_dlt,
-    forward_lsq,
-    forward_minima,
-    forward_seq,
-    forward_tequila,
-    forward_ternary,
-    optimizer_step,
-)
+from tqla.qat import OptimizerState, QuantLinearLayer, optimizer_step
 
 PT = Granularity("per-tensor")
 
@@ -43,14 +29,14 @@ class TestForwardTernary:
         j = 3
         x = np.zeros((1, layer.cols))
         x[0, j] = 1.0
-        y = forward_ternary(x, layer)
+        y = layer.forward(x)
         q = layer._cache.quantized
         expected = dequantize(q)[:, j]
         np.testing.assert_array_equal(y[0], expected)
 
     def test_zero_weights(self):
         layer = QuantLinearLayer.create(np.zeros((3, 4)), "absmean", PT)
-        y = forward_ternary(np.ones((2, 4)), layer)
+        y = layer.forward(np.ones((2, 4)))
         assert not y.any()
 
     def test_matches_double_loop_oracle(self):
@@ -58,7 +44,7 @@ class TestForwardTernary:
         for _ in range(30):
             layer = make_layer(rng, "absmean")
             x, _ = random_instance(rng, layer)
-            y = forward_ternary(x, layer)
+            y = layer.forward(x)
             q = layer._cache.quantized
             ref = oracles.forward_ternary_scalar(
                 x.tolist(),
@@ -73,7 +59,7 @@ class TestForwardTernary:
         rng = np.random.default_rng(2)
         layer = make_layer(rng, "absmean")
         with pytest.raises(InvalidShape):
-            forward_ternary(np.ones((2, layer.cols + 1)), layer)
+            layer.forward(np.ones((2, layer.cols + 1)))
 
 
 class TestBackwardSte:
@@ -81,24 +67,24 @@ class TestBackwardSte:
         rng = np.random.default_rng(3)
         layer = make_layer(rng, "absmean")
         x, g = random_instance(rng, layer)
-        forward_ternary(x, layer)
-        grad = backward_ste(np.zeros_like(g), layer._cache)
+        layer.forward(x)
+        grad = layer.backward(np.zeros_like(g))[1]["w"]
         assert not grad.any()
 
     def test_single_element_outside_deadzone(self):
         # one live weight, x = 2, g = 0.5, alpha = 0.4 -> 0.4
         layer = QuantLinearLayer.create(np.array([[0.4]]), "absmean", PT)
-        forward_ternary(np.array([[2.0]]), layer)
+        layer.forward(np.array([[2.0]]))
         # alpha = 0.4, delta = 0.2, |w| >= delta: outside deadzone
-        grad = backward_ste(np.array([[0.5]]), layer._cache)
+        grad = layer.backward(np.array([[0.5]]))[1]["w"]
         assert grad[0, 0] == pytest.approx(0.5 * 2.0 * 0.4, rel=1e-12)
 
     def test_single_element_inside_deadzone(self):
         # same upstream but the weight sits inside the deadzone: no alpha factor
         layer = QuantLinearLayer.create(np.array([[0.1, 0.9]]), "absmean", PT)
-        forward_ternary(np.array([[2.0, 0.0]]), layer)
-        grad = backward_ste(np.array([[0.5]]), layer._cache)
+        layer.forward(np.array([[2.0, 0.0]]))
         assert layer._cache.mask.mask[0, 0]
+        grad = layer.backward(np.array([[0.5]]))[1]["w"]
         assert grad[0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_scalar_oracle(self):
@@ -106,9 +92,9 @@ class TestBackwardSte:
         for _ in range(30):
             layer = make_layer(rng, "absmean")
             x, g = random_instance(rng, layer)
-            forward_ternary(x, layer)
+            layer.forward(x)
             cache = layer._cache
-            grad = backward_ste(g, cache)
+            grad = layer.backward(g)[1]["w"]
             live = (~cache.mask.mask).tolist()
             ref = oracles.backward_ste_scalar(
                 g.tolist(),
@@ -124,12 +110,12 @@ class TestBackwardSte:
         rng = np.random.default_rng(5)
         layer = make_layer(rng, "absmean")
         x, g = random_instance(rng, layer)
-        forward_ternary(x, layer)
-        backward_ste(g, layer._cache)
+        layer.forward(x)
+        layer.backward(g)
         with pytest.raises(CacheError):
-            backward_ste(g, layer._cache)
+            layer.backward(g)
         with pytest.raises(CacheError):
-            backward_ste(g, None)
+            make_layer(rng, "absmean").backward(g)
 
 
 class TestMinima:
@@ -141,11 +127,11 @@ class TestMinima:
             a = QuantLinearLayer.create(w, "absmean", g)
             b = QuantLinearLayer.create(w, "minima", g, epsilon=0.0)
             x, up = random_instance(rng, a)
-            ya = forward_ternary(x, a)
-            yb = forward_minima(x, b)
+            ya = a.forward(x)
+            yb = b.forward(x)
             assert np.array_equal(ya, yb)
-            ga = backward_ste(up, a._cache)
-            gb = backward_minima(up, b._cache)
+            ga = a.backward(up)[1]["w"]
+            gb = b.backward(up)[1]["w"]
             assert np.array_equal(ga, gb)
 
     def test_dead_weights_with_matching_input_signs(self):
@@ -153,7 +139,7 @@ class TestMinima:
         w = np.array([[0.01, 0.01, 0.01, 0.01, 10.0, -10.0]])
         layer = QuantLinearLayer.create(w, "minima", PT, epsilon=1e-3)
         x = np.array([[1.0, 2.0, 3.0, 4.0, 0.0, 0.0]])
-        y = forward_minima(x, layer)
+        y = layer.forward(x)
         mask = layer._cache.mask.mask
         assert mask[0, :4].all() and not mask[0, 4:].any()
         assert y[0, 0] == pytest.approx(1e-3 * 4, rel=1e-12)
@@ -163,7 +149,7 @@ class TestMinima:
         for _ in range(30):
             layer = make_layer(rng, "minima", epsilon=float(rng.uniform(1e-4, 1e-2)))
             x, _ = random_instance(rng, layer)
-            y = forward_minima(x, layer)
+            y = layer.forward(x)
             c = layer._cache
             ref = oracles.forward_minima_scalar(
                 x.tolist(),
@@ -182,9 +168,9 @@ class TestMinima:
         w = np.array([[0.01, 1.0]])
         layer = QuantLinearLayer.create(w, "minima", PT, epsilon=1e-3)
         x = np.array([[-3.0, 0.0]])
-        forward_minima(x, layer)
+        layer.forward(x)
         assert layer._cache.mask.mask[0, 0]
-        grad = backward_minima(np.array([[0.5]]), layer._cache)
+        grad = layer.backward(np.array([[0.5]]))[1]["w"]
         assert grad[0, 0] == pytest.approx(-5e-4, rel=1e-12)
 
     def test_backward_matches_oracle(self):
@@ -192,9 +178,9 @@ class TestMinima:
         for _ in range(30):
             layer = make_layer(rng, "minima", epsilon=float(rng.uniform(1e-4, 1e-2)))
             x, g = random_instance(rng, layer)
-            forward_minima(x, layer)
+            layer.forward(x)
             c = layer._cache
-            grad = backward_minima(g, c)
+            grad = layer.backward(g)[1]["w"]
             ref = oracles.backward_minima_scalar(
                 g.tolist(),
                 x.tolist(),
@@ -210,11 +196,11 @@ class TestMinima:
         rng = np.random.default_rng(9)
         layer = make_layer(rng, "minima")
         x, g = random_instance(rng, layer)
-        forward_minima(x, layer)
+        layer.forward(x)
         cache = layer._cache
-        grad1 = backward_minima(g, cache)
-        forward_minima(x * 7.5, layer)
-        grad2 = backward_minima(g, layer._cache)
+        grad1 = layer.backward(g)[1]["w"]
+        layer.forward(x * 7.5)
+        grad2 = layer.backward(g)[1]["w"]
         dead = cache.mask.mask
         np.testing.assert_array_equal(grad1[dead], grad2[dead])
 
@@ -228,13 +214,13 @@ class TestTequila:
             a = QuantLinearLayer.create(w, "absmean", g)
             b = QuantLinearLayer.create(w, "tequila", g, lam=0.0)
             x, up = random_instance(rng, a)
-            assert np.array_equal(forward_ternary(x, a), forward_tequila(x, b))
-            assert np.array_equal(backward_ste(up, a._cache), backward_tequila(up, b._cache))
+            assert np.array_equal(a.forward(x), b.forward(x))
+            assert np.array_equal(a.backward(up)[1]["w"], b.backward(up)[1]["w"])
 
     def test_zero_input_yields_bias(self):
         rng = np.random.default_rng(11)
         layer = make_layer(rng, "tequila")
-        y = forward_tequila(np.zeros((3, layer.cols)), layer)
+        y = layer.forward(np.zeros((3, layer.cols)))
         c = layer._cache
         expected = tequila_bias(layer.shadow_weights, c.mask, layer.lam)
         for b in range(3):
@@ -245,7 +231,7 @@ class TestTequila:
         for _ in range(30):
             layer = make_layer(rng, "tequila")
             x, _ = random_instance(rng, layer)
-            y = forward_tequila(x, layer)
+            y = layer.forward(x)
             c = layer._cache
             ref = oracles.forward_tequila_scalar(
                 x.tolist(),
@@ -263,9 +249,9 @@ class TestTequila:
         # dead element, x = 2.0, lam = 1e-3, g = 0.5 -> 0.5 * (2.0 + 0.001)
         w = np.array([[0.01, 1.0]])
         layer = QuantLinearLayer.create(w, "tequila", PT, lam=1e-3)
-        forward_tequila(np.array([[2.0, 0.0]]), layer)
+        layer.forward(np.array([[2.0, 0.0]]))
         assert layer._cache.mask.mask[0, 0]
-        grad = backward_tequila(np.array([[0.5]]), layer._cache)
+        grad = layer.backward(np.array([[0.5]]))[1]["w"]
         assert grad[0, 0] == pytest.approx(1.0005, rel=1e-12)
 
     @pytest.mark.parametrize("variant", ["tequila", "tequila-nomix"])
@@ -274,9 +260,9 @@ class TestTequila:
         for _ in range(30):
             layer = make_layer(rng, variant)
             x, g = random_instance(rng, layer)
-            forward_tequila(x, layer)
+            layer.forward(x)
             c = layer._cache
-            grad = backward_tequila(g, c)
+            grad = layer.backward(g)[1]["w"]
             ref = oracles.backward_tequila_scalar(
                 g.tolist(),
                 x.tolist(),
@@ -296,7 +282,7 @@ class TestTequila:
         for _ in range(40):
             layer = make_layer(rng, "tequila")
             x, g = random_instance(rng, layer)
-            forward_tequila(x, layer)
+            layer.forward(x)
             cache = layer._cache
             thr = cache.quantized.element_thresholds()
             safe = cache.mask.mask & (np.abs(layer.shadow_weights) < 0.9 * thr)
@@ -333,10 +319,9 @@ class TestLearnableSchemes:
                 plain = QuantLinearLayer.create(w, "absmean", g)
                 learn = QuantLinearLayer.create(w, scheme, g)
                 x, up = random_instance(rng, plain)
-                fwd = {"dlt": forward_dlt, "seq": forward_seq, "lsq": forward_lsq}[scheme]
-                assert np.array_equal(forward_ternary(x, plain), fwd(x, learn))
-                grad_plain = backward_ste(up, plain._cache)
-                grad_w, _, _ = backward_learnable(up, learn._cache, scheme)
+                assert np.array_equal(plain.forward(x), learn.forward(x))
+                grad_plain = plain.backward(up)[1]["w"]
+                grad_w = learn.backward(up)[1]["w"]
                 assert np.array_equal(grad_plain, grad_w)
 
     def test_dlt_forward_matches_oracle(self):
@@ -346,7 +331,7 @@ class TestLearnableSchemes:
             layer.learnable_b[:] = rng.standard_normal(layer.learnable_b.shape) * 0.1
             layer.learnable_alpha[:] = rng.uniform(0.1, 2.0, layer.learnable_alpha.shape)
             x, _ = random_instance(rng, layer)
-            y = forward_dlt(x, layer)
+            y = layer.forward(x)
             c = layer._cache
             ref = oracles.forward_dlt_scalar(
                 x.tolist(),
@@ -364,7 +349,7 @@ class TestLearnableSchemes:
             layer = make_layer(rng, "seq")
             layer.learnable_b[:] = rng.standard_normal(layer.learnable_b.shape) * 0.1
             x, _ = random_instance(rng, layer)
-            y = forward_seq(x, layer)
+            y = layer.forward(x)
             c = layer._cache
             ref = oracles.forward_seq_scalar(
                 x.tolist(),
@@ -381,16 +366,16 @@ class TestLearnableSchemes:
         # x = ones, batch 1, g = 0.5, group width 4 -> grad_b = 2.0
         w = np.array([[0.5, -0.5, 0.5, -0.5]])
         layer = QuantLinearLayer.create(w, "dlt", Granularity("per-group", 4))
-        forward_dlt(np.ones((1, 4)), layer)
-        _, _, grad_b = backward_learnable(np.array([[0.5]]), layer._cache, "dlt")
+        layer.forward(np.ones((1, 4)))
+        grad_b = layer.backward(np.array([[0.5]]))[1]["b"]
         assert grad_b.tolist() == [2.0]
 
     def test_lsq_zero_codes_zero_grad_alpha(self):
         w = np.zeros((2, 4))
         layer = QuantLinearLayer.create(w, "lsq", PT)
-        forward_lsq(np.ones((1, 4)), layer)
+        layer.forward(np.ones((1, 4)))
         assert not layer._cache.quantized.codes.any()
-        _, grad_alpha, _ = backward_learnable(np.ones((1, 2)), layer._cache, "lsq")
+        grad_alpha = layer.backward(np.ones((1, 2)))[1]["alpha"]
         assert not grad_alpha.any()
 
     def test_grads_match_scalar_oracles(self):
@@ -403,7 +388,8 @@ class TestLearnableSchemes:
                 x, g = random_instance(rng, layer)
                 layer.forward(x)
                 cache = layer._cache
-                grad_w, grad_alpha, grad_b = backward_learnable(g, cache, scheme)
+                _, grads = layer.backward(g)
+                grad_alpha, grad_b = grads.get("alpha"), grads.get("b")
                 kind, gs = layer.granularity.kind, layer.granularity.group_size
                 if grad_alpha is not None:
                     ref_a = oracles.grad_alpha_scalar(
@@ -432,9 +418,9 @@ class TestLearnableSchemes:
             if layer.learnable_b is not None:
                 layer.learnable_b[:] = rng.standard_normal(layer.learnable_b.shape) * 0.1
             x, g = random_instance(rng, layer)
-            y = layer.forward(x)
-            cache = layer._cache
-            grad_w, grad_alpha, grad_b = backward_learnable(g, cache, scheme)
+            layer.forward(x)
+            _, grads = layer.backward(g)
+            grad_alpha, grad_b = grads.get("alpha"), grads.get("b")
 
             def functional():
                 return float(np.sum(g * layer.forward(x, record=False)))
@@ -462,12 +448,6 @@ class TestLearnableSchemes:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(UnsupportedScheme):
             QuantLinearLayer.create(np.ones((2, 2)), "binary", PT)
-        rng = np.random.default_rng(20)
-        layer = make_layer(rng, "absmean")
-        x, g = random_instance(rng, layer)
-        forward_ternary(x, layer)
-        with pytest.raises(UnsupportedScheme):
-            backward_learnable(g, layer._cache, "absmean")
 
 
 class TestLayerApi:

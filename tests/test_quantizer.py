@@ -201,7 +201,7 @@ class TestDeadzoneMask:
         q = quantize(w, "absmean", PT)
         m = deadzone_mask(w, q)
         assert m.mask.tolist() == [[False, False, True, False]]
-        assert m.count_per_row.tolist() == [1]
+        assert m.mask.sum(axis=1).tolist() == [1]
 
     def test_zero_threshold_empty_deadzone(self):
         w = np.array([[1.0, -2.0]])
@@ -241,22 +241,22 @@ class TestTequilaBias:
 
     def test_empty_deadzone(self):
         w = np.array([[1.0, -1.0]])
-        mask = DeadzoneMask.from_mask(np.zeros((1, 2), dtype=bool))
+        mask = DeadzoneMask(mask=np.zeros((1, 2), dtype=bool))
         assert tequila_bias(w, mask, 1e-3).tolist() == [0.0]
 
     def test_all_dead_is_scaled_row_sum(self):
         w = np.array([[0.1, 0.2, -0.05]])
-        mask = DeadzoneMask.from_mask(np.ones((1, 3), dtype=bool))
+        mask = DeadzoneMask(mask=np.ones((1, 3), dtype=bool))
         bias = tequila_bias(w, mask, 2.0)
         assert bias[0] == pytest.approx(2.0 * (0.1 + 0.2 - 0.05), rel=1e-15)
 
     def test_shape_mismatch(self):
-        mask = DeadzoneMask.from_mask(np.ones((1, 3), dtype=bool))
+        mask = DeadzoneMask(mask=np.ones((1, 3), dtype=bool))
         with pytest.raises(InvalidShape):
             tequila_bias(np.ones((2, 3)), mask, 1.0)
 
     def test_non_finite_lambda(self):
-        mask = DeadzoneMask.from_mask(np.ones((1, 3), dtype=bool))
+        mask = DeadzoneMask(mask=np.ones((1, 3), dtype=bool))
         with pytest.raises(InvalidParam):
             tequila_bias(np.ones((1, 3)), mask, float("nan"))
 
