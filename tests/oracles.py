@@ -337,3 +337,48 @@ def rel_err(a, b):
     b = np.asarray(b, dtype=np.float64)
     scale = max(float(np.max(np.abs(b))), 1e-300)
     return float(np.max(np.abs(a - b))) / scale
+
+
+#: The canonical triple table of the TQLA format, as listed in ``tqla.packing``.
+TQLA_PATTERNS = [
+    (0, 0, 0), (0, 0, 1), (0, 1, -1), (0, 1, 0), (0, 1, 1),
+    (1, -1, -1), (1, -1, 0), (1, -1, 1), (1, 0, -1), (1, 0, 0),
+    (1, 0, 1), (1, 1, -1), (1, 1, 0), (1, 1, 1),
+]
+
+
+def pack_codes_scalar(codes):
+    """(index bytes, sign bytes) of a (rows, cols) code matrix, one triple at a time.
+
+    Triple k (row-major, ceil(cols/3) per row, the last one of a row padded
+    with zeros) goes to the low nibble of index byte k/2 when k is even and
+    the high nibble when odd; a negated pattern sets bit k%8 of sign byte k/8.
+    """
+    rows, cols = len(codes), len(codes[0])
+    per_row = (cols + 2) // 3
+    n = rows * per_row
+    index = bytearray((n + 1) // 2)
+    signs = bytearray((n + 7) // 8)
+    for k in range(n):
+        r, s = divmod(k, per_row)
+        t = tuple(int(codes[r][c]) if c < cols else 0 for c in range(3 * s, 3 * s + 3))
+        if t in TQLA_PATTERNS:
+            i = TQLA_PATTERNS.index(t)
+        else:
+            i = TQLA_PATTERNS.index(tuple(-v for v in t))
+            signs[k // 8] |= 1 << (k % 8)
+        index[k // 2] |= i << (4 * (k % 2))
+    return bytes(index), bytes(signs)
+
+
+def unpack_codes_scalar(index, signs, rows, cols):
+    """(rows, 3*ceil(cols/3)) codes of packed sections, one triple at a time."""
+    per_row = (cols + 2) // 3
+    out = [[0] * (3 * per_row) for _ in range(rows)]
+    for k in range(rows * per_row):
+        r, s = divmod(k, per_row)
+        pattern = TQLA_PATTERNS[(index[k // 2] >> (4 * (k % 2))) & 0x0F]
+        sign = -1 if (signs[k // 8] >> (k % 8)) & 1 else 1
+        for j in range(3):
+            out[r][3 * s + j] = sign * pattern[j]
+    return out

@@ -1,6 +1,10 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import pack_codes_scalar, unpack_codes_scalar
 
 from tqla import Granularity, deadzone_mask, quantize, tequila_bias
 from tqla.errors import FormatError
@@ -49,7 +53,11 @@ def test_roundtrip(tmp_path_factory, stack):
     assert model.lam == float(np.float32(LAM))
     assert len(model.layers) == len(written)
     for layer, (q, w, mask) in zip(model.layers, written):
+        index, signs = pack_codes_scalar(q.codes.tolist())
+        assert layer.index_bytes.tobytes() == index
+        assert layer.sign_bytes.tobytes() == signs
         codes = layer.unpack_codes()
+        np.testing.assert_array_equal(codes, unpack_codes_scalar(index, signs, *q.codes.shape))
         np.testing.assert_array_equal(codes[:, : layer.cols], q.codes)
         assert not codes[:, layer.cols :].any()
         assert layer.n_scales == q.scales.size
@@ -58,6 +66,61 @@ def test_roundtrip(tmp_path_factory, stack):
     blob = path.read_bytes()
     write_packed(model, path)
     assert path.read_bytes() == blob
+
+
+ALL_TRIPLES = [v for t in itertools.product((-1, 0, 1), repeat=3) for v in t]
+RNG_CODES = np.random.default_rng(3809)
+
+
+def code_cases():
+    # every triple in the low nibble of its byte (27 triples), then in the high one (28)
+    yield np.array([ALL_TRIPLES])
+    yield np.array([[0, 0, 0] + ALL_TRIPLES])
+    # odd and even triple counts, with cols % 3 in {0, 1, 2}
+    for rows, cols in [(1, 1), (1, 2), (3, 7), (2, 8), (5, 9), (4, 9), (3, 10), (2, 11), (6, 12)]:
+        yield RNG_CODES.integers(-1, 2, size=(rows, cols))
+
+
+@pytest.mark.parametrize("codes", list(code_cases()), ids=lambda c: "x".join(map(str, c.shape)))
+def test_sections_match_scalar_oracle(tmp_path, codes):
+    path = tmp_path / "model.tqla"
+    ((q, _, _),) = write_model(path, [(codes.astype(np.float64), Granularity("per-tensor"))])
+    np.testing.assert_array_equal(q.codes, codes)
+    index, signs = pack_codes_scalar(codes.tolist())
+    start = HEADER_BYTES + LAYER_HEADER_BYTES
+    blob = path.read_bytes()
+    assert blob[start : start + len(index)] == index
+    assert blob[start + len(index) : start + len(index) + len(signs)] == signs
+    (layer,) = read_packed(path).layers
+    np.testing.assert_array_equal(layer.unpack_codes(), unpack_codes_scalar(index, signs, *codes.shape))
+
+
+#: SHA-256 of the file written by ``fixed_model_file``; recorded before the
+#: codec became table-driven, so any change to the written bytes shows here.
+FIXED_FILE_SHA256 = "c1fac29112b3a74dc9f4c770957547591215509146c468edcdc0ce9fe1e7bb1d"
+
+
+def fixed_model_file(path):
+    """Five layers: uneven groups, groups crossing triples, all three granularities."""
+    rng = np.random.default_rng(2509)
+    stack = []
+    for (rows, cols), granularity, scheme in [
+        ((5, 13), Granularity("per-group", 5), "absmean"),
+        ((4, 130), Granularity("per-group", 128), "twn"),
+        ((7, 9), Granularity("per-channel"), "absmean"),
+        ((3, 8), Granularity("per-tensor"), "twn"),
+        ((2, 1), Granularity("per-channel"), "absmean"),
+    ]:
+        w = rng.standard_normal((rows, cols))
+        q = quantize(w, scheme, granularity)
+        stack.append((q, w, deadzone_mask(w, q)))
+    write_packed(pack_model(stack, 0.05), path)
+
+
+def test_fixed_file_digest_unchanged(tmp_path):
+    path = tmp_path / "model.tqla"
+    fixed_model_file(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FIXED_FILE_SHA256
 
 
 def one_layer_file(tmp_path, codes_row):
