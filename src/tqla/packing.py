@@ -26,6 +26,13 @@ On-disk "TQLA" layout (all little-endian):
       scales:  f32 per group (1 for per-tensor, rows*ceil(cols/group_size)
                otherwise, row-major)
       bias:    f32 per row (the frozen deadzone bias)
+
+Both directions go through tables built once from the pattern table, so the
+format lives in one place. Encoding looks up the index byte of each pair of
+triples by their two keys, and each sign bit by its triple's key. Decoding
+reads an index byte together with the sign bits of its two triples as one of
+1024 entries, each holding the six signed codes of the byte, so a layer
+decodes with one gather.
 """
 
 from __future__ import annotations
@@ -64,35 +71,56 @@ def _build_patterns() -> np.ndarray:
 
 PATTERNS = _build_patterns()
 
-# key = 9*(a+1) + 3*(b+1) + (c+1) for any triple -> (index, sign)
+# key = 9*(a+1) + 3*(b+1) + (c+1) of a triple (a, b, c) -> index, sign bit;
+# the positive member is written last, so the zero triple keeps a clear bit
 _KEY_TO_INDEX = np.zeros(27, dtype=np.uint8)
-_KEY_TO_SIGN = np.zeros(27, dtype=np.int8)
+_KEY_TO_NEGATIVE = np.zeros(27, dtype=bool)
 for _i, _p in enumerate(PATTERNS):
-    for _s in (1, -1):
-        _t = _s * _p
+    for _negative in (True, False):
+        _t = -_p if _negative else _p
         _key = 9 * (_t[0] + 1) + 3 * (_t[1] + 1) + (_t[2] + 1)
         _KEY_TO_INDEX[_key] = _i
-        _KEY_TO_SIGN[_key] = _s
-_KEY_TO_SIGN[9 * 1 + 3 * 1 + 1] = 1  # zero triple is canonically positive
+        _KEY_TO_NEGATIVE[_key] = _negative
+
+# _PAIR_TO_BYTE[27*key(t0) + key(t1)]: the index byte of triples t0, t1
+_PAIR_TO_BYTE = (_KEY_TO_INDEX[:, None] | (_KEY_TO_INDEX[None, :] << 4)).reshape(-1)
+
+
+def _build_decode_table() -> np.ndarray:
+    """The six codes of index byte b with sign bits s0, s1 at b + 256*(s0 + 2*s1).
+
+    Each entry is one 6-byte item, so decoding is a single ``take``. Nibbles
+    14 and 15 decode to zeros; ``read_packed`` rejects them before they can.
+    """
+    signed = np.zeros((2, 16, 3), dtype=np.int8)
+    signed[0, :N_PATTERNS] = PATTERNS
+    signed[1, :N_PATTERNS] = -PATTERNS
+    b = np.arange(256)
+    s = np.arange(4)[:, None]
+    table = np.concatenate([signed[s & 1, b & 0x0F], signed[s >> 1, b >> 4]], axis=2)
+    return table.reshape(1024, 6).view("V6").reshape(1024)
+
+
+_DECODE = _build_decode_table()
 
 # _TAIL_ZERO[r][i]: pattern i is zero after its first r elements, so it may
 # close a row whose cols % 3 == r
 _TAIL_ZERO = (None,) + tuple(~PATTERNS[:, r:].any(axis=1) for r in (1, 2))
 
 
-def _encode_matrix(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Vectorized triple encoding of a (rows, cols) code matrix.
-
-    Returns (indices (rows, S) uint8, signs (rows, S) int8, padded_cols).
-    """
+def _encode(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index bytes, sign bytes) of a (rows, cols) int8 code matrix."""
     rows, cols = codes.shape
-    n_triples = -(-cols // 3)
-    padded = 3 * n_triples
-    full = np.zeros((rows, padded), dtype=np.int8)
-    full[:, :cols] = codes
-    t = full.reshape(rows, n_triples, 3).astype(np.int64)
-    keys = 9 * (t[:, :, 0] + 1) + 3 * (t[:, :, 1] + 1) + (t[:, :, 2] + 1)
-    return _KEY_TO_INDEX[keys], _KEY_TO_SIGN[keys], padded
+    per_row = -(-cols // 3)
+    n = rows * per_row
+    # a zero triple pads an odd count to whole index bytes
+    flat = np.zeros(3 * (n + n % 2), dtype=np.int8)
+    flat[: 3 * n].reshape(rows, 3 * per_row)[:, :cols] = codes
+    t = flat.reshape(-1, 3)
+    keys = 9 * t[:, 0] + 3 * t[:, 1] + t[:, 2] + 13  # the key above, in int8
+    index_bytes = _PAIR_TO_BYTE[27 * keys[0::2].astype(np.intp) + keys[1::2]]
+    sign_bytes = np.packbits(_KEY_TO_NEGATIVE[keys[:n]], bitorder="little")
+    return index_bytes, sign_bytes
 
 
 @dataclass
@@ -132,25 +160,14 @@ class PackedLayer:
             return Granularity(kind=PER_TENSOR)
         return Granularity(kind="per-group", group_size=self.group_size)
 
-    def unpack_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indices (rows, S) uint8, signs (rows, S) int8 in {+1, -1})."""
-        n = self.rows * self.n_triples_per_row
-        low = self.index_bytes & 0x0F
-        high = self.index_bytes >> 4
-        nibbles = np.empty(self.index_bytes.size * 2, dtype=np.uint8)
-        nibbles[0::2] = low
-        nibbles[1::2] = high
-        idx = nibbles[:n].reshape(self.rows, self.n_triples_per_row)
-        bits = np.unpackbits(self.sign_bytes, bitorder="little")[:n]
-        signs = np.where(bits == 1, -1, 1).astype(np.int8)
-        return idx, signs.reshape(self.rows, self.n_triples_per_row)
-
     def unpack_codes(self) -> np.ndarray:
         """Ternary codes (rows, padded_cols), padding columns included."""
-        idx, signs = self.unpack_indices()
-        pats = PATTERNS[idx]  # (rows, S, 3)
-        out = np.where(signs[:, :, None] < 0, -pats, pats)
-        return out.reshape(self.rows, self.padded_cols)
+        n = self.rows * self.n_triples_per_row
+        m = self.index_bytes.size
+        bits = np.unpackbits(self.sign_bytes, count=2 * m, bitorder="little")
+        signs = bits[0::2] + 2 * bits[1::2]
+        codes = _DECODE.take(self.index_bytes + 256 * signs.astype(np.intp))
+        return codes.view(np.int8)[: 3 * n].reshape(self.rows, self.padded_cols)
 
 
 @dataclass
@@ -170,22 +187,11 @@ def _granularity_to_group_size(granularity: Granularity, cols: int) -> int:
     return granularity.group_size
 
 
-def _pack_codes(idx: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    flat = idx.reshape(-1)
-    if flat.size % 2:
-        flat = np.append(flat, np.uint8(0))
-    index_bytes = (flat[0::2] | (flat[1::2] << 4)).astype(np.uint8)
-    sign_bits = (signs.reshape(-1) < 0).astype(np.uint8)
-    sign_bytes = np.packbits(sign_bits, bitorder="little")
-    return index_bytes, sign_bytes
-
-
 def _pack_layer(q: QuantizedTensor, bias: np.ndarray) -> PackedLayer:
     bias = np.asarray(bias, dtype=np.float64)
     if bias.shape != (q.rows,):
         raise InvalidShape(f"bias shape {bias.shape} does not match rows {q.rows}")
-    idx, signs, _ = _encode_matrix(q.codes)
-    index_bytes, sign_bytes = _pack_codes(idx, signs)
+    index_bytes, sign_bytes = _encode(q.codes)
     return PackedLayer(
         rows=q.rows,
         cols=q.cols,

@@ -299,9 +299,11 @@ class OptimizerState:
 def optimizer_step(params: dict, grads: dict, state: OptimizerState) -> dict:
     """One adaptive-moment update, in place on the parameter arrays.
 
-    All gradients are checked before any state mutation; a non-finite
-    gradient aborts the step with ``GradientError`` and leaves parameters
-    and moments untouched.
+    All gradients are checked first, then every new parameter and second
+    moment is computed and checked before any state mutation; a non-finite
+    value aborts the step with ``GradientError`` and leaves parameters,
+    moments and the step count untouched. Only the new parameters are held
+    across parameters; the moments are advanced again, in place, on commit.
     """
     for key, grad in grads.items():
         if key not in params:
@@ -312,21 +314,30 @@ def optimizer_step(params: dict, grads: dict, state: OptimizerState) -> dict:
             )
         if not np.isfinite(grad).all():
             raise GradientError(f"non-finite gradient for parameter {key!r}")
-    state.step_count += 1
-    t = state.step_count
+    t = state.step_count + 1
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
+
+    def advance(m, v, g):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+
+    new_params = {}
     for key, p in params.items():
-        g = np.asarray(grads[key], dtype=np.float64)
-        m = state.m.get(key)
-        if m is None:
-            m = np.zeros_like(p)
-            v = np.zeros_like(p)
-        else:
-            v = state.v[key]
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        state.m[key] = m
-        state.v[key] = v
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m = state.m[key].copy() if key in state.m else np.zeros_like(p)
+        v = state.v[key].copy() if key in state.v else np.zeros_like(p)
+        advance(m, v, np.asarray(grads[key], dtype=np.float64))
+        new_p = p - state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        # a non-finite m makes new_p non-finite too
+        if not (np.isfinite(v).all() and np.isfinite(new_p).all()):
+            raise GradientError(f"non-finite update for parameter {key!r}")
+        new_params[key] = new_p
+    state.step_count = t
+    for key, new_p in new_params.items():
+        m = state.m.setdefault(key, np.zeros_like(new_p))
+        v = state.v.setdefault(key, np.zeros_like(new_p))
+        advance(m, v, np.asarray(grads[key], dtype=np.float64))
+        params[key][...] = new_p
     return params

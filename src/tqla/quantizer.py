@@ -262,8 +262,16 @@ def ternarize(w, delta: float) -> np.ndarray:
 
 
 def _ternarize_elementwise(w: np.ndarray, delta) -> np.ndarray:
-    """Ternarize with a scalar or per-element threshold (no validation)."""
-    return np.where(w >= delta, 1, np.where(np.abs(w) < delta, 0, -1)).astype(np.int8)
+    """Ternarize with a scalar or per-element threshold (no validation).
+
+    Branches top-down like ``ternarize``: ``w >= delta`` -> +1, then
+    ``|w| < delta`` -> 0, else -1; so at ``delta == 0`` both zeros give +1,
+    and NaN gives -1.
+    """
+    pos = w >= delta
+    codes = np.array(pos, dtype=np.int8)
+    codes -= ~(pos | (np.abs(w) < delta))
+    return codes
 
 
 def _group_params(w: np.ndarray, scheme: str, layout: GroupLayout):

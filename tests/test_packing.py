@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import pack_codes_scalar, unpack_codes_scalar
 
 from tqla import Granularity, deadzone_mask, quantize, tequila_bias
-from tqla.errors import FormatError
+from tqla.errors import FormatError, InvalidParam
 from tqla.packing import PATTERNS, pack_model, read_packed, write_packed
 
 HEADER_BYTES = 16
@@ -121,6 +121,14 @@ def test_fixed_file_digest_unchanged(tmp_path):
     path = tmp_path / "model.tqla"
     fixed_model_file(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FIXED_FILE_SHA256
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+def test_non_finite_lambda_rejected(lam):
+    w = np.array([[0.5, -1.0, 0.0]])
+    q = quantize(w, "absmean", Granularity("per-tensor"))
+    with pytest.raises(InvalidParam, match="lambda"):
+        pack_model([(q, w, deadzone_mask(w, q))], lam)
 
 
 def one_layer_file(tmp_path, codes_row):

@@ -546,6 +546,17 @@ class TestOptimizer:
         for k in snap_m:
             np.testing.assert_array_equal(state.m[k], snap_m[k])
 
+    def test_overflowing_update_aborts_without_mutation(self):
+        # finite gradients whose step (-1) or second moment (1e200) overflows;
+        # "b" comes first and must not be updated either
+        for g_w in (-1.0, 1e200):
+            p = {"b": np.array([2.0]), "w": np.array([1e308])}
+            state = OptimizerState(learning_rate=1e308)
+            with np.errstate(all="ignore"), pytest.raises(GradientError, match="'w'"):
+                optimizer_step(p, {"b": np.array([0.1]), "w": np.array([g_w])}, state)
+            assert p["b"].tolist() == [2.0] and p["w"].tolist() == [1e308]
+            assert state.step_count == 0 and state.m == {} and state.v == {}
+
     def test_shape_mismatch(self):
         with pytest.raises(InvalidShape):
             optimizer_step({"w": np.ones(3)}, {"w": np.ones(4)}, OptimizerState())

@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from tqla.errors import InvalidParam
@@ -115,3 +116,15 @@ def test_from_dict_rejects_unknown_keys():
     d["momentum"] = 0.9
     with pytest.raises(InvalidParam, match="momentum"):
         TrainConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_overflowing_updates_diverge(scheme):
+    config = TrainConfig(
+        scheme=scheme, learning_rate=1e150, widths=(16,) * 4, batch_size=8, steps=20
+    )
+    with np.errstate(all="ignore"):
+        report = train_toy(config)
+    assert report.diverged
+    assert 0 < report.divergence_step < config.steps
+    assert len(report.losses) == report.divergence_step + 1
