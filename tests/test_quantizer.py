@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from tqla import (
     twn_params,
 )
 from tqla.errors import InvalidParam, InvalidShape, InvalidThreshold, UnsupportedScheme
+from tqla.quantizer import GroupLayout
 
 PT = Granularity("per-tensor")
 PC = Granularity("per-channel")
@@ -292,3 +295,75 @@ class TestInvariants:
         assert np.array_equal(q.scales, q2.scales)
         assert np.array_equal(q.thresholds, q2.thresholds)
         assert q.granularity == q2.granularity
+
+
+# Byte pins for the group reductions, recorded before the grouping in
+# ``GroupLayout`` was rewritten. ``reduce_sum`` uses numpy's pairwise sum, so
+# its last bits depend on how each group's run is handed to numpy; the scalar
+# oracles above only check the sequential sums.
+PINNED_LAYOUTS = {
+    "per-tensor-64x8193": ((64, 8193), PT),
+    "per-group-128-67x1000": ((67, 1000), Granularity("per-group", 128)),
+    "per-group-5-13x16": ((13, 16), Granularity("per-group", 5)),
+    "per-group-4096-9x1000": ((9, 1000), Granularity("per-group", 4096)),
+    "per-channel-31x257": ((31, 257), PC),
+}
+
+#: SHA-256 over every output of ``pinned_outputs`` per case.
+PINNED_DIGESTS = {
+    "per-tensor-64x8193": "1bf2a6b45750757dfe3f0376ecad8a3ff19f48e1c1b699221dfcc7c04ca748e9",
+    "per-group-128-67x1000": "92e1c2eef32722cffb755d49c4daba8e3019a9609c983dbeb94fb310cdb4b8e5",
+    "per-group-5-13x16": "e1844678654c55e76440de1c1c9ddf79bed4e3daa83aa6b3e0bbcef312d45e1e",
+    "per-group-4096-9x1000": "bb52346edd57c14faf58e3cb0c8c67456f4dd60a1c359163a77158c21de16d94",
+    "per-channel-31x257": "acbf22a465a50cbd8f520d3ca44699014f499b7b6d1641004ebbbb40bf1d2196",
+    "vector-10000": "cb075a50192e0ae45c30fea34e08db2483cc7f35919f81fb13bd098245dd2726",
+}
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def pinned_outputs(name):
+    shape, granularity = PINNED_LAYOUTS[name]
+    rng = np.random.default_rng(sum(shape))
+    w = rng.standard_normal(shape) * 0.02
+    w[::4, : shape[1] // 2] = 0.0  # all-zero half rows: degenerate groups
+    layout = GroupLayout(granularity, *shape)
+    a = np.abs(w)
+    out = [
+        layout.reduce_sum(w),
+        layout.reduce_sum(a),
+        layout._seq_group_sums(a),
+        layout.expand(rng.standard_normal(layout.n_groups)),
+    ]
+    for scheme in ("absmean", "twn"):
+        q = quantize(w, scheme, granularity)
+        out += [q.codes, q.scales, q.thresholds]
+        mask = deadzone_mask(w, q)
+        out += [mask.mask, tequila_bias(w, mask, 1e-3)]
+    return out
+
+
+def vector_estimates():
+    v = np.random.default_rng(10_000).standard_normal(10_000)
+    v[:2500] = 0.0
+    return [np.array(absmean_params(v)), np.array(twn_params(v))]
+
+
+def test_every_pinned_case_has_a_digest():
+    assert set(PINNED_DIGESTS) == set(PINNED_LAYOUTS) | {"vector-10000"}
+
+
+@pytest.mark.parametrize("name", list(PINNED_LAYOUTS))
+def test_group_outputs_pinned(name):
+    assert _digest(pinned_outputs(name)) == PINNED_DIGESTS[name]
+
+
+def test_vector_estimates_pinned():
+    assert _digest(vector_estimates()) == PINNED_DIGESTS["vector-10000"]
