@@ -155,11 +155,6 @@ class PackedLayer:
             return 1
         return self.rows * self.groups_per_row
 
-    def granularity(self) -> Granularity:
-        if self.group_size == 0:
-            return Granularity(kind=PER_TENSOR)
-        return Granularity(kind="per-group", group_size=self.group_size)
-
     def unpack_codes(self) -> np.ndarray:
         """Ternary codes (rows, padded_cols), padding columns included."""
         n = self.rows * self.n_triples_per_row
@@ -176,7 +171,6 @@ class PackedModel:
 
     lam: float
     layers: list
-    version: int = FORMAT_VERSION
 
 
 def _granularity_to_group_size(granularity: Granularity, cols: int) -> int:
@@ -235,7 +229,7 @@ _LAYER_HEADER = struct.Struct("<III")
 def write_packed(model: PackedModel, path) -> None:
     """Serialize to the TQLA binary layout; identical models give identical bytes."""
     blob = bytearray()
-    blob += _HEADER.pack(MAGIC, model.version, np.float32(model.lam), len(model.layers))
+    blob += _HEADER.pack(MAGIC, FORMAT_VERSION, np.float32(model.lam), len(model.layers))
     for layer in model.layers:
         blob += _LAYER_HEADER.pack(layer.rows, layer.cols, layer.group_size)
         blob += layer.index_bytes.tobytes()
@@ -300,7 +294,7 @@ def read_packed(path) -> PackedModel:
         )
     if offset != len(blob):
         raise FormatError(f"{len(blob) - offset} trailing bytes", offset=offset)
-    return PackedModel(lam=float(lam), layers=layers, version=version)
+    return PackedModel(lam=float(lam), layers=layers)
 
 
 def _validate_codes(index_bytes, sign_bytes, rows, cols, idx_offset, sign_offset) -> None:

@@ -5,9 +5,10 @@ per-group scales and thresholds, plus deadzone identification and the
 deadzone-sum bias used by the tequila scheme.
 
 Weight matrices are plain 2-D float64 numpy arrays (rows = output channels,
-cols = input features). Group statistics are accumulated strictly
-left-to-right (``np.add.accumulate``) so that results are bit-identical to a
-naive scalar loop over the same elements; the test suite relies on this.
+cols = input features). Group statistics and the tequila row sums are
+accumulated strictly left-to-right by one helper, ``_sequential_sums``, so
+that results are bit-identical to a naive scalar loop over the same
+elements; the test suite relies on this.
 """
 
 from __future__ import annotations
@@ -60,10 +61,14 @@ class Granularity:
 class GroupLayout:
     """A granularity resolved against a concrete matrix shape.
 
-    Groups are numbered row-major: group ``(r, k)`` covers columns
-    ``starts[k] : starts[k] + lens[k]`` of row ``r`` and has flat id
-    ``r * groups_per_row + k``. The per-tensor case is a single group
-    (id 0) spanning the whole matrix.
+    The matrix is read through a 2-D view: ``(1, rows * cols)`` for
+    per-tensor, ``(rows, cols)`` otherwise. Groups are runs of ``size``
+    elements along each view row (``size`` is the whole view row for
+    per-tensor and per-channel, and never more than it); the full runs are
+    one reshape of the view and a short last run, when ``size`` does not
+    divide the row, is the tail. ``lens`` holds the run lengths of one view
+    row and group ``(r, k)`` of view row ``r`` has flat id
+    ``r * groups_per_row + k``.
     """
 
     def __init__(self, granularity: Granularity, rows: int, cols: int):
@@ -72,28 +77,19 @@ class GroupLayout:
         self.granularity = granularity
         self.rows = rows
         self.cols = cols
-        self.spans_matrix = granularity.kind == PER_TENSOR
-        if self.spans_matrix:
-            self.groups_per_row = 1
-            self.starts = np.array([0], dtype=np.int64)
-            self.lens = np.array([cols], dtype=np.int64)
-            self.n_groups = 1
-            return
-        if granularity.kind == PER_CHANNEL:
-            size = cols
+        if granularity.kind == PER_TENSOR:
+            self.view = (1, rows * cols)
         else:
-            size = granularity.group_size
-        starts = np.arange(0, cols, size, dtype=np.int64)
-        lens = np.minimum(starts + size, cols) - starts
-        self.groups_per_row = len(starts)
-        self.starts = starts
-        self.lens = lens
-        self.n_groups = rows * self.groups_per_row
-
-    @property
-    def uniform(self) -> bool:
-        """True when every column block has the same length."""
-        return bool(self.lens.min() == self.lens.max())
+            self.view = (rows, cols)
+        width = self.view[1]
+        if granularity.kind == PER_GROUP:
+            self.size = min(granularity.group_size, width)
+        else:
+            self.size = width
+        full, tail = divmod(width, self.size)
+        self.lens = np.array([self.size] * full + [tail] * (tail > 0), dtype=np.int64)
+        self.groups_per_row = len(self.lens)
+        self.n_groups = self.view[0] * self.groups_per_row
 
     def expand(self, per_group: np.ndarray) -> np.ndarray:
         """Broadcast one value per group to a full (rows, cols) matrix."""
@@ -102,37 +98,28 @@ class GroupLayout:
             raise InvalidShape(
                 f"expected {self.n_groups} per-group values, got shape {per_group.shape}"
             )
-        if self.spans_matrix:
-            return np.full((self.rows, self.cols), per_group[0])
-        table = per_group.reshape(self.rows, self.groups_per_row)
-        return np.repeat(table, self.lens, axis=1)
+        table = per_group.reshape(self.view[0], self.groups_per_row)
+        return np.repeat(table, self.lens, axis=1).reshape(self.rows, self.cols)
+
+    def _reduce(self, elem: np.ndarray, run_sums) -> np.ndarray:
+        """Apply ``run_sums`` (sums along the last axis) to every group's run."""
+        if elem.shape != (self.rows, self.cols):
+            raise InvalidShape(f"expected {(self.rows, self.cols)}, got {elem.shape}")
+        v = elem.reshape(self.view)
+        full = self.view[1] // self.size
+        cut = full * self.size
+        sums = run_sums(v[:, :cut].reshape(self.view[0], full, self.size))
+        if cut < self.view[1]:
+            sums = np.concatenate([sums, run_sums(v[:, None, cut:])], axis=1)
+        return sums.reshape(-1)
 
     def reduce_sum(self, elem: np.ndarray) -> np.ndarray:
         """Sum a (rows, cols) matrix over each group; returns (n_groups,)."""
-        if elem.shape != (self.rows, self.cols):
-            raise InvalidShape(f"expected {(self.rows, self.cols)}, got {elem.shape}")
-        if self.spans_matrix:
-            return np.array([elem.sum()])
-        if self.uniform:
-            blocks = elem.reshape(self.rows, self.groups_per_row, self.lens[0])
-            return blocks.sum(axis=2).reshape(-1)
-        out = np.empty((self.rows, self.groups_per_row))
-        for k, (s, n) in enumerate(zip(self.starts, self.lens)):
-            out[:, k] = elem[:, s : s + n].sum(axis=1)
-        return out.reshape(-1)
+        return self._reduce(elem, lambda runs: runs.sum(axis=-1))
 
     def _seq_group_sums(self, elem: np.ndarray) -> np.ndarray:
         """Left-to-right sequential group sums, matching a scalar loop exactly."""
-        if self.spans_matrix:
-            flat = elem.reshape(-1)
-            return np.add.accumulate(flat)[-1:].copy()
-        if self.uniform:
-            blocks = elem.reshape(self.rows, self.groups_per_row, self.lens[0])
-            return np.add.accumulate(blocks, axis=2)[..., -1].reshape(-1)
-        out = np.empty((self.rows, self.groups_per_row))
-        for k, (s, n) in enumerate(zip(self.starts, self.lens)):
-            out[:, k] = np.add.accumulate(elem[:, s : s + n], axis=1)[:, -1]
-        return out.reshape(-1)
+        return self._reduce(elem, _sequential_sums)
 
 
 @dataclass
@@ -215,16 +202,22 @@ def _as_vector(w) -> np.ndarray:
     return w
 
 
-def _seq_sum(v: np.ndarray) -> float:
-    """Strict left-to-right sum (matches an accumulator loop bit for bit)."""
-    return float(np.add.accumulate(v)[-1])
+def _sequential_sums(a: np.ndarray) -> np.ndarray:
+    """Strict left-to-right sums along the last axis (a scalar loop, bit for bit)."""
+    return np.add.accumulate(a, axis=-1)[..., -1]
+
+
+def _vector_params(w, scheme: str) -> tuple[float, float]:
+    """``_group_params`` of a vector taken as one per-tensor group."""
+    w = _as_vector(w)
+    layout = GroupLayout(Granularity(PER_TENSOR), 1, w.size)
+    alphas, deltas = _group_params(w.reshape(1, -1), scheme, layout)
+    return float(alphas[0]), float(deltas[0])
 
 
 def absmean_params(w) -> tuple[float, float]:
     """Absmean estimator: alpha = mean |w|, delta = alpha / 2."""
-    w = _as_vector(w)
-    alpha = _seq_sum(np.abs(w)) / w.size
-    return alpha, alpha / 2.0
+    return _vector_params(w, "absmean")
 
 
 def twn_params(w) -> tuple[float, float]:
@@ -234,15 +227,7 @@ def twn_params(w) -> tuple[float, float]:
     which minimizes the squared reconstruction error for that fixed delta.
     An empty outside set yields alpha = 0 (degenerate group).
     """
-    w = _as_vector(w)
-    a = np.abs(w)
-    delta = 0.75 * (_seq_sum(a) / w.size)
-    keep = a >= delta
-    count = int(keep.sum())
-    if count == 0:
-        return 0.0, delta
-    alpha = _seq_sum(np.where(keep, a, 0.0)) / count
-    return alpha, delta
+    return _vector_params(w, "twn")
 
 
 def ternarize(w, delta: float) -> np.ndarray:
@@ -277,24 +262,15 @@ def _ternarize_elementwise(w: np.ndarray, delta) -> np.ndarray:
 def _group_params(w: np.ndarray, scheme: str, layout: GroupLayout):
     """Per-group (alpha, delta) arrays for a static scheme."""
     a = np.abs(w)
-    totals = layout._seq_group_sums(a)
-    if layout.spans_matrix:
-        counts = np.array([w.size], dtype=np.float64)
-    elif layout.uniform:
-        counts = np.full(layout.n_groups, layout.lens[0], dtype=np.float64)
-    else:
-        counts = np.tile(layout.lens.astype(np.float64), layout.rows)
-    means = totals / counts
+    counts = np.tile(layout.lens.astype(np.float64), layout.view[0])
+    means = layout._seq_group_sums(a) / counts
     if scheme == "absmean":
         return means, means / 2.0
     # twn: threshold first, then the mean of |w| over the kept elements
     deltas = 0.75 * means
     keep = a >= layout.expand(deltas)
     kept_totals = layout._seq_group_sums(np.where(keep, a, 0.0))
-    if layout.spans_matrix:
-        kept_counts = np.array([keep.sum()], dtype=np.float64)
-    else:
-        kept_counts = layout.reduce_sum(keep.astype(np.float64))
+    kept_counts = layout.reduce_sum(keep.astype(np.float64))
     alphas = np.divide(
         kept_totals, kept_counts, out=np.zeros_like(kept_totals), where=kept_counts > 0
     )
@@ -355,6 +331,4 @@ def tequila_bias(w, mask: DeadzoneMask, lam: float) -> np.ndarray:
     lam = float(lam)
     if not np.isfinite(lam):
         raise InvalidParam(f"lambda must be finite, got {lam}")
-    masked = np.where(mask.mask, w, 0.0)
-    row_sums = np.add.accumulate(masked, axis=1)[:, -1]
-    return lam * row_sums
+    return lam * _sequential_sums(np.where(mask.mask, w, 0.0))

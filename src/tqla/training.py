@@ -100,52 +100,38 @@ class TrainConfig:
             raise InvalidParam(f"widths must be >= 2 positive sizes, got {self.widths}")
 
     def to_dict(self):
-        d = {
-            "scheme": self.scheme,
-            "granularity": self.granularity.to_dict(),
-            "lambda": self.lam,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "steps": self.steps,
-            "batch_size": self.batch_size,
-            "widths": list(self.widths),
-            "task": self.task,
-            "learning_rate": self.learning_rate,
-            "snapshot_every": self.snapshot_every,
-            "history_window": self.history_window,
-            "boundary_band": self.boundary_band,
-            "histogram_bins": self.histogram_bins,
-        }
+        d = {key: getattr(self, attr) for key, (attr, _) in _CONFIG_KEYS.items()}
+        d["granularity"] = self.granularity.to_dict()
+        d["widths"] = list(self.widths)
         return d
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        kwargs = {}
-        mapping = {
-            "scheme": ("scheme", str),
-            "lambda": ("lam", float),
-            "epsilon": ("epsilon", float),
-            "seed": ("seed", int),
-            "steps": ("steps", int),
-            "batch_size": ("batch_size", int),
-            "task": ("task", str),
-            "learning_rate": ("learning_rate", float),
-            "snapshot_every": ("snapshot_every", int),
-            "history_window": ("history_window", int),
-            "boundary_band": ("boundary_band", float),
-            "histogram_bins": ("histogram_bins", int),
-        }
-        for key, (attr, conv) in mapping.items():
-            if key in d:
-                kwargs[attr] = conv(d.pop(key))
-        if "granularity" in d:
-            kwargs["granularity"] = Granularity.from_dict(d.pop("granularity"))
-        if "widths" in d:
-            kwargs["widths"] = tuple(int(w) for w in d.pop("widths"))
-        if d:
-            raise InvalidParam(f"unknown config keys: {sorted(d)}")
+        unknown = set(d) - set(_CONFIG_KEYS)
+        if unknown:
+            raise InvalidParam(f"unknown config keys: {sorted(unknown)}")
+        kwargs = {attr: conv(d[key]) for key, (attr, conv) in _CONFIG_KEYS.items() if key in d}
         return cls(**kwargs)
+
+
+#: Config dict key -> (``TrainConfig`` attribute, converter used by ``from_dict``),
+#: in the order ``to_dict`` writes them.
+_CONFIG_KEYS = {
+    "scheme": ("scheme", str),
+    "granularity": ("granularity", Granularity.from_dict),
+    "lambda": ("lam", float),
+    "epsilon": ("epsilon", float),
+    "seed": ("seed", int),
+    "steps": ("steps", int),
+    "batch_size": ("batch_size", int),
+    "widths": ("widths", lambda ws: tuple(int(w) for w in ws)),
+    "task": ("task", str),
+    "learning_rate": ("learning_rate", float),
+    "snapshot_every": ("snapshot_every", int),
+    "history_window": ("history_window", int),
+    "boundary_band": ("boundary_band", float),
+    "histogram_bins": ("histogram_bins", int),
+}
 
 
 @dataclass

@@ -8,7 +8,14 @@ from oracles import pack_codes_scalar, unpack_codes_scalar
 
 from tqla import Granularity, deadzone_mask, quantize, tequila_bias
 from tqla.errors import FormatError, InvalidParam
-from tqla.packing import PATTERNS, pack_model, read_packed, write_packed
+from tqla.packing import (
+    FORMAT_VERSION,
+    PATTERNS,
+    PackedModel,
+    pack_model,
+    read_packed,
+    write_packed,
+)
 
 HEADER_BYTES = 16
 LAYER_HEADER_BYTES = 12
@@ -121,6 +128,15 @@ def test_fixed_file_digest_unchanged(tmp_path):
     path = tmp_path / "model.tqla"
     fixed_model_file(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FIXED_FILE_SHA256
+
+
+def test_writer_only_writes_the_readable_version(tmp_path):
+    with pytest.raises(TypeError):
+        PackedModel(lam=0.0, layers=[], version=2)
+    path = tmp_path / "empty.tqla"
+    write_packed(PackedModel(lam=0.0, layers=[]), path)
+    assert path.read_bytes()[4:8] == FORMAT_VERSION.to_bytes(4, "little")
+    assert read_packed(path) == PackedModel(lam=0.0, layers=[])
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
