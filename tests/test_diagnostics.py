@@ -1,3 +1,7 @@
+import hashlib
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -313,3 +317,135 @@ class TestSnapshotAndExport:
         back = TrapReport.from_dict(rep.to_dict())
         assert back.step == rep.step and back.loss == rep.loss
         assert isinstance(back.histogram, Histogram)
+
+
+def uneven_snapshots(seed):
+    """Four snapshots of 2x11, 13x16 and 5x17 layers sharing one history."""
+    rng = np.random.default_rng([seed, 77])
+    layers = (
+        ((2, 11), Granularity("per-group", 5)),
+        ((13, 16), Granularity("per-channel")),
+        ((5, 17), PT),
+    )
+    history = CodeHistory(window=3)
+    reports = []
+    for step in range(4):
+        pairs = []
+        for shape, g in layers:
+            w = rng.standard_normal(shape)
+            pairs.append((w, quantize(w, "absmean", g)))
+        reports.append(take_snapshot(step, rng.uniform(0.1, 2.0), pairs, history))
+    return reports
+
+
+def counted_snapshot():
+    """Deadzone and boundary counts chosen so that sum(k) / n differs from
+    sum((k / size) * size) / n in the last bit, for k over the three layers."""
+    rng = np.random.default_rng(79)
+    pairs = []
+    for (rows, cols), g, inside, near in (
+        ((2, 11), Granularity("per-group", 5), 10, 3),
+        ((13, 16), Granularity("per-channel"), 108, 27),
+        ((5, 17), PT, 13, 13),
+    ):
+        size = rows * cols
+        mags = np.concatenate(
+            [
+                rng.uniform(0.1, 0.8, inside),
+                rng.uniform(1.0, 1.08, near),
+                rng.uniform(1.5, 2.5, size - inside - near),
+            ]
+        )
+        w = (rng.permutation(mags) * rng.choice([-1.0, 1.0], size)).reshape(rows, cols)
+        q = quantize(w, "absmean", g)
+        q.thresholds[:] = 1.0
+        pairs.append((w, q))
+    return [take_snapshot(0, 1.0, pairs)]
+
+
+def zero_threshold_snapshot():
+    """Rows 1 and 2 have hand-zeroed thresholds: nonzero w bins as +-inf."""
+    rng = np.random.default_rng(80)
+    w = rng.standard_normal((4, 9))
+    w[1, 3] = 0.0
+    q = quantize(w, "absmean", Granularity("per-channel"))
+    q.thresholds[[1, 2]] = 0.0
+    return [take_snapshot(0, 0.5, [(w, q)])]
+
+
+def degenerate_next_to_normal_snapshot():
+    rng = np.random.default_rng(81)
+    zero = np.zeros((3, 7))
+    w = rng.standard_normal((6, 10))
+    pairs = [(zero, quantize(zero, "absmean", PT)), (w, quantize(w, "absmean", PT))]
+    with pytest.warns(DegenerateNormalization):
+        return [take_snapshot(0, 0.25, pairs)]
+
+
+def bin_edge_snapshot():
+    """Weights on every edge of 12 bins, the next floats either side, and overflow."""
+    edges = np.linspace(-3.0, 3.0, 13)
+    w = np.concatenate(
+        [
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            [-3.0, 3.0, -7.5, 7.5, 0.0, 1e300, -1e300],
+        ]
+    ).reshape(1, -1)
+    q = quantize(w, "absmean", PT)
+    q.thresholds[:] = 1.0
+    return [take_snapshot(0, 1.0, [(w, q)], bins=12)]
+
+
+def band_and_bins_snapshot():
+    rng = np.random.default_rng(82)
+    pairs = [quantized_pair(rng, rows=7, cols=13), quantized_pair(rng, rows=3, cols=29)]
+    return [take_snapshot(5, 0.75, pairs, band=0.37, bins=7)]
+
+
+#: SHA-256 of ``json.dumps([r.to_dict() for r in reports], sort_keys=True)`` per case.
+SNAPSHOT_DIGESTS = {
+    "uneven-0": "06d7f512c4d13a59c2461319a7976f0c394827e4b74e50821fcc74357261b505",
+    "uneven-1": "aaa35011e8bd5b5676fa775b806e8de50021844b841b205776263015751603b5",
+    "uneven-2": "5aeb080e21bd917ab93adba4c45ef17786e44d1369fb8cc1201f8981efaf23bb",
+    "counted": "d40dcbf0442955a9d74e27c226450cb805cc507ec023b7a7c5a96af750e9dc15",
+    "zero-threshold": "204ce27ce53542af28cd2b94c8d6eda57149a7d4ef9a374e3c917ee3b362967b",
+    "degenerate-next-to-normal": "6b5777a671eaf0d5a7cdb4c818a51c5c4bb7bdddbdc99cf552884ae87da8891c",
+    "bin-edges": "eb9826d1a9b3bdc8ad6fa181be840393c659c53cd35385df6638039c9aad172b",
+    "band-and-bins": "e11bb1fdd34b36b2fd218d558d5d5dc6cb9e2f5c4e364082a1381883e3523e4a",
+}
+
+
+def snapshot_cases():
+    return {
+        "uneven-0": lambda: uneven_snapshots(0),
+        "uneven-1": lambda: uneven_snapshots(1),
+        "uneven-2": lambda: uneven_snapshots(2),
+        "counted": counted_snapshot,
+        "zero-threshold": zero_threshold_snapshot,
+        "degenerate-next-to-normal": degenerate_next_to_normal_snapshot,
+        "bin-edges": bin_edge_snapshot,
+        "band-and-bins": band_and_bins_snapshot,
+    }
+
+
+@pytest.mark.parametrize("case", list(SNAPSHOT_DIGESTS))
+def test_snapshot_bytes_pinned(case):
+    reports = snapshot_cases()[case]()
+    blob = json.dumps([r.to_dict() for r in reports], sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == SNAPSHOT_DIGESTS[case]
+
+
+def test_snapshot_degenerate_warning_rule():
+    rng = np.random.default_rng(83)
+    zeros = [np.zeros((2, 5)), np.zeros((4, 3))]
+    degenerate = [(z, quantize(z, "absmean", PT)) for z in zeros]
+    with pytest.warns(DegenerateNormalization):
+        mixed = take_snapshot(0, 1.0, degenerate + [quantized_pair(rng)])
+    assert not mixed.histogram.normalized
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        silent = take_snapshot(0, 1.0, degenerate)
+    assert not silent.histogram.normalized
+    assert silent.histogram.counts.sum() == 22
