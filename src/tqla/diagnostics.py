@@ -2,9 +2,10 @@
 
 Quantifies how weights behave around the quantization deadzone during
 training: occupancy of the deadzone, mass accumulated near its boundary,
-and how often ternary codes flip between snapshots. Snapshot rows export
-to CSV (one row per snapshot) and JSON (full histograms); both round-trip
-losslessly.
+and how often ternary codes flip between snapshots. A snapshot makes one
+pass per layer: the pair is validated and its thresholds expanded once,
+and every metric is read from that pass. Snapshot rows export to CSV (one
+row per snapshot) and JSON (full histograms); both round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DegenerateNormalization,
+    FormatError,
     InsufficientHistory,
     InvalidParam,
     InvalidShape,
@@ -31,6 +33,7 @@ DEFAULT_BINS = 120
 DEFAULT_HISTORY_WINDOW = 8
 DEFAULT_SNAPSHOT_EVERY = 50
 HISTOGRAM_RANGE = 3.0  # in units of the group threshold
+_SCHEMA_VERSION = 1  # of the JSON report file
 
 CSV_COLUMNS = ("step", "loss", "deadzone_fraction", "boundary_fraction", "mean_flip_rate")
 
@@ -116,30 +119,48 @@ class CodeHistory:
         return len(self._snaps)
 
 
-def _check_pair(w, q: QuantizedTensor):
+def _normalized_values(w: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """w / threshold with zero-threshold elements mapped to 0 or +-inf."""
+    out = np.zeros_like(w)
+    nonzero = thr > 0
+    np.divide(w, thr, out=out, where=nonzero)
+    zero_thr = ~nonzero & (w != 0)
+    out[zero_thr] = np.sign(w[zero_thr]) * np.inf
+    return out
+
+
+def _layer_stats(w, q: QuantizedTensor, band=DEFAULT_BAND, bins=DEFAULT_BINS):
+    """(size, deadzone fraction, boundary fraction, histogram) of one layer.
+
+    The pair is validated and its thresholds expanded once for all three.
+    """
+    band = float(band)
+    if not 0.0 < band < 1.0:
+        raise InvalidParam(f"band must be in (0, 1), got {band}")
+    if bins < 2:
+        raise InvalidParam(f"need at least 2 bins, got {bins}")
     w = _as_matrix(w)
     if w.shape != q.codes.shape:
         raise InvalidShape(f"weights {w.shape} do not match codes {q.codes.shape}")
-    return w
+    thr = q.element_thresholds()
+    a = np.abs(w)
+    near = (a >= (1.0 - band) * thr) & (a <= (1.0 + band) * thr)
+    normalized = not (thr == 0).all()
+    values = _normalized_values(w, thr) if normalized else w
+    clipped = np.clip(values, -HISTOGRAM_RANGE, HISTOGRAM_RANGE)
+    counts, edges = np.histogram(clipped, bins, range=(-HISTOGRAM_RANGE, HISTOGRAM_RANGE))
+    hist = Histogram(bin_edges=edges, counts=counts, normalized=normalized)
+    return w.size, float((a < thr).sum()) / w.size, float(near.sum()) / w.size, hist
 
 
 def deadzone_fraction(w, q: QuantizedTensor) -> float:
     """Share of weights strictly inside the deadzone of their group."""
-    w = _check_pair(w, q)
-    inside = np.abs(w) < q.element_thresholds()
-    return float(inside.sum()) / w.size
+    return _layer_stats(w, q)[1]
 
 
 def boundary_fraction(w, q: QuantizedTensor, band: float = DEFAULT_BAND) -> float:
     """Share of weights with |w| within a relative band of the threshold."""
-    band = float(band)
-    if not 0.0 < band < 1.0:
-        raise InvalidParam(f"band must be in (0, 1), got {band}")
-    w = _check_pair(w, q)
-    a = np.abs(w)
-    thr = q.element_thresholds()
-    near = (a >= (1.0 - band) * thr) & (a <= (1.0 + band) * thr)
-    return float(near.sum()) / w.size
+    return _layer_stats(w, q, band=band)[2]
 
 
 def flip_rate(history: CodeHistory) -> float:
@@ -155,53 +176,19 @@ def flip_rate(history: CodeHistory) -> float:
     return flips / ((len(snaps) - 1) * total_weights)
 
 
-def _normalized_values(w: np.ndarray, thr: np.ndarray) -> np.ndarray:
-    """w / threshold with zero-threshold elements mapped to 0 or +-inf."""
-    out = np.zeros_like(w)
-    nonzero = thr > 0
-    np.divide(w, thr, out=out, where=nonzero)
-    zero_thr = ~nonzero & (w != 0)
-    out[zero_thr] = np.sign(w[zero_thr]) * np.inf
-    return out
-
-
 def weight_histogram(w, q: QuantizedTensor, bins: int = DEFAULT_BINS) -> Histogram:
     """Histogram of w / threshold over [-3, 3]; end bins absorb overflow.
 
     If every threshold is zero the normalization is degenerate: the raw
     weight values are binned instead and the result is flagged.
     """
-    if bins < 2:
-        raise InvalidParam(f"need at least 2 bins, got {bins}")
-    w = _check_pair(w, q)
-    thr = q.element_thresholds()
-    if (thr == 0).all():
+    hist = _layer_stats(w, q, bins=bins)[3]
+    if not hist.normalized:
         warnings.warn(
             "all thresholds are zero; histogram uses raw weight values",
             DegenerateNormalization,
         )
-        values = w
-        normalized = False
-    else:
-        values = _normalized_values(w, thr)
-        normalized = True
-    edges = np.linspace(-HISTOGRAM_RANGE, HISTOGRAM_RANGE, bins + 1)
-    clipped = np.clip(values, -HISTOGRAM_RANGE, HISTOGRAM_RANGE)
-    idx = np.searchsorted(edges, clipped, side="right") - 1
-    idx = np.clip(idx, 0, bins - 1)
-    counts = np.bincount(idx.reshape(-1), minlength=bins).astype(np.int64)
-    return Histogram(bin_edges=edges, counts=counts, normalized=normalized)
-
-
-def _merge_histograms(parts: list[Histogram]) -> Histogram:
-    merged = parts[0]
-    for h in parts[1:]:
-        merged = Histogram(
-            bin_edges=merged.bin_edges,
-            counts=merged.counts + h.counts,
-            normalized=merged.normalized and h.normalized,
-        )
-    return merged
+    return hist
 
 
 def take_snapshot(
@@ -215,19 +202,25 @@ def take_snapshot(
     """Aggregate trap metrics over (weights, quantized) pairs for one step.
 
     Pushes the current codes into ``history`` first; the flip rate is 0.0
-    until the history holds a second snapshot.
+    until the history holds a second snapshot. Warns when some, but not
+    all, layers have only zero thresholds.
     """
     pairs = list(pairs)
     if not pairs:
         raise InvalidParam("need at least one (weights, quantized) pair")
-    total = sum(np.asarray(w).size for w, _ in pairs)
-    dead = sum(deadzone_fraction(w, q) * np.asarray(w).size for w, q in pairs)
-    near = sum(boundary_fraction(w, q, band) * np.asarray(w).size for w, q in pairs)
-    all_degenerate = all((q.element_thresholds() == 0).all() for _, q in pairs)
-    with warnings.catch_warnings():
-        if all_degenerate:
-            warnings.simplefilter("ignore", DegenerateNormalization)
-        hist = _merge_histograms([weight_histogram(w, q, bins) for w, q in pairs])
+    sizes, dead, near, hists = zip(*(_layer_stats(w, q, band, bins) for w, q in pairs))
+    total = sum(sizes)
+    normalized = [h.normalized for h in hists]
+    if any(normalized) and not all(normalized):
+        warnings.warn(
+            "some layers have all thresholds zero; their raw weight values are binned",
+            DegenerateNormalization,
+        )
+    hist = Histogram(
+        bin_edges=hists[0].bin_edges,
+        counts=sum(h.counts for h in hists),
+        normalized=all(normalized),
+    )
     rate = 0.0
     if history is not None:
         history.push([q.codes for _, q in pairs])
@@ -236,8 +229,8 @@ def take_snapshot(
     return TrapReport(
         step=step,
         loss=float(loss),
-        deadzone_fraction=dead / total,
-        boundary_fraction=near / total,
+        deadzone_fraction=sum(f * n for f, n in zip(dead, sizes)) / total,
+        boundary_fraction=sum(f * n for f, n in zip(near, sizes)) / total,
         mean_flip_rate=rate,
         histogram=hist,
     )
@@ -273,7 +266,7 @@ def export_report(reports, base_path) -> tuple[str, str]:
                         _fmt(r.mean_flip_rate),
                     ]
                 )
-        payload = {"schema_version": 1, "reports": [r.to_dict() for r in reports]}
+        payload = {"schema_version": _SCHEMA_VERSION, "reports": [r.to_dict() for r in reports]}
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -290,4 +283,11 @@ def load_report(base_path) -> list[TrapReport]:
             payload = json.load(fh)
     except OSError as exc:
         raise IoError(f"failed to read report files at {base!r}: {exc}") from exc
-    return [TrapReport.from_dict(d) for d in payload["reports"]]
+    except ValueError as exc:  # undecodable text or JSON
+        raise FormatError(f"report file {base!r}.json is not JSON: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("schema_version") != _SCHEMA_VERSION:
+        raise FormatError(f"report file {base!r}.json is not schema version {_SCHEMA_VERSION}")
+    try:
+        return [TrapReport.from_dict(d) for d in payload["reports"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"report file {base!r}.json is malformed: {exc!r}") from exc

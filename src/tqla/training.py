@@ -98,6 +98,8 @@ class TrainConfig:
             raise InvalidParam("steps must be >= 0, batch_size and snapshot_every >= 1")
         if len(self.widths) < 2 or any(w < 1 for w in self.widths):
             raise InvalidParam(f"widths must be >= 2 positive sizes, got {self.widths}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvalidParam(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
     def to_dict(self):
         d = {key: getattr(self, attr) for key, (attr, _) in _CONFIG_KEYS.items()}
@@ -205,18 +207,17 @@ class QuantMlp:
         ]
         return cls(layers)
 
-    def forward(self, x, record: bool = True):
+    def forward(self, x):
         acts = []
         h = x
         for i, layer in enumerate(self.layers):
-            z = layer.forward(h, record=record)
+            z = layer.forward(h)
             if i < len(self.layers) - 1:
                 h = np.tanh(z)
                 acts.append(h)
             else:
                 h = z
-        if record:
-            self._activations = acts
+        self._activations = acts
         return h
 
     def backward(self, g):
@@ -240,8 +241,8 @@ class QuantMlp:
         return out
 
     def quantized_pairs(self):
-        """Fresh (shadow weights, quantized view) per layer, for diagnostics."""
-        return [(layer.shadow_weights, layer.quantized()) for layer in self.layers]
+        """(shadow weights, quantized view the last forward used) per layer."""
+        return [(layer.shadow_weights, layer._cache.quantized) for layer in self.layers]
 
 
 #: Scale of the per-row constants added to regression targets. Sized so a
@@ -378,7 +379,7 @@ def train_toy(config: TrainConfig) -> TrainReport:
 
     for step in range(config.steps):
         x, target = task.batch(data_rng)
-        y = student.forward(x, record=True)
+        y = student.forward(x)
         loss = task.loss(y, target)
         losses.append(loss)
         if not np.isfinite(loss):
@@ -397,7 +398,7 @@ def train_toy(config: TrainConfig) -> TrainReport:
 
     if not diverged:
         x, target = task.batch(data_rng)
-        y = student.forward(x, record=False)
+        y = student.forward(x)
         loss = task.loss(y, target)
         losses.append(loss)
         if np.isfinite(loss):

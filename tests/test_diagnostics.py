@@ -20,6 +20,7 @@ from tqla.diagnostics import (
 )
 from tqla.errors import (
     DegenerateNormalization,
+    FormatError,
     InsufficientHistory,
     InvalidParam,
     InvalidShape,
@@ -224,17 +225,37 @@ class TestWeightHistogram:
 
         rng = np.random.default_rng(6)
         for _ in range(10):
-            w, q = quantized_pair(rng)
+            w, q = quantized_pair(rng, rows=9, cols=23)
             bins = int(rng.integers(3, 30))
-            h = weight_histogram(w, q, bins=bins)
+            edges = np.linspace(-3.0, 3.0, bins + 1)
+            # power-of-two thresholds keep w / thr exact; every fourth group is
+            # zeroed (group 0 never is, so the normalization is not degenerate)
+            q.thresholds[:] = 2.0 ** rng.integers(-3, 4, q.thresholds.size)
+            q.thresholds[1::4] = 0.0
             thr = q.element_thresholds()
-            edges = list(h.bin_edges)
+            special = np.concatenate(
+                [
+                    edges,
+                    np.nextafter(edges, -np.inf),
+                    np.nextafter(edges, np.inf),
+                    [-3.0, 3.0, -1e3, 1e3, 0.0],
+                ]
+            )
+            idx = rng.choice(w.size, size=min(w.size, special.size), replace=False)
+            w.flat[idx] = rng.permutation(special)[: idx.size] * thr.flat[idx]
+            on_zero = idx[thr.flat[idx] == 0]
+            w.flat[on_zero] = rng.choice([-1.5, 0.0, 2.5], on_zero.size)
+            h = weight_histogram(w, q, bins=bins)
+            assert h.bin_edges.tobytes() == edges.tobytes()
             ref = [0] * bins
             for r in range(w.shape[0]):
                 for c in range(w.shape[1]):
-                    v = w[r, c] / thr[r, c] if thr[r, c] > 0 else 0.0
+                    if thr[r, c] > 0:
+                        v = w[r, c] / thr[r, c]
+                    else:
+                        v = float(np.sign(w[r, c])) * np.inf if w[r, c] != 0 else 0.0
                     v = min(max(v, -3.0), 3.0)
-                    k = min(max(bisect.bisect_right(edges, v) - 1, 0), bins - 1)
+                    k = min(max(bisect.bisect_right(list(edges), v) - 1, 0), bins - 1)
                     ref[k] += 1
             assert h.counts.tolist() == ref
 
@@ -310,6 +331,26 @@ class TestSnapshotAndExport:
         reports = self.make_reports(rng, n=1)
         with pytest.raises(IoError):
             export_report(reports, tmp_path / "missing_dir" / "trap")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"schema_version": 99, "reports": []}',
+            '{"schema_version": 1, "reports": [',
+            "\xff\xfe not json",
+            '{"schema_version": 1}',
+            '{"schema_version": 1, "reports": [{"step": 0}]}',
+            "[1]",
+        ],
+    )
+    def test_load_rejects_malformed_files(self, tmp_path, text):
+        rng = np.random.default_rng(13)
+        base = tmp_path / "trap"
+        _, json_path = export_report(self.make_reports(rng, n=1), base)
+        with open(json_path, "w", encoding="latin-1") as fh:
+            fh.write(text)
+        with pytest.raises(FormatError):
+            load_report(base)
 
     def test_report_dict_roundtrip(self):
         rng = np.random.default_rng(12)

@@ -128,3 +128,11 @@ def test_overflowing_updates_diverge(scheme):
     assert report.diverged
     assert 0 < report.divergence_step < config.steps
     assert len(report.losses) == report.divergence_step + 1
+
+
+@pytest.mark.parametrize("learning_rate", [float("nan"), float("inf"), -1.0, 0.0])
+def test_from_dict_rejects_bad_learning_rate(learning_rate):
+    d = tiny_config("synthetic-regression", "per-tensor", "absmean").to_dict()
+    d["learning_rate"] = learning_rate
+    with pytest.raises(InvalidParam, match="learning_rate"):
+        TrainConfig.from_dict(d)
