@@ -1,10 +1,13 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
 import oracles
 from tqla import Granularity, dequantize, tequila_bias
 from tqla.errors import CacheError, GradientError, InvalidShape, UnsupportedScheme
-from tqla.qat import OptimizerState, QuantLinearLayer, optimizer_step
+from tqla.qat import SCHEMES, OptimizerState, QuantLinearLayer, optimizer_step
 
 PT = Granularity("per-tensor")
 
@@ -560,3 +563,104 @@ class TestOptimizer:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidShape):
             optimizer_step({"w": np.ones(3)}, {"w": np.ones(4)}, OptimizerState())
+
+
+# Byte pins for the layer step and the optimizer, recorded before the forward,
+# backward and optimizer were rewritten to share one quantized view and to
+# advance the moments once. Each layer case has all-zero half rows (so some
+# groups are degenerate), a column count that is not a multiple of 3 and, for
+# the learnable slots, nonzero b and some zero alphas.
+PIN_GRANULARITIES = {
+    "per-group-5": Granularity("per-group", 5),
+    "per-channel": Granularity("per-channel"),
+    "per-tensor": PT,
+}
+
+#: SHA-256 over ``y``, ``grad_x`` and every gradient per (scheme, granularity).
+LAYER_DIGESTS = {
+    ('absmean', 'per-group-5'): "32b884f0996a75ecff39d78e8a9886c912c6949dbe7b7eca0457297bd5012bed",
+    ('absmean', 'per-channel'): "d8f9242345fdb1099c23c23629e55efd186f36d6c266f6c462b1954a6f9a2cd0",
+    ('absmean', 'per-tensor'): "c1a78a8d990c24818470ff498f141d2e23096f36d3c1bba3f22568f411533bc3",
+    ('twn', 'per-group-5'): "b9ad3f5119a4a063e8e1634f96889fdcb45db3b6ca1ebeed686f6ea1abb7f779",
+    ('twn', 'per-channel'): "44c45c8465768fb199f04decab19e9d745191901edc11ae5f677604f7ce73a70",
+    ('twn', 'per-tensor'): "e88561e45de7b3adf736e42f4ee1a9391e5d0c9afec6af06e024c984c72a7651",
+    ('lsq', 'per-group-5'): "29613d2f4fa0aa824e60b213c2e699fda5b2b9d4454fb9ef9ba2d13fc667ecc9",
+    ('lsq', 'per-channel'): "6262c19dc8e4c4b1cda4ef6e46b348313d2bf4297f3cc96b8a6fe095e3198023",
+    ('lsq', 'per-tensor'): "cf9f8f37eac0e6c7b55c90f0e2e0ee9713f1c7f3bfeb1a250dcaa3dd7d91e841",
+    ('seq', 'per-group-5'): "538df55232dbf92517b49ce4ad01b622093f348bf608a032e1a96c1b40f2b3ff",
+    ('seq', 'per-channel'): "30cec7d3796160579b7d404f3a3fbdfb33bb00dc10882b2f6eeddad9241d2636",
+    ('seq', 'per-tensor'): "305372a5d990952127528dac11539e94d0dde3e009e795055befdb441af23048",
+    ('dlt', 'per-group-5'): "ec69818c61e33953fc97322c1db31bdc911b7a15e114b953a53864a75024ecfd",
+    ('dlt', 'per-channel'): "bc2b7dd74d1a97c44eb2a575e3cd77bcdda8d3da1cc2c3ad24af9b16cb179745",
+    ('dlt', 'per-tensor'): "f0b7fb2a75a3b9e405a2f38793686b713737e649e47bd24f42a168d6342ec14d",
+    ('minima', 'per-group-5'): "b6b38065c8434f33192f2c3984fead1db645eb3cab2f0c1b913dd1e2a0f921f9",
+    ('minima', 'per-channel'): "fae3e60c17f5a0d06c24636efac2ae98257af7c63906cdec16985f07151a2adc",
+    ('minima', 'per-tensor'): "27bc27c74e388dc2e0967790d22f7ba7a6f0849b8f7349abf5e55968dcab500b",
+    ('tequila', 'per-group-5'): "625e920986a1848310aef1cc0ca84c200293b3cf66619b867e33760486755564",
+    ('tequila', 'per-channel'): "9dcda3ce1d46308f6d5f5ed466793d88eddd076769dd2f9fddc8a77a17cebb6e",
+    ('tequila', 'per-tensor'): "defa9f258f702d305405ca2de74c31960e64fe8640566b85dd12d61ba63257d9",
+    ('tequila-nomix', 'per-group-5'): "fe98df076c5c3227c2af9541b1c649cf68cdec892f4dadd227784b42355b1ad8",
+    ('tequila-nomix', 'per-channel'): "15e20d52fb09d0439bbf1194fa2ec9e4dc94940ea52a446815dc9ba13a8d1604",
+    ('tequila-nomix', 'per-tensor'): "91a2009da81e24fc0d1d65943b9c6f2ea448bc4ce956e43d9801975d332b507b",
+}
+
+#: SHA-256 over params, ``m`` and ``v`` after each of three optimizer steps.
+OPTIMIZER_DIGEST = "53b89f220e2b5d40705ffb30a97b1ee9885e2902b3b73420a45726a248cf1711"
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def layer_step_outputs(scheme, gran_name):
+    rng = np.random.default_rng([SCHEMES.index(scheme), len(gran_name)])
+    w = rng.standard_normal((11, 17)) * 0.3
+    w[::4, :8] = 0.0
+    w[5] = 0.0
+    layer = QuantLinearLayer.create(w, scheme, PIN_GRANULARITIES[gran_name], lam=0.05)
+    if layer.learnable_alpha is not None:
+        layer.learnable_alpha[1::3] = 0.0
+    if layer.learnable_b is not None:
+        layer.learnable_b[:] = rng.standard_normal(layer.learnable_b.shape) * 0.1
+    x = rng.standard_normal((6, 17))
+    g = rng.standard_normal((6, 11))
+    y = layer.forward(x)
+    grad_x, grads = layer.backward(g)
+    return [y, grad_x] + [grads[k] for k in sorted(grads)]
+
+
+def optimizer_outputs():
+    rng = np.random.default_rng(2024)
+    params = {
+        "w": rng.standard_normal((7, 13)),
+        "alpha": rng.standard_normal(5),
+        "b": np.zeros(5),
+    }
+    state = OptimizerState(learning_rate=1e-2)
+    out = []
+    for _ in range(3):
+        grads = {k: rng.standard_normal(p.shape) for k, p in params.items()}
+        grads["w"][0] = 0.0
+        optimizer_step(params, grads, state)
+        for k in sorted(params):
+            out += [params[k].copy(), state.m[k].copy(), state.v[k].copy()]
+    return out
+
+
+def test_every_layer_case_has_a_digest():
+    assert set(LAYER_DIGESTS) == set(itertools.product(SCHEMES, PIN_GRANULARITIES))
+
+
+@pytest.mark.parametrize("gran_name", list(PIN_GRANULARITIES))
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_layer_step_pinned(scheme, gran_name):
+    assert _digest(layer_step_outputs(scheme, gran_name)) == LAYER_DIGESTS[(scheme, gran_name)]
+
+
+def test_optimizer_steps_pinned():
+    assert _digest(optimizer_outputs()) == OPTIMIZER_DIGEST
