@@ -97,26 +97,34 @@ class TrapReport:
 
 @dataclass
 class CodeHistory:
-    """Ring buffer of ternary code snapshots for the monitored layers."""
+    """Code flips over a sliding window of ternary code snapshots.
+
+    Each push counts the flips between the new snapshot and the one before
+    it, once; the window keeps the counts of its ``window - 1`` adjacent
+    pairs and only the latest codes.
+    """
 
     window: int = DEFAULT_HISTORY_WINDOW
-    _snaps: deque = field(default_factory=deque, repr=False)
+    _last: list | None = field(default=None, init=False, repr=False)
+    _flips: deque = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.window < 2:
             raise InvalidParam(f"history window must be >= 2, got {self.window}")
-        self._snaps = deque(self._snaps, maxlen=self.window)
+        self._flips = deque(maxlen=self.window - 1)
 
     def push(self, codes_per_layer):
         snap = [np.asarray(c, dtype=np.int8).copy() for c in codes_per_layer]
-        if self._snaps:
-            prev = self._snaps[-1]
+        prev = self._last
+        if prev is not None:
             if len(prev) != len(snap) or any(a.shape != b.shape for a, b in zip(prev, snap)):
                 raise InvalidShape("snapshot shapes differ from history")
-        self._snaps.append(snap)
+            self._flips.append(sum(int((a != b).sum()) for a, b in zip(prev, snap)))
+        self._last = snap
 
     def __len__(self):
-        return len(self._snaps)
+        """Snapshots in the window."""
+        return 0 if self._last is None else len(self._flips) + 1
 
 
 def _normalized_values(w: np.ndarray, thr: np.ndarray) -> np.ndarray:
@@ -165,15 +173,11 @@ def boundary_fraction(w, q: QuantizedTensor, band: float = DEFAULT_BAND) -> floa
 
 def flip_rate(history: CodeHistory) -> float:
     """Mean per-weight frequency of code changes between adjacent snapshots."""
-    snaps = list(history._snaps)
-    if len(snaps) < 2:
-        raise InsufficientHistory(f"need at least 2 snapshots, have {len(snaps)}")
-    total_weights = sum(c.size for c in snaps[0])
-    flips = 0
-    for prev, cur in zip(snaps, snaps[1:]):
-        for a, b in zip(prev, cur):
-            flips += int((a != b).sum())
-    return flips / ((len(snaps) - 1) * total_weights)
+    pairs = len(history._flips)
+    if pairs < 1:
+        raise InsufficientHistory(f"need at least 2 snapshots, have {len(history)}")
+    total_weights = sum(c.size for c in history._last)
+    return sum(history._flips) / (pairs * total_weights)
 
 
 def weight_histogram(w, q: QuantizedTensor, bins: int = DEFAULT_BINS) -> Histogram:

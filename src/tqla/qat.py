@@ -32,6 +32,15 @@ the learnable slots hold codes and deadzone membership fixed:
   alpha_g (lsq, dlt)  sum over the group of code * e
   b_g (dlt)           sum over the group of e
   b_g (seq)           alpha_g * sum over the group's dead positions of e
+
+Data flow of one layer step. The forward builds one quantized view of the
+shadow weights: from one ``|w|`` and one threshold expand it gets both the
+codes and the deadzone mask, and it records them in ``ForwardCache``. The
+backward and the trap snapshot read that view instead of quantizing again;
+the backward expands the group scales once and uses them for both
+``e * alpha`` and ``w_q``. The hot path does not re-check the shadow
+weights: ``QuantLinearLayer.create`` validates them and ``optimizer_step``
+only commits finite values.
 """
 
 from __future__ import annotations
@@ -48,11 +57,10 @@ from .quantizer import (
     QuantizedTensor,
     DeadzoneMask,
     _as_matrix,
-    _ternary_tensor,
-    deadzone_mask,
+    _quantized_view,
+    _tequila_bias,
     dequantize,
     quantize,
-    tequila_bias,
 )
 
 DEFAULT_LAMBDA = 1e-3
@@ -69,7 +77,7 @@ def _minima_term(layer, x, mask):
 
 
 def _tequila_term(layer, x, mask):
-    return tequila_bias(layer.shadow_weights, mask, layer.lam)
+    return _tequila_bias(layer.shadow_weights, mask.mask, layer.lam)
 
 
 def _dead_ste(layer, e, g, x):
@@ -138,11 +146,13 @@ SCHEMES = tuple(SCHEME_TABLE)
 
 @dataclass
 class ForwardCache:
-    """What a backward pass needs from its recorded forward.
+    """The quantized view one forward recorded for its backward.
 
-    Only the input, the codes with their group statistics, the deadzone
-    mask, a copy of b and the extra forward term are kept; per-element
-    float arrays are rebuilt in the backward pass.
+    ``quantized`` (codes with their group statistics and layout) and
+    ``mask`` come from the same ternarizer pass; the trap snapshot reads
+    ``quantized`` as well. Besides them only the input, a copy of b and the
+    extra forward term are kept: no per-element float64 array is held
+    between forward and backward, and the backward expands the scales once.
     """
 
     x: np.ndarray
@@ -171,6 +181,7 @@ class QuantLinearLayer:
     learnable_b: np.ndarray | None = None
     frozen_thresholds: np.ndarray | None = None
     _cache: ForwardCache | None = field(default=None, repr=False)
+    _layout: GroupLayout | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def create(cls, weights, scheme, granularity, *, lam=DEFAULT_LAMBDA, epsilon=DEFAULT_EPSILON):
@@ -205,7 +216,10 @@ class QuantLinearLayer:
         return self.shadow_weights.shape[1]
 
     def layout(self) -> GroupLayout:
-        return GroupLayout(self.granularity, self.rows, self.cols)
+        """The group layout of the shadow weights, built on first use and then reused."""
+        if self._layout is None:
+            self._layout = GroupLayout(self.granularity, self.rows, self.cols)
+        return self._layout
 
     def params(self) -> dict[str, np.ndarray]:
         out = {"w": self.shadow_weights}
@@ -221,27 +235,18 @@ class QuantLinearLayer:
             return SCHEME_TABLE["absmean"]
         return SCHEME_TABLE[self.scheme]
 
-    def quantized(self) -> QuantizedTensor:
-        """The ternary view of the shadow weights as of now."""
-        entry = self._entry()
-        if "alpha" not in entry.learnable:
-            return quantize(self.shadow_weights, entry.estimator, self.granularity)
-        return _ternary_tensor(
-            self.shadow_weights,
-            self.learnable_alpha.copy(),
-            self.frozen_thresholds.copy(),
-            self.layout(),
-        )
-
     def forward(self, x, record: bool = True) -> np.ndarray:
         """y = x @ w_q.T plus the entry's coupling and extra term.
 
         ``record=False`` leaves any recorded forward in place.
         """
         entry = self._entry()
-        x = _as_batch(x, self.cols)
-        q = self.quantized()
-        mask = deadzone_mask(self.shadow_weights, q)
+        x = _as_batch(x, None, self.cols, "input")
+        params = None
+        if "alpha" in entry.learnable:
+            params = (self.learnable_alpha.copy(), self.frozen_thresholds.copy())
+        q, dead = _quantized_view(self.shadow_weights, entry.estimator, self.layout(), params)
+        mask = DeadzoneMask(mask=dead)
         b = None if self.learnable_b is None else self.learnable_b.copy()
         y = x @ dequantize(q).T
         if entry.coupling is not None:
@@ -255,32 +260,44 @@ class QuantLinearLayer:
         return y
 
     def backward(self, g) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Consume the cache; returns (grad wrt input, grads per parameter)."""
-        cache, self._cache = self._cache, None
+        """Consume the cache; returns (grad wrt input, grads per parameter).
+
+        ``g`` is (batch, rows) for the recorded batch, or one row of ``rows``
+        values after a forward of one input row; a mis-shaped ``g`` raises
+        ``InvalidShape`` and leaves the cache in place.
+        """
+        cache = self._cache
         if cache is None:
             raise CacheError("backward called without a recorded forward")
+        g = _as_batch(g, len(cache.x), self.rows, "upstream gradient")
+        self._cache = None
         entry = self._entry()
-        g = np.asarray(g, dtype=np.float64)
         x, q, mask = cache.x, cache.quantized, cache.mask
         e = g.T @ x
-        grads = {"w": np.where(mask.mask, entry.dead_grad(self, e, g, x), e * q.element_scales())}
+        scales = q.element_scales()
+        grads = {"w": np.where(mask.mask, entry.dead_grad(self, e, g, x), e * scales)}
         if "alpha" in entry.learnable:
             grads["alpha"] = q.layout().reduce_sum(e * q.codes)
         if "b" in entry.learnable:
             grads["b"] = entry.grad_b(e, q, mask)
-        grad_x = g @ dequantize(q)
+        grad_x = g @ (q.codes * scales)
         if entry.coupling is not None:
             grad_x = grad_x + g @ entry.coupling(q, mask, cache.learnable_b)
         return grad_x, grads
 
 
-def _as_batch(x, cols: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
-    if x.ndim != 2 or x.shape[1] != cols:
-        raise InvalidShape(f"input shape {x.shape} does not match layer cols {cols}")
-    return x
+def _as_batch(a, batch: int | None, width: int, what: str) -> np.ndarray:
+    """``a`` as a float64 (batch, width) matrix; a 1-D ``a`` is one row.
+
+    ``batch=None`` accepts any number of rows.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim == 1:
+        a = a.reshape(1, -1)
+    if a.ndim != 2 or a.shape[1] != width or batch not in (None, a.shape[0]):
+        expected = f"({'batch' if batch is None else batch}, {width})"
+        raise InvalidShape(f"{what} shape {a.shape} does not match {expected}")
+    return a
 
 
 @dataclass
@@ -299,12 +316,17 @@ class OptimizerState:
 def optimizer_step(params: dict, grads: dict, state: OptimizerState) -> dict:
     """One adaptive-moment update, in place on the parameter arrays.
 
-    All gradients are checked first, then every new parameter and second
-    moment is computed and checked before any state mutation; a non-finite
-    value aborts the step with ``GradientError`` and leaves parameters,
-    moments and the step count untouched. Only the new parameters are held
-    across parameters; the moments are advanced again, in place, on commit.
+    Every parameter needs a finite gradient of its own shape, checked before
+    anything else. Each moment is then advanced once: for every parameter
+    the new first and second moments and the new value are staged, and the
+    second moment and the value are checked. Only when all are finite is
+    the step committed, by rebinding the moments in ``state`` and copying
+    each value into its parameter array; otherwise ``GradientError`` leaves
+    parameters, moments and the step count untouched.
     """
+    for key in params:
+        if key not in grads:
+            raise InvalidShape(f"no gradient for parameter {key!r}")
     for key, grad in grads.items():
         if key not in params:
             raise InvalidShape(f"gradient for unknown parameter {key!r}")
@@ -314,30 +336,35 @@ def optimizer_step(params: dict, grads: dict, state: OptimizerState) -> dict:
             )
         if not np.isfinite(grad).all():
             raise GradientError(f"non-finite gradient for parameter {key!r}")
+    b1, b2 = state.beta1, state.beta2
     t = state.step_count + 1
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-
-    def advance(m, v, g):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-
-    new_params = {}
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    staged = {}
     for key, p in params.items():
-        m = state.m[key].copy() if key in state.m else np.zeros_like(p)
-        v = state.v[key].copy() if key in state.v else np.zeros_like(p)
-        advance(m, v, np.asarray(grads[key], dtype=np.float64))
-        new_p = p - state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        g = np.asarray(grads[key], dtype=np.float64)
+        # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g**2, from
+        # zero moments on a parameter's first step
+        m = (1.0 - b1) * g
+        m += state.m.get(key, 0.0) * b1
+        v = g * g
+        v *= 1.0 - b2
+        v += state.v.get(key, 0.0) * b2
+        # new_p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        den = v / bc2
+        np.sqrt(den, out=den)
+        den += state.eps
+        new_p = m / bc1
+        new_p *= state.learning_rate
+        new_p /= den
+        np.subtract(p, new_p, out=new_p)
         # a non-finite m makes new_p non-finite too
         if not (np.isfinite(v).all() and np.isfinite(new_p).all()):
             raise GradientError(f"non-finite update for parameter {key!r}")
-        new_params[key] = new_p
+        staged[key] = m, v, new_p
     state.step_count = t
-    for key, new_p in new_params.items():
-        m = state.m.setdefault(key, np.zeros_like(new_p))
-        v = state.v.setdefault(key, np.zeros_like(new_p))
-        advance(m, v, np.asarray(grads[key], dtype=np.float64))
+    for key, (m, v, new_p) in staged.items():
+        state.m[key] = m
+        state.v[key] = v
         params[key][...] = new_p
     return params

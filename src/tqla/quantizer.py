@@ -13,6 +13,7 @@ elements; the test suite relies on this.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,9 @@ class Granularity:
     def __post_init__(self):
         if self.kind not in GRANULARITY_KINDS:
             raise InvalidParam(f"unknown granularity kind: {self.kind!r}")
+        if isinstance(self.group_size, bool) or not isinstance(self.group_size, numbers.Integral):
+            raise InvalidParam(f"group_size must be an integer, got {self.group_size!r}")
+        object.__setattr__(self, "group_size", int(self.group_size))
         if self.kind == PER_GROUP and self.group_size < 1:
             raise InvalidParam(f"group_size must be >= 1, got {self.group_size}")
 
@@ -211,7 +215,7 @@ def _vector_params(w, scheme: str) -> tuple[float, float]:
     """``_group_params`` of a vector taken as one per-tensor group."""
     w = _as_vector(w)
     layout = GroupLayout(Granularity(PER_TENSOR), 1, w.size)
-    alphas, deltas = _group_params(w.reshape(1, -1), scheme, layout)
+    alphas, deltas = _group_params(np.abs(w).reshape(1, -1), scheme, layout)
     return float(alphas[0]), float(deltas[0])
 
 
@@ -243,25 +247,24 @@ def ternarize(w, delta: float) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if not np.isfinite(w).all():
         raise InvalidParam("weights contain NaN or Inf")
-    return _ternarize_elementwise(w, delta)
+    return _ternarize_elementwise(w, delta, np.abs(w) < delta)
 
 
-def _ternarize_elementwise(w: np.ndarray, delta) -> np.ndarray:
+def _ternarize_elementwise(w: np.ndarray, delta, dead: np.ndarray) -> np.ndarray:
     """Ternarize with a scalar or per-element threshold (no validation).
 
-    Branches top-down like ``ternarize``: ``w >= delta`` -> +1, then
-    ``|w| < delta`` -> 0, else -1; so at ``delta == 0`` both zeros give +1,
-    and NaN gives -1.
+    ``dead`` is the deadzone mask ``|w| < delta``. Branches top-down like
+    ``ternarize``: ``w >= delta`` -> +1, then ``dead`` -> 0, else -1; so at
+    ``delta == 0`` both zeros give +1, and NaN gives -1.
     """
     pos = w >= delta
     codes = np.array(pos, dtype=np.int8)
-    codes -= ~(pos | (np.abs(w) < delta))
+    codes -= ~(pos | dead)
     return codes
 
 
-def _group_params(w: np.ndarray, scheme: str, layout: GroupLayout):
-    """Per-group (alpha, delta) arrays for a static scheme."""
-    a = np.abs(w)
+def _group_params(a: np.ndarray, scheme: str, layout: GroupLayout):
+    """Per-group (alpha, delta) arrays for a static scheme, from ``a = |w|``."""
     counts = np.tile(layout.lens.astype(np.float64), layout.view[0])
     means = layout._seq_group_sums(a) / counts
     if scheme == "absmean":
@@ -289,25 +292,32 @@ def quantize(w, scheme: str, granularity: Granularity) -> QuantizedTensor:
             f"unknown scheme {scheme!r}; static schemes are {STATIC_SCHEMES}"
         )
     w = _as_matrix(w)
-    layout = GroupLayout(granularity, *w.shape)
-    alphas, deltas = _group_params(w, scheme, layout)
-    return _ternary_tensor(w, alphas, deltas, layout)
+    return _quantized_view(w, scheme, GroupLayout(granularity, *w.shape))[0]
 
 
-def _ternary_tensor(w: np.ndarray, alphas, deltas, layout: GroupLayout) -> QuantizedTensor:
-    """``quantize`` with the per-group (alpha, delta) given; no validation.
+def _quantized_view(w: np.ndarray, scheme: str, layout: GroupLayout, params=None):
+    """``quantize`` without validation, plus the deadzone mask it computes.
 
-    The returned tensor reuses ``layout`` instead of building its own.
+    ``params`` gives the per-group (alpha, delta) instead of the ``scheme``
+    estimator. Returns ``(tensor, mask)``: the mask ``|w| < delta`` is the
+    ternarizer's zero branch, so it comes from the same ``|w|`` and the
+    same threshold expand as the codes. Only groups with alpha == 0 are
+    expanded a second time, to force their codes to zero. The tensor reuses
+    ``layout`` instead of building its own.
     """
-    codes = _ternarize_elementwise(w, layout.expand(deltas))
-    degenerate = layout.expand(alphas) == 0.0
+    a = np.abs(w)
+    alphas, deltas = _group_params(a, scheme, layout) if params is None else params
+    thresholds = layout.expand(deltas)
+    dead = a < thresholds
+    codes = _ternarize_elementwise(w, thresholds, dead)
+    degenerate = alphas == 0.0
     if degenerate.any():
-        codes = np.where(degenerate, np.int8(0), codes)
+        codes[layout.expand(degenerate)] = 0
     q = QuantizedTensor(
         codes=codes, scales=alphas, thresholds=deltas, granularity=layout.granularity
     )
     q._layout = layout
-    return q
+    return q, dead
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
@@ -331,4 +341,14 @@ def tequila_bias(w, mask: DeadzoneMask, lam: float) -> np.ndarray:
     lam = float(lam)
     if not np.isfinite(lam):
         raise InvalidParam(f"lambda must be finite, got {lam}")
-    return lam * _sequential_sums(np.where(mask.mask, w, 0.0))
+    return _tequila_bias(w, mask.mask, lam)
+
+
+def _tequila_bias(w: np.ndarray, dead: np.ndarray, lam: float) -> np.ndarray:
+    """``tequila_bias`` without validation.
+
+    ``np.where`` rather than ``w * dead``: the product turns a live negative
+    weight into -0.0, so a row whose weights are all live and negative
+    would sum to -0.0 instead of 0.0.
+    """
+    return lam * _sequential_sums(np.where(dead, w, 0.0))

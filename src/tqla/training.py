@@ -280,6 +280,7 @@ class _RegressionTask:
         if self._fixed is None:
             x = rng.standard_normal((self.batch_size, self.widths[0]))
             self._fixed = (x, _mlp_forward_plain(self.teacher, x) + self.offset)
+            self.teacher = None  # the targets are all that is read from now on
         return self._fixed
 
     def loss(self, y, target):
@@ -395,6 +396,7 @@ def train_toy(config: TrainConfig) -> TrainReport:
             diverged = True
             divergence_step = step
             break
+        del grads  # not held through the next forward, snapshot and backward
 
     if not diverged:
         x, target = task.batch(data_rng)

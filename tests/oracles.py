@@ -312,6 +312,21 @@ def grad_b_seq_scalar(g, x, mask, alphas, kind, group_size):
     return out
 
 
+def flip_rate_recount(pushes, window):
+    """Flip rate over the last ``window`` pushes, recounting every adjacent pair.
+
+    ``pushes`` is a list of snapshots, each a list of per-layer code matrices.
+    """
+    snaps = pushes[-window:]
+    flips = 0
+    for prev, cur in zip(snaps, snaps[1:]):
+        for a, b in zip(prev, cur):
+            for row_a, row_b in zip(a.tolist(), b.tolist()):
+                flips += sum(x != y for x, y in zip(row_a, row_b))
+    total = sum(c.size for c in snaps[0])
+    return flips / ((len(snaps) - 1) * total)
+
+
 def gemv_scalar(codes, scales, bias, x, kind, group_size):
     """y[r] = sum_g alpha_g * sum_{j in g} code x + bias[r], explicit loops."""
     rows, cols = len(codes), len(codes[0])

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from tqla import Granularity, quantize
 from tqla.diagnostics import (
     CodeHistory,
@@ -168,6 +169,25 @@ class TestFlipRate:
         h.push([np.zeros((2, 2), dtype=np.int8)])
         with pytest.raises(InvalidShape):
             h.push([np.zeros((2, 3), dtype=np.int8)])
+
+    @pytest.mark.parametrize("window", [2, 3, 5])
+    def test_matches_recount_oracle_through_eviction(self, window):
+        # two layers whose codes change a random share of positions per push;
+        # 12 pushes evict the oldest pair from the window several times over
+        rng = np.random.default_rng(window)
+        codes = [rng.integers(-1, 2, size=s).astype(np.int8) for s in ((3, 7), (5, 2))]
+        h = CodeHistory(window=window)
+        pushes = []
+        for k in range(12):
+            codes = [
+                np.where(rng.random(c.shape) < 0.1 * (k % 4), rng.integers(-1, 2, c.shape), c)
+                for c in codes
+            ]
+            pushes.append([c.astype(np.int8) for c in codes])
+            h.push(codes)
+            assert len(h) == min(k + 1, window)
+            if k >= 1:
+                assert flip_rate(h) == oracles.flip_rate_recount(pushes, window)
 
 
 class TestWeightHistogram:

@@ -479,6 +479,31 @@ class TestLayerApi:
         layer.forward(x * 2, record=False)
         assert layer._cache is cache
 
+    def test_mis_shaped_upstream_rejected(self):
+        rng = np.random.default_rng(26)
+        layer = make_layer(rng, "tequila")
+        x, g = random_instance(rng, layer, batch=3)
+        layer.forward(x)
+        for bad in (g[:, :-1], g[:2], g.T, g[None], g.reshape(-1)):
+            with pytest.raises(InvalidShape):
+                layer.backward(bad)
+        # a rejected g leaves the recorded forward for a well-shaped one
+        grad_x, grads = layer.backward(g)
+        assert grad_x.shape == x.shape and grads["w"].shape == layer.shadow_weights.shape
+
+    def test_one_row_upstream_after_one_row_input(self):
+        rng = np.random.default_rng(27)
+        for scheme in SCHEMES:
+            layer = make_layer(rng, scheme)
+            x, g = random_instance(rng, layer, batch=1)
+            layer.forward(x)
+            grad_x, grads = layer.backward(g)
+            layer.forward(x[0])
+            grad_x_1d, grads_1d = layer.backward(g[0])
+            np.testing.assert_array_equal(grad_x_1d, grad_x)
+            for key in grads:
+                np.testing.assert_array_equal(grads_1d[key], grads[key])
+
     def test_grad_x_matches_finite_differences(self):
         rng = np.random.default_rng(24)
         for scheme in ("absmean", "tequila", "dlt", "seq", "lsq"):
@@ -563,6 +588,17 @@ class TestOptimizer:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidShape):
             optimizer_step({"w": np.ones(3)}, {"w": np.ones(4)}, OptimizerState())
+
+    def test_missing_gradient_rejected_without_mutation(self):
+        p = {"w": np.array([1.0]), "b": np.array([2.0])}
+        state = OptimizerState()
+        optimizer_step(p, {"w": np.array([0.1]), "b": np.array([0.1])}, state)
+        before = (p["w"].copy(), p["b"].copy(), state.m["w"].copy(), state.v["b"].copy())
+        with pytest.raises(InvalidShape, match="'b'"):
+            optimizer_step(p, {"w": np.array([0.1])}, state)
+        after = (p["w"], p["b"], state.m["w"], state.v["b"])
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert state.step_count == 1
 
 
 # Byte pins for the layer step and the optimizer, recorded before the forward,

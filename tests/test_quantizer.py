@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -33,6 +34,20 @@ def random_granularity(rng, cols):
     if kind == "per-group":
         return Granularity(kind, int(rng.integers(1, cols + 4)))
     return Granularity(kind)
+
+
+class TestGranularity:
+    @pytest.mark.parametrize("kind", ["per-group", "per-channel", "per-tensor"])
+    @pytest.mark.parametrize("size", [2.5, 4.0, "4", None, True, False])
+    def test_non_integer_group_size_rejected(self, kind, size):
+        with pytest.raises(InvalidParam):
+            Granularity(kind, size)
+
+    def test_numpy_integer_group_size_becomes_int(self):
+        g = Granularity("per-group", np.int64(5))
+        assert type(g.group_size) is int
+        assert g == Granularity("per-group", 5)
+        assert json.dumps(g.to_dict()) == '{"kind": "per-group", "group_size": 5}'
 
 
 class TestAbsmeanParams:
@@ -246,6 +261,12 @@ class TestTequilaBias:
         w = np.array([[1.0, -1.0]])
         mask = DeadzoneMask(mask=np.zeros((1, 2), dtype=bool))
         assert tequila_bias(w, mask, 1e-3).tolist() == [0.0]
+
+    def test_all_live_negative_row_sums_to_positive_zero(self):
+        # the deadzone sum selects, not multiplies: -1.0 * False would be -0.0
+        w = np.array([[-1.0, -1.0, -1.0]])
+        bias = tequila_bias(w, deadzone_mask(w, quantize(w, "absmean", PT)), 1.0)
+        assert bias.tolist() == [0.0] and not np.signbit(bias[0])
 
     def test_all_dead_is_scaled_row_sum(self):
         w = np.array([[0.1, 0.2, -0.05]])
