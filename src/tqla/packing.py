@@ -13,7 +13,8 @@ lexicographic order (-1 < 0 < +1), which puts the zero pattern at index 0:
 Indices 14 and 15 are invalid. The reader accepts exactly what the writer
 produces: the zero pattern carries a clear sign bit, padding columns hold
 zero codes, and padding nibbles and sign bits after the last triple are
-clear; anything else raises ``FormatError`` with its byte offset.
+clear, and lambda, scales and biases are finite; anything else raises
+``FormatError`` with its byte offset.
 
 On-disk "TQLA" layout (all little-endian):
 
@@ -181,6 +182,17 @@ def _granularity_to_group_size(granularity: Granularity, cols: int) -> int:
     return granularity.group_size
 
 
+def _finite_float32(values, what: str) -> np.ndarray:
+    """``values`` cast to float32; raises InvalidParam if any is not finite there."""
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        cast = values.astype(np.float32)
+    finite = np.isfinite(cast)
+    if not finite.all():
+        raise InvalidParam(f"{what} must be finite as float32, got {values[~finite][0]}")
+    return cast
+
+
 def _pack_layer(q: QuantizedTensor, bias: np.ndarray) -> PackedLayer:
     bias = np.asarray(bias, dtype=np.float64)
     if bias.shape != (q.rows,):
@@ -192,8 +204,8 @@ def _pack_layer(q: QuantizedTensor, bias: np.ndarray) -> PackedLayer:
         group_size=_granularity_to_group_size(q.granularity, q.cols),
         index_bytes=index_bytes,
         sign_bytes=sign_bytes,
-        scales=q.scales.astype(np.float32),
-        bias=bias.astype(np.float32),
+        scales=_finite_float32(q.scales, "scale"),
+        bias=_finite_float32(bias, "bias"),
     )
 
 
@@ -203,11 +215,11 @@ def pack_model(layers, lam: float) -> PackedModel:
     The per-row bias is the deadzone sum of the final shadow weights scaled
     by ``lam``, frozen here for inference. Codes are padded to a multiple
     of three columns with zeros; packing is lossless for codes and within
-    float32 rounding for scales and biases.
+    float32 rounding for scales and biases. A lambda, scale or bias that is
+    not finite as float32 raises InvalidParam, since the file stores float32.
     """
     lam = float(lam)
-    if not np.isfinite(lam):
-        raise InvalidParam(f"lambda must be finite, got {lam}")
+    _finite_float32(lam, "lambda")
     packed = []
     for q, shadow, mask in layers:
         shadow = np.asarray(shadow, dtype=np.float64)
@@ -256,6 +268,8 @@ def read_packed(path) -> PackedModel:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}", offset=4)
+    if not np.isfinite(lam):
+        raise FormatError(f"non-finite lambda {lam}", offset=8)
     layers = []
     for _ in range(n_layers):
         raw, offset = _take(blob, offset, _LAYER_HEADER.size, "layer header")
@@ -277,10 +291,12 @@ def read_packed(path) -> PackedModel:
             n_scales = 1
         else:
             n_scales = rows * (-(-cols // group_size))
+        scale_offset = offset
         raw, offset = _take(blob, offset, 4 * n_scales, "scales")
         scales = np.frombuffer(raw, dtype="<f4")
         raw, offset = _take(blob, offset, 4 * rows, "bias")
         bias = np.frombuffer(raw, dtype="<f4")
+        _check_finite(blob, scale_offset, n_scales, rows)
         layers.append(
             PackedLayer(
                 rows=rows,
@@ -295,6 +311,15 @@ def read_packed(path) -> PackedModel:
     if offset != len(blob):
         raise FormatError(f"{len(blob) - offset} trailing bytes", offset=offset)
     return PackedModel(lam=float(lam), layers=layers)
+
+
+def _check_finite(blob: bytes, offset: int, n_scales: int, rows: int) -> None:
+    """Reject a non-finite scale or bias: adjacent float32s starting at ``offset``."""
+    finite = np.isfinite(np.frombuffer(blob, dtype="<f4", count=n_scales + rows, offset=offset))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        what = "scale" if k < n_scales else "bias"
+        raise FormatError(f"non-finite {what}", offset=offset + 4 * k)
 
 
 def _validate_codes(index_bytes, sign_bytes, rows, cols, idx_offset, sign_offset) -> None:

@@ -8,7 +8,12 @@ Weight matrices are plain 2-D float64 numpy arrays (rows = output channels,
 cols = input features). Group statistics and the tequila row sums are
 accumulated strictly left-to-right by one helper, ``_sequential_sums``, so
 that results are bit-identical to a naive scalar loop over the same
-elements; the test suite relies on this.
+elements; the test suite relies on this. The helper gets its speed from a
+cache-sized transposed copy: numpy's ``add.reduce`` over the leading axis
+of a contiguous block adds one row of the block at a time, so every output
+is still a strict left-to-right sum while the additions run across many
+runs at once. Its docstring lists the two cases in which that reduce would
+not match the scalar loop, and what is done about each.
 """
 
 from __future__ import annotations
@@ -206,9 +211,48 @@ def _as_vector(w) -> np.ndarray:
     return w
 
 
+#: Elements (512 KiB of float64) copied per block by ``_sequential_sums``.
+_SUM_BLOCK = 1 << 16
+
+
 def _sequential_sums(a: np.ndarray) -> np.ndarray:
-    """Strict left-to-right sums along the last axis (a scalar loop, bit for bit)."""
-    return np.add.accumulate(a, axis=-1)[..., -1]
+    """Strict left-to-right sums along the last axis, bit for bit.
+
+    Each sum is that of a scalar loop starting from the run's first element
+    (not from 0.0, so a run of -0.0 sums to -0.0). ``a`` has at least two
+    axes. Blocks of about ``_SUM_BLOCK`` elements,
+    whole indices of the first axis at a time, are copied with all axes
+    reversed into one reused contiguous buffer, so the summed axis comes
+    first; ``np.add.reduce`` over it then adds the buffer's rows one after
+    another, each output a left-to-right sum. Two guards keep the result
+    equal to ``np.add.accumulate(a, axis=-1)[..., -1]``:
+
+    - A block holding a single run reduces as a 1-D array, which numpy sums
+      pairwise; such a run (a row wider than half a block, or a short last
+      block) goes through ``np.add.accumulate`` instead.
+    - ``add.reduce`` starts from +0.0, so a run made only of -0.0 sums to
+      +0.0 where the scalar loop gives -0.0. Any other run sums to the same
+      value either way, since adding a signed zero changes nothing once the
+      partial sum differs from zero; the outputs that are zero are
+      recomputed with ``np.add.accumulate``.
+    """
+    n = a.shape[-1]
+    per_index = a[0].size
+    step = max(1, _SUM_BLOCK // per_index)
+    out = np.empty(a.shape[:-1], dtype=a.dtype)
+    buf = np.empty(min(step, a.shape[0]) * per_index, dtype=a.dtype)
+    for i in range(0, a.shape[0], step):
+        block = a[i : i + step]
+        if block.size == n:
+            out[i] = np.add.accumulate(block.reshape(n))[-1]
+            continue
+        t = buf[: block.size].reshape(block.shape[::-1])
+        np.copyto(t, block.T)
+        np.add.reduce(t, axis=0, out=out[i : i + step].T)
+    zero = out == 0.0
+    if zero.any():
+        out[zero] = np.add.accumulate(a[zero], axis=-1)[:, -1]
+    return out
 
 
 def _vector_params(w, scheme: str) -> tuple[float, float]:
@@ -258,9 +302,9 @@ def _ternarize_elementwise(w: np.ndarray, delta, dead: np.ndarray) -> np.ndarray
     ``delta == 0`` both zeros give +1, and NaN gives -1.
     """
     pos = w >= delta
-    codes = np.array(pos, dtype=np.int8)
-    codes -= ~(pos | dead)
-    return codes
+    neg = pos | dead
+    np.logical_not(neg, out=neg)
+    return np.subtract(pos.view(np.int8), neg.view(np.int8))
 
 
 def _group_params(a: np.ndarray, scheme: str, layout: GroupLayout):
@@ -272,7 +316,7 @@ def _group_params(a: np.ndarray, scheme: str, layout: GroupLayout):
     # twn: threshold first, then the mean of |w| over the kept elements
     deltas = 0.75 * means
     keep = a >= layout.expand(deltas)
-    kept_totals = layout._seq_group_sums(np.where(keep, a, 0.0))
+    kept_totals = layout._seq_group_sums(a * keep)  # a >= +0.0: same as np.where
     kept_counts = layout.reduce_sum(keep.astype(np.float64))
     alphas = np.divide(
         kept_totals, kept_counts, out=np.zeros_like(kept_totals), where=kept_counts > 0
@@ -341,14 +385,22 @@ def tequila_bias(w, mask: DeadzoneMask, lam: float) -> np.ndarray:
     lam = float(lam)
     if not np.isfinite(lam):
         raise InvalidParam(f"lambda must be finite, got {lam}")
-    return _tequila_bias(w, mask.mask, lam)
+    return _tequila_bias(w, np.asarray(mask.mask, dtype=bool), lam)
 
 
 def _tequila_bias(w: np.ndarray, dead: np.ndarray, lam: float) -> np.ndarray:
-    """``tequila_bias`` without validation.
+    """``tequila_bias`` without validation; ``w`` must be finite.
 
-    ``np.where`` rather than ``w * dead``: the product turns a live negative
-    weight into -0.0, so a row whose weights are all live and negative
-    would sum to -0.0 instead of 0.0.
+    The sums are those of ``np.where(dead, w, 0.0)``, built faster from
+    ``w * dead`` (``dead`` is boolean). The two differ only where a live
+    negative weight leaves -0.0 in the product instead of +0.0, and signed
+    zero terms change a left-to-right sum only when that sum is zero. So
+    the rows that sum to zero are summed again in the ``np.where`` form,
+    which gives +0.0 for a row of live negative weights and -0.0 for a
+    deadzone holding only -0.0.
     """
-    return lam * _sequential_sums(np.where(dead, w, 0.0))
+    sums = _sequential_sums(w * dead)
+    zero = sums == 0.0
+    if zero.any():
+        sums[zero] = _sequential_sums(np.where(dead[zero], w[zero], 0.0))
+    return lam * sums

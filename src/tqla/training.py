@@ -100,6 +100,13 @@ class TrainConfig:
             raise InvalidParam(f"widths must be >= 2 positive sizes, got {self.widths}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise InvalidParam(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        # the diagnostics reject these too, but only once train_toy is under way
+        if not 0.0 < self.boundary_band < 1.0:
+            raise InvalidParam(f"boundary_band must be in (0, 1), got {self.boundary_band}")
+        if self.histogram_bins < 2:
+            raise InvalidParam(f"histogram_bins must be >= 2, got {self.histogram_bins}")
+        if self.history_window < 2:
+            raise InvalidParam(f"history_window must be >= 2, got {self.history_window}")
 
     def to_dict(self):
         d = {key: getattr(self, attr) for key, (attr, _) in _CONFIG_KEYS.items()}

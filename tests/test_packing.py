@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,48 @@ def test_non_finite_lambda_rejected(lam):
     q = quantize(w, "absmean", Granularity("per-tensor"))
     with pytest.raises(InvalidParam, match="lambda"):
         pack_model([(q, w, deadzone_mask(w, q))], lam)
+
+
+def test_non_float32_values_rejected():
+    # finite in float64 but not in float32 (largest float32 is about 3.4e38)
+    w = np.array([[0.5, -1.0, 0.0], [0.25, 0.0, -2.0]])
+    pt = Granularity("per-tensor")
+
+    def pack(w, lam):
+        q = quantize(w, "absmean", pt)
+        return pack_model([(q, w, deadzone_mask(w, q))], lam)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParam, match="lambda"):
+            pack(w, 1e39)
+        with pytest.raises(InvalidParam, match="scale"):
+            pack(w * 1e39, LAM)
+        # scales of about 1e10 fit; lambda times the deadzone sum does not
+        with pytest.raises(InvalidParam, match="bias"):
+            pack(w * 1e10, 1e30)
+        pack(w * 1e10, 1e20)
+
+
+def patch_float32(path, offset, value):
+    blob = bytearray(path.read_bytes())
+    blob[offset : offset + 4] = np.array(value, dtype="<f4").tobytes()
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_floats_rejected(tmp_path, value):
+    # 2x4 per-channel: 2 index bytes, 1 sign byte, 2 scales, 2 biases
+    w = np.array([[0.5, -1.0, 0.0, 0.25], [0.1, 0.0, -2.0, 1.0]])
+    path = tmp_path / "model.tqla"
+    write_model(path, [(w, Granularity("per-channel"))])
+    blob = path.read_bytes()
+    scales = HEADER_BYTES + LAYER_HEADER_BYTES + 3
+    for offset, what in [(8, "lambda"), (scales + 4, "scale"), (scales + 12, "bias")]:
+        path.write_bytes(blob)
+        read_packed(path)
+        patch_float32(path, offset, value)
+        assert f"non-finite {what}" in expect_format_error(path, offset)
 
 
 def one_layer_file(tmp_path, codes_row):

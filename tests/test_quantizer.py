@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from tqla import (
@@ -17,7 +18,7 @@ from tqla import (
     twn_params,
 )
 from tqla.errors import InvalidParam, InvalidShape, InvalidThreshold, UnsupportedScheme
-from tqla.quantizer import GroupLayout
+from tqla.quantizer import _SUM_BLOCK, GroupLayout, _sequential_sums, _ternarize_elementwise
 
 PT = Granularity("per-tensor")
 PC = Granularity("per-channel")
@@ -114,6 +115,28 @@ class TestTernarize:
     def test_negative_delta_raises(self):
         with pytest.raises(InvalidThreshold):
             ternarize([0.1], -0.5)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]),
+                st.floats(-10.0, 10.0, allow_subnormal=True),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scalar_oracle_at_zero_delta(self, values, seed):
+        w = np.array(values)
+        assert ternarize(w, 0.0).tolist() == [oracles.ternarize_scalar(v, 0.0) for v in values]
+        # per-element thresholds, as quantize passes them, with some exactly zero
+        rng = np.random.default_rng(seed)
+        thr = np.where(rng.random(w.size) < 0.5, 0.0, rng.uniform(0.0, 2.0, w.size))
+        codes = _ternarize_elementwise(w, thr, np.abs(w) < thr)
+        assert codes.dtype == np.int8
+        assert codes.tolist() == [oracles.ternarize_scalar(v, d) for v, d in zip(values, thr)]
 
 
 class TestQuantize:
@@ -279,6 +302,21 @@ class TestTequilaBias:
         with pytest.raises(InvalidShape):
             tequila_bias(np.ones((2, 3)), mask, 1.0)
 
+    def test_signed_zero_rows_pinned(self):
+        # the row sum starts from its first selected weight, so a deadzone
+        # holding only -0.0 sums to -0.0; deselected weights add +0.0
+        w = np.array(
+            [
+                [-0.0, -0.0, -0.0, -0.0],  # all dead, all -0.0
+                [-1.0, -2.0, -0.5, -3.0],  # all live and negative
+                [-0.0, -1.0, -0.0, -2.0],  # dead -0.0 between live negatives
+                [-0.0, 0.0, -0.0, -0.0],  # all dead, mixed zeros
+            ]
+        )
+        dead = np.array([[1, 1, 1, 1], [0, 0, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]], dtype=bool)
+        bias = tequila_bias(w, DeadzoneMask(mask=dead), 1e-3)
+        assert bias.tobytes() == np.array([-0.0, 0.0, 0.0, 0.0]).tobytes()
+
     def test_non_finite_lambda(self):
         mask = DeadzoneMask(mask=np.ones((1, 3), dtype=bool))
         with pytest.raises(InvalidParam):
@@ -294,6 +332,73 @@ class TestTequilaBias:
             got = tequila_bias(w, m, 1e-3)
             ref = oracles.tequila_bias_scalar(w.tolist(), m.mask.tolist(), 1e-3)
             assert got.tolist() == ref
+
+
+#: Shapes chosen around the block size of ``_sequential_sums`` so that every
+#: branch of the blocked sum runs.
+SUM_BRANCH_SHAPES = [
+    (2 * (_SUM_BLOCK // 1000) + 1, 1000),  # full blocks, then a last block of one row
+    (2, _SUM_BLOCK + 3),  # rows wider than a block: one row per block
+    (3, 40_000),  # over half a block wide: still one row per block
+    (150, 7, 128),  # 3-D group runs spanning several blocks
+    (_SUM_BLOCK // 1000 + 1, 1, 1000),  # 3-D, last block a single run
+    (1, 1, _SUM_BLOCK + 5),  # per-tensor view wider than a block
+    (1, 1, 5),  # per-tensor view of a small matrix
+    (3, 1),  # runs of one element
+]
+
+
+@st.composite
+def sum_inputs(draw):
+    """Arrays for ``_sequential_sums``, heavy in exact zeros of both signs."""
+    shape = draw(
+        st.one_of(
+            st.sampled_from(SUM_BRANCH_SHAPES),
+            st.lists(st.integers(1, 40), min_size=2, max_size=3).map(tuple),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mode = draw(st.sampled_from(["gaussian", "signed-zeros", "cancelling"]))
+    # a wider base sliced back to ``shape`` gives a non-contiguous view
+    pad = draw(st.sampled_from([0, 0, 3]))
+    full = shape[:-1] + (shape[-1] + pad,)
+    if mode == "gaussian":
+        a = rng.standard_normal(full)
+        a[rng.random(full) < 0.2] = -0.0
+    elif mode == "signed-zeros":
+        a = np.where(rng.random(full) < 0.7, -0.0, 0.0)
+    else:
+        # small integers sum exactly, so many runs end at zero
+        a = rng.integers(-2, 3, size=full).astype(np.float64)
+        a[(a == 0) & (rng.random(full) < 0.5)] = -0.0
+    # whole runs of -0.0
+    a[rng.random(full[:-1]) < 0.3] = -0.0
+    return a[..., : shape[-1]]
+
+
+def _int_bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestSequentialSums:
+    @settings(max_examples=60, deadline=None)
+    @given(sum_inputs())
+    @example(np.full((3, 5), -0.0))
+    @example(np.full((2 * (_SUM_BLOCK // 8) + 1, 8), -0.0))
+    def test_matches_accumulate_bit_for_bit(self, a):
+        got = _sequential_sums(a)
+        ref = np.add.accumulate(a, axis=-1)[..., -1]
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(_int_bits(got), _int_bits(ref))
+
+    @pytest.mark.parametrize("shape", SUM_BRANCH_SHAPES, ids=str)
+    def test_branch_shapes_with_signed_zero_runs(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.standard_normal(shape)
+        a[::2] = -0.0
+        a[1::4] = np.where(rng.random(a[1::4].shape) < 0.5, -0.0, 0.0)
+        ref = np.add.accumulate(a, axis=-1)[..., -1]
+        np.testing.assert_array_equal(_int_bits(_sequential_sums(a)), _int_bits(ref))
 
 
 class TestInvariants:

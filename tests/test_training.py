@@ -136,3 +136,23 @@ def test_from_dict_rejects_bad_learning_rate(learning_rate):
     d["learning_rate"] = learning_rate
     with pytest.raises(InvalidParam, match="learning_rate"):
         TrainConfig.from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("boundary_band", 0.0),
+        ("boundary_band", 1.0),
+        ("boundary_band", 2.0),
+        ("boundary_band", float("nan")),
+        ("histogram_bins", 1),
+        ("history_window", 1),
+    ],
+)
+def test_bad_diagnostics_settings_rejected_at_construction(key, value):
+    with pytest.raises(InvalidParam, match=key):
+        TrainConfig(**{key: value})
+    d = tiny_config("synthetic-regression", "per-tensor", "absmean").to_dict()
+    d[key] = value
+    with pytest.raises(InvalidParam, match=key):
+        TrainConfig.from_dict(d)
