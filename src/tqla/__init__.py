@@ -3,7 +3,6 @@
 from .quantizer import (
     Granularity,
     QuantizedTensor,
-    DeadzoneMask,
     absmean_params,
     twn_params,
     ternarize,
@@ -18,7 +17,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Granularity",
     "QuantizedTensor",
-    "DeadzoneMask",
     "absmean_params",
     "twn_params",
     "ternarize",

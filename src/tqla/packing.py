@@ -45,11 +45,12 @@ import numpy as np
 
 from .errors import FormatError, InvalidParam, InvalidShape
 from .quantizer import (
+    PER_CHANNEL,
     PER_TENSOR,
-    DeadzoneMask,
     Granularity,
     QuantizedTensor,
-    tequila_bias,
+    _as_matrix,
+    _tequila_bias,
 )
 
 MAGIC = b"TQLA"
@@ -144,18 +145,6 @@ class PackedLayer:
     def padded_cols(self) -> int:
         return 3 * self.n_triples_per_row
 
-    @property
-    def groups_per_row(self) -> int:
-        if self.group_size == 0:
-            return 1
-        return -(-self.cols // self.group_size)
-
-    @property
-    def n_scales(self) -> int:
-        if self.group_size == 0:
-            return 1
-        return self.rows * self.groups_per_row
-
     def unpack_codes(self) -> np.ndarray:
         """Ternary codes (rows, padded_cols), padding columns included."""
         n = self.rows * self.n_triples_per_row
@@ -177,7 +166,7 @@ class PackedModel:
 def _granularity_to_group_size(granularity: Granularity, cols: int) -> int:
     if granularity.kind == PER_TENSOR:
         return 0
-    if granularity.kind == "per-channel":
+    if granularity.kind == PER_CHANNEL:
         return cols
     return granularity.group_size
 
@@ -194,9 +183,6 @@ def _finite_float32(values, what: str) -> np.ndarray:
 
 
 def _pack_layer(q: QuantizedTensor, bias: np.ndarray) -> PackedLayer:
-    bias = np.asarray(bias, dtype=np.float64)
-    if bias.shape != (q.rows,):
-        raise InvalidShape(f"bias shape {bias.shape} does not match rows {q.rows}")
     index_bytes, sign_bytes = _encode(q.codes)
     return PackedLayer(
         rows=q.rows,
@@ -210,27 +196,25 @@ def _pack_layer(q: QuantizedTensor, bias: np.ndarray) -> PackedLayer:
 
 
 def pack_model(layers, lam: float) -> PackedModel:
-    """Pack (QuantizedTensor, shadow weights, DeadzoneMask) triples.
+    """Pack (QuantizedTensor, shadow weights, bool deadzone mask) triples.
 
     The per-row bias is the deadzone sum of the final shadow weights scaled
-    by ``lam``, frozen here for inference. Codes are padded to a multiple
-    of three columns with zeros; packing is lossless for codes and within
-    float32 rounding for scales and biases. A lambda, scale or bias that is
-    not finite as float32 raises InvalidParam, since the file stores float32.
+    by ``lam``, frozen here for inference. Each shadow matrix is checked
+    once: finite, and of the same shape as its codes and mask. Codes are
+    padded to a multiple of three columns with zeros; packing is lossless
+    for codes and within float32 rounding for scales and biases. A lambda,
+    scale or bias that is not finite as float32 raises InvalidParam, since
+    the file stores float32.
     """
     lam = float(lam)
     _finite_float32(lam, "lambda")
     packed = []
     for q, shadow, mask in layers:
-        shadow = np.asarray(shadow, dtype=np.float64)
-        if shadow.shape != q.codes.shape:
-            raise InvalidShape(
-                f"shadow weights {shadow.shape} do not match codes {q.codes.shape}"
-            )
-        if not isinstance(mask, DeadzoneMask) or mask.mask.shape != shadow.shape:
-            raise InvalidShape("deadzone mask does not match layer shape")
-        bias = tequila_bias(shadow, mask, lam)
-        packed.append(_pack_layer(q, bias))
+        shadow = _as_matrix(shadow)
+        mask = np.asarray(mask, dtype=bool)
+        if not shadow.shape == mask.shape == q.codes.shape:
+            raise InvalidShape(f"shadow {shadow.shape}, mask {mask.shape}, codes {q.codes.shape}")
+        packed.append(_pack_layer(q, _tequila_bias(shadow, mask, lam)))
     return PackedModel(lam=lam, layers=packed)
 
 

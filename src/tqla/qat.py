@@ -34,13 +34,13 @@ the learnable slots hold codes and deadzone membership fixed:
   b_g (seq)           alpha_g * sum over the group's dead positions of e
 
 Data flow of one layer step. The forward builds one quantized view of the
-shadow weights: from one ``|w|`` and one threshold expand it gets both the
-codes and the deadzone mask, and it records them in ``ForwardCache``. The
-backward and the trap snapshot read that view instead of quantizing again;
-the backward expands the group scales once and uses them for both
-``e * alpha`` and ``w_q``. The hot path does not re-check the shadow
-weights: ``QuantLinearLayer.create`` validates them and ``optimizer_step``
-only commits finite values.
+shadow weights on the layer's own layout: from one ``|w|`` and one threshold
+expand it gets the codes and the bool deadzone mask, and it records them in
+``ForwardCache``. The backward and the trap snapshot read that view instead
+of quantizing again; the backward expands the group scales once and uses
+them for both ``e * alpha`` and ``w_q``. The hot path does not re-check
+the shadow weights: ``QuantLinearLayer.create`` validates them and
+``optimizer_step`` only commits finite values.
 """
 
 from __future__ import annotations
@@ -55,12 +55,10 @@ from .quantizer import (
     Granularity,
     GroupLayout,
     QuantizedTensor,
-    DeadzoneMask,
     _as_matrix,
     _quantized_view,
     _tequila_bias,
     dequantize,
-    quantize,
 )
 
 DEFAULT_LAMBDA = 1e-3
@@ -73,11 +71,11 @@ DEFAULT_LEARNING_RATE = 1e-4
 
 
 def _minima_term(layer, x, mask):
-    return layer.epsilon * (np.sign(x) @ (np.sign(layer.shadow_weights) * mask.mask).T)
+    return layer.epsilon * (np.sign(x) @ (np.sign(layer.shadow_weights) * mask).T)
 
 
 def _tequila_term(layer, x, mask):
-    return _tequila_bias(layer.shadow_weights, mask.mask, layer.lam)
+    return _tequila_bias(layer.shadow_weights, mask, layer.lam)
 
 
 def _dead_ste(layer, e, g, x):
@@ -97,19 +95,19 @@ def _dead_nomix(layer, e, g, x):
 
 
 def _dlt_coupling(q, mask, b):
-    return q.layout().expand(b)
+    return q.layout.expand(b)
 
 
 def _seq_coupling(q, mask, b):
-    return q.element_scales() * q.layout().expand(b) * mask.mask
+    return q.element_scales() * q.layout.expand(b) * mask
 
 
 def _dlt_grad_b(e, q, mask):
-    return q.layout().reduce_sum(e)
+    return q.layout.reduce_sum(e)
 
 
 def _seq_grad_b(e, q, mask):
-    return q.scales * q.layout().reduce_sum(e * mask.mask)
+    return q.scales * q.layout.reduce_sum(e * mask)
 
 
 @dataclass(frozen=True)
@@ -148,19 +146,17 @@ SCHEMES = tuple(SCHEME_TABLE)
 class ForwardCache:
     """The quantized view one forward recorded for its backward.
 
-    ``quantized`` (codes with their group statistics and layout) and
-    ``mask`` come from the same ternarizer pass; the trap snapshot reads
-    ``quantized`` as well. Besides them only the input, a copy of b and the
-    extra forward term are kept: no per-element float64 array is held
-    between forward and backward, and the backward expands the scales once.
+    ``quantized`` (codes, group statistics and the layer's layout) and the
+    bool deadzone ``mask`` come from the same ternarizer pass; the trap
+    snapshot reads ``quantized`` as well. Besides them only the input and a
+    copy of b are kept: no per-element float64 array is held between
+    forward and backward, and the backward expands the scales once.
     """
 
     x: np.ndarray
     quantized: QuantizedTensor
-    mask: DeadzoneMask
+    mask: np.ndarray
     learnable_b: np.ndarray | None = None
-    #: the entry's extra forward term; for tequila, the per-row deadzone bias
-    bias: np.ndarray | None = None
 
 
 @dataclass
@@ -168,7 +164,8 @@ class QuantLinearLayer:
     """A linear layer trained with quantization-aware updates.
 
     ``shadow_weights`` stay full precision; the ternary view is rebuilt from
-    them at every forward. Scheme-specific learnable parameter slots are
+    them at every forward, on the ``layout`` built once from the weights'
+    shape and ``granularity``. Scheme-specific learnable parameter slots are
     populated only for the schemes that use them.
     """
 
@@ -181,7 +178,9 @@ class QuantLinearLayer:
     learnable_b: np.ndarray | None = None
     frozen_thresholds: np.ndarray | None = None
     _cache: ForwardCache | None = field(default=None, repr=False)
-    _layout: GroupLayout | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.layout = GroupLayout(self.granularity, *self.shadow_weights.shape)
 
     @classmethod
     def create(cls, weights, scheme, granularity, *, lam=DEFAULT_LAMBDA, epsilon=DEFAULT_EPSILON):
@@ -200,11 +199,11 @@ class QuantLinearLayer:
         entry = SCHEME_TABLE[scheme]
         if "alpha" in entry.learnable:
             # alpha becomes learnable; the threshold keeps its initial estimate
-            q0 = quantize(w, entry.estimator, granularity)
+            q0 = _quantized_view(w, entry.estimator, layer.layout)[0]
             layer.learnable_alpha = q0.scales.copy()
             layer.frozen_thresholds = q0.thresholds.copy()
         if "b" in entry.learnable:
-            layer.learnable_b = np.zeros(layer.layout().n_groups)
+            layer.learnable_b = np.zeros(layer.layout.n_groups)
         return layer
 
     @property
@@ -214,12 +213,6 @@ class QuantLinearLayer:
     @property
     def cols(self) -> int:
         return self.shadow_weights.shape[1]
-
-    def layout(self) -> GroupLayout:
-        """The group layout of the shadow weights, built on first use and then reused."""
-        if self._layout is None:
-            self._layout = GroupLayout(self.granularity, self.rows, self.cols)
-        return self._layout
 
     def params(self) -> dict[str, np.ndarray]:
         out = {"w": self.shadow_weights}
@@ -235,28 +228,25 @@ class QuantLinearLayer:
             return SCHEME_TABLE["absmean"]
         return SCHEME_TABLE[self.scheme]
 
-    def forward(self, x, record: bool = True) -> np.ndarray:
+    def forward(self, x) -> np.ndarray:
         """y = x @ w_q.T plus the entry's coupling and extra term.
 
-        ``record=False`` leaves any recorded forward in place.
+        Records the quantized view, the bool deadzone mask and the input in
+        ``ForwardCache`` for the next ``backward``.
         """
         entry = self._entry()
         x = _as_batch(x, None, self.cols, "input")
         params = None
         if "alpha" in entry.learnable:
             params = (self.learnable_alpha.copy(), self.frozen_thresholds.copy())
-        q, dead = _quantized_view(self.shadow_weights, entry.estimator, self.layout(), params)
-        mask = DeadzoneMask(mask=dead)
+        q, mask = _quantized_view(self.shadow_weights, entry.estimator, self.layout, params)
         b = None if self.learnable_b is None else self.learnable_b.copy()
         y = x @ dequantize(q).T
         if entry.coupling is not None:
             y = y + x @ entry.coupling(q, mask, b).T
-        term = None
         if entry.extra is not None:
-            term = entry.extra(self, x, mask)
-            y = y + term
-        if record:
-            self._cache = ForwardCache(x=x, quantized=q, mask=mask, learnable_b=b, bias=term)
+            y = y + entry.extra(self, x, mask)
+        self._cache = ForwardCache(x=x, quantized=q, mask=mask, learnable_b=b)
         return y
 
     def backward(self, g) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -275,9 +265,9 @@ class QuantLinearLayer:
         x, q, mask = cache.x, cache.quantized, cache.mask
         e = g.T @ x
         scales = q.element_scales()
-        grads = {"w": np.where(mask.mask, entry.dead_grad(self, e, g, x), e * scales)}
+        grads = {"w": np.where(mask, entry.dead_grad(self, e, g, x), e * scales)}
         if "alpha" in entry.learnable:
-            grads["alpha"] = q.layout().reduce_sum(e * q.codes)
+            grads["alpha"] = q.layout.reduce_sum(e * q.codes)
         if "b" in entry.learnable:
             grads["b"] = entry.grad_b(e, q, mask)
         grad_x = g @ (q.codes * scales)

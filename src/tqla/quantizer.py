@@ -19,7 +19,7 @@ not match the scalar loop, and what is done about each.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class Granularity:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(kind=d["kind"], group_size=int(d.get("group_size", DEFAULT_GROUP_SIZE)))
+        return cls(kind=d["kind"], group_size=d.get("group_size", DEFAULT_GROUP_SIZE))
 
 
 class GroupLayout:
@@ -136,15 +136,15 @@ class QuantizedTensor:
     """Ternary codes plus one (scale, threshold) pair per group.
 
     ``codes`` is int8 in {-1, 0, +1}; ``scales`` and ``thresholds`` are
-    float64 arrays indexed by flat group id. A group whose scale is zero is
+    float64 arrays indexed by flat group id of ``layout``, the group layout
+    the tensor was quantized with. A group whose scale is zero is
     degenerate: its codes are all zero and it contributes nothing.
     """
 
     codes: np.ndarray
     scales: np.ndarray
     thresholds: np.ndarray
-    granularity: Granularity
-    _layout: GroupLayout | None = field(default=None, init=False, repr=False, compare=False)
+    layout: GroupLayout
 
     @property
     def rows(self) -> int:
@@ -154,41 +154,15 @@ class QuantizedTensor:
     def cols(self) -> int:
         return self.codes.shape[1]
 
-    def layout(self) -> GroupLayout:
-        """The group layout of this tensor, built on first use and then reused."""
-        if self._layout is None:
-            self._layout = GroupLayout(self.granularity, self.rows, self.cols)
-        return self._layout
+    @property
+    def granularity(self) -> Granularity:
+        return self.layout.granularity
 
     def element_scales(self) -> np.ndarray:
-        return self.layout().expand(self.scales)
+        return self.layout.expand(self.scales)
 
     def element_thresholds(self) -> np.ndarray:
-        return self.layout().expand(self.thresholds)
-
-    def to_dict(self):
-        return {
-            "codes": self.codes.tolist(),
-            "scales": self.scales.tolist(),
-            "thresholds": self.thresholds.tolist(),
-            "granularity": self.granularity.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            codes=np.array(d["codes"], dtype=np.int8),
-            scales=np.array(d["scales"], dtype=np.float64),
-            thresholds=np.array(d["thresholds"], dtype=np.float64),
-            granularity=Granularity.from_dict(d["granularity"]),
-        )
-
-
-@dataclass
-class DeadzoneMask:
-    """Boolean mask of weights strictly inside the deadzone (|w| < delta)."""
-
-    mask: np.ndarray
+        return self.layout.expand(self.thresholds)
 
 
 def _as_matrix(w) -> np.ndarray:
@@ -343,11 +317,11 @@ def _quantized_view(w: np.ndarray, scheme: str, layout: GroupLayout, params=None
     """``quantize`` without validation, plus the deadzone mask it computes.
 
     ``params`` gives the per-group (alpha, delta) instead of the ``scheme``
-    estimator. Returns ``(tensor, mask)``: the mask ``|w| < delta`` is the
-    ternarizer's zero branch, so it comes from the same ``|w|`` and the
+    estimator. Returns ``(tensor, mask)``: the bool mask ``|w| < delta`` is
+    the ternarizer's zero branch, so it comes from the same ``|w|`` and the
     same threshold expand as the codes. Only groups with alpha == 0 are
-    expanded a second time, to force their codes to zero. The tensor reuses
-    ``layout`` instead of building its own.
+    expanded a second time, to force their codes to zero. The tensor owns
+    ``layout``.
     """
     a = np.abs(w)
     alphas, deltas = _group_params(a, scheme, layout) if params is None else params
@@ -357,11 +331,7 @@ def _quantized_view(w: np.ndarray, scheme: str, layout: GroupLayout, params=None
     degenerate = alphas == 0.0
     if degenerate.any():
         codes[layout.expand(degenerate)] = 0
-    q = QuantizedTensor(
-        codes=codes, scales=alphas, thresholds=deltas, granularity=layout.granularity
-    )
-    q._layout = layout
-    return q, dead
+    return QuantizedTensor(codes=codes, scales=alphas, thresholds=deltas, layout=layout), dead
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
@@ -369,23 +339,24 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     return q.codes.astype(np.float64) * q.element_scales()
 
 
-def deadzone_mask(w, q: QuantizedTensor) -> DeadzoneMask:
-    """Mask of elements with |w| strictly below their group threshold."""
+def deadzone_mask(w, q: QuantizedTensor) -> np.ndarray:
+    """Bool mask of elements with |w| strictly below their group threshold."""
     w = _as_matrix(w)
     if w.shape != q.codes.shape:
         raise InvalidShape(f"weights {w.shape} do not match codes {q.codes.shape}")
-    return DeadzoneMask(mask=np.abs(w) < q.element_thresholds())
+    return np.abs(w) < q.element_thresholds()
 
 
-def tequila_bias(w, mask: DeadzoneMask, lam: float) -> np.ndarray:
-    """Per-row deadzone bias: values[r] = lam * sum of deadzone weights in row r."""
+def tequila_bias(w, mask, lam: float) -> np.ndarray:
+    """Per-row bias: values[r] = lam * sum of row r's weights where bool ``mask`` is set."""
     w = _as_matrix(w)
-    if w.shape != mask.mask.shape:
-        raise InvalidShape(f"weights {w.shape} do not match mask {mask.mask.shape}")
+    mask = np.asarray(mask, dtype=bool)
+    if w.shape != mask.shape:
+        raise InvalidShape(f"weights {w.shape} do not match mask {mask.shape}")
     lam = float(lam)
     if not np.isfinite(lam):
         raise InvalidParam(f"lambda must be finite, got {lam}")
-    return _tequila_bias(w, np.asarray(mask.mask, dtype=bool), lam)
+    return _tequila_bias(w, mask, lam)
 
 
 def _tequila_bias(w: np.ndarray, dead: np.ndarray, lam: float) -> np.ndarray:

@@ -14,6 +14,7 @@ produce identical reports bit for bit.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -94,19 +95,22 @@ class TrainConfig:
             raise UnsupportedScheme(f"unknown scheme {self.scheme!r}; known: {SCHEMES}")
         if self.task not in TASKS:
             raise InvalidParam(f"unknown task {self.task!r}; known: {TASKS}")
-        if self.steps < 0 or self.batch_size < 1 or self.snapshot_every < 1:
-            raise InvalidParam("steps must be >= 0, batch_size and snapshot_every >= 1")
-        if len(self.widths) < 2 or any(w < 1 for w in self.widths):
+        # counts are stored as int, so numpy integers serialize like the rest
+        for name, minimum in _COUNT_MINIMA.items():
+            object.__setattr__(self, name, _count(name, getattr(self, name), minimum))
+        widths = tuple(_count("widths", w, 1) for w in self.widths)
+        if len(widths) < 2:
             raise InvalidParam(f"widths must be >= 2 positive sizes, got {self.widths}")
+        object.__setattr__(self, "widths", widths)
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise InvalidParam(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        # the diagnostics reject these too, but only once train_toy is under way
+        # the layers and diagnostics reject these too, but only once train_toy is under way
+        if not np.isfinite(self.lam):
+            raise InvalidParam(f"lambda must be finite, got {self.lam}")
+        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise InvalidParam(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not 0.0 < self.boundary_band < 1.0:
             raise InvalidParam(f"boundary_band must be in (0, 1), got {self.boundary_band}")
-        if self.histogram_bins < 2:
-            raise InvalidParam(f"histogram_bins must be >= 2, got {self.histogram_bins}")
-        if self.history_window < 2:
-            raise InvalidParam(f"history_window must be >= 2, got {self.history_window}")
 
     def to_dict(self):
         d = {key: getattr(self, attr) for key, (attr, _) in _CONFIG_KEYS.items()}
@@ -123,24 +127,48 @@ class TrainConfig:
         return cls(**kwargs)
 
 
+def _raw(value):
+    return value
+
+
 #: Config dict key -> (``TrainConfig`` attribute, converter used by ``from_dict``),
-#: in the order ``to_dict`` writes them.
+#: in the order ``to_dict`` writes them. Counts pass through raw, so that the
+#: constructor's integer checks see what the file holds.
 _CONFIG_KEYS = {
     "scheme": ("scheme", str),
     "granularity": ("granularity", Granularity.from_dict),
     "lambda": ("lam", float),
     "epsilon": ("epsilon", float),
-    "seed": ("seed", int),
-    "steps": ("steps", int),
-    "batch_size": ("batch_size", int),
-    "widths": ("widths", lambda ws: tuple(int(w) for w in ws)),
+    "seed": ("seed", _raw),
+    "steps": ("steps", _raw),
+    "batch_size": ("batch_size", _raw),
+    "widths": ("widths", _raw),
     "task": ("task", str),
     "learning_rate": ("learning_rate", float),
-    "snapshot_every": ("snapshot_every", int),
-    "history_window": ("history_window", int),
+    "snapshot_every": ("snapshot_every", _raw),
+    "history_window": ("history_window", _raw),
     "boundary_band": ("boundary_band", float),
-    "histogram_bins": ("histogram_bins", int),
+    "histogram_bins": ("histogram_bins", _raw),
 }
+
+#: Integer ``TrainConfig`` fields and the least value each accepts.
+_COUNT_MINIMA = {
+    "seed": 0,
+    "steps": 0,
+    "batch_size": 1,
+    "snapshot_every": 1,
+    "history_window": 2,
+    "histogram_bins": 2,
+}
+
+
+def _count(name: str, value, minimum: int) -> int:
+    """``value`` as an int; InvalidParam for a bool, a non-integer or a value below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParam(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidParam(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 @dataclass

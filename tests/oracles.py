@@ -100,12 +100,17 @@ def deadzone_mask_scalar(w, thresholds, kind, group_size):
 
 
 def tequila_bias_scalar(w, mask, lam):
+    """lam * the row sums of ``np.where(mask, w, 0.0)``, left to right.
+
+    Each row starts from its first term, not from 0.0, so a row whose terms
+    are all -0.0 sums to -0.0, and a deselected weight adds +0.0.
+    """
     out = []
     for r in range(len(w)):
-        s = 0.0
-        for c in range(len(w[0])):
-            if mask[r][c]:
-                s += w[r][c]
+        terms = [w[r][c] if mask[r][c] else 0.0 for c in range(len(w[0]))]
+        s = terms[0]
+        for t in terms[1:]:
+            s += t
         out.append(lam * s)
     return out
 

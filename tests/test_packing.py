@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import pack_codes_scalar, unpack_codes_scalar
 
 from tqla import Granularity, deadzone_mask, quantize, tequila_bias
-from tqla.errors import FormatError, InvalidParam
+from tqla.errors import FormatError, InvalidParam, InvalidShape
 from tqla.packing import (
     FORMAT_VERSION,
     PATTERNS,
@@ -68,7 +68,7 @@ def test_roundtrip(tmp_path_factory, stack):
         np.testing.assert_array_equal(codes, unpack_codes_scalar(index, signs, *q.codes.shape))
         np.testing.assert_array_equal(codes[:, : layer.cols], q.codes)
         assert not codes[:, layer.cols :].any()
-        assert layer.n_scales == q.scales.size
+        assert layer.scales.size == q.scales.size
         np.testing.assert_array_equal(layer.scales, q.scales.astype(np.float32))
         np.testing.assert_array_equal(layer.bias, tequila_bias(w, mask, LAM).astype(np.float32))
     blob = path.read_bytes()
@@ -146,6 +146,28 @@ def test_non_finite_lambda_rejected(lam):
     q = quantize(w, "absmean", Granularity("per-tensor"))
     with pytest.raises(InvalidParam, match="lambda"):
         pack_model([(q, w, deadzone_mask(w, q))], lam)
+
+
+def test_pack_model_input_checks():
+    w = np.array([[0.5, -1.0, 0.0], [0.25, 0.0, -2.0]])
+    q = quantize(w, "absmean", Granularity("per-channel"))
+    mask = deadzone_mask(w, q)
+    with pytest.raises(InvalidShape):
+        pack_model([(q, w, mask[:, :2])], LAM)
+    with pytest.raises(InvalidShape):
+        pack_model([(q, w[:1], mask)], LAM)
+    with pytest.raises(InvalidShape):
+        pack_model([(q, w.T, mask.T)], LAM)
+    bad = w.copy()
+    bad[1, 2] = np.nan
+    with pytest.raises(InvalidParam):
+        pack_model([(q, bad, mask)], LAM)
+    # any bool array is a mask: a hand-written one packs like the computed one
+    assert type(mask) is np.ndarray and mask.dtype == bool
+    by_hand = np.array([[False, False, True], [True, True, False]])
+    (layer,) = pack_model([(q, w, by_hand)], LAM).layers
+    np.testing.assert_array_equal(layer.bias, np.float32([0.0, 0.25 * LAM]))
+    assert layer.bias.tobytes() == pack_model([(q, w, mask)], LAM).layers[0].bias.tobytes()
 
 
 def test_non_float32_values_rejected():

@@ -86,7 +86,7 @@ class TestBackwardSte:
         # same upstream but the weight sits inside the deadzone: no alpha factor
         layer = QuantLinearLayer.create(np.array([[0.1, 0.9]]), "absmean", PT)
         layer.forward(np.array([[2.0, 0.0]]))
-        assert layer._cache.mask.mask[0, 0]
+        assert layer._cache.mask[0, 0]
         grad = layer.backward(np.array([[0.5]]))[1]["w"]
         assert grad[0, 0] == pytest.approx(1.0, rel=1e-12)
 
@@ -98,7 +98,7 @@ class TestBackwardSte:
             layer.forward(x)
             cache = layer._cache
             grad = layer.backward(g)[1]["w"]
-            live = (~cache.mask.mask).tolist()
+            live = (~cache.mask).tolist()
             ref = oracles.backward_ste_scalar(
                 g.tolist(),
                 x.tolist(),
@@ -143,7 +143,7 @@ class TestMinima:
         layer = QuantLinearLayer.create(w, "minima", PT, epsilon=1e-3)
         x = np.array([[1.0, 2.0, 3.0, 4.0, 0.0, 0.0]])
         y = layer.forward(x)
-        mask = layer._cache.mask.mask
+        mask = layer._cache.mask
         assert mask[0, :4].all() and not mask[0, 4:].any()
         assert y[0, 0] == pytest.approx(1e-3 * 4, rel=1e-12)
 
@@ -159,7 +159,7 @@ class TestMinima:
                 layer.shadow_weights.tolist(),
                 c.quantized.codes.tolist(),
                 c.quantized.scales.tolist(),
-                c.mask.mask.tolist(),
+                c.mask.tolist(),
                 layer.epsilon,
                 layer.granularity.kind,
                 layer.granularity.group_size,
@@ -172,7 +172,7 @@ class TestMinima:
         layer = QuantLinearLayer.create(w, "minima", PT, epsilon=1e-3)
         x = np.array([[-3.0, 0.0]])
         layer.forward(x)
-        assert layer._cache.mask.mask[0, 0]
+        assert layer._cache.mask[0, 0]
         grad = layer.backward(np.array([[0.5]]))[1]["w"]
         assert grad[0, 0] == pytest.approx(-5e-4, rel=1e-12)
 
@@ -187,7 +187,7 @@ class TestMinima:
             ref = oracles.backward_minima_scalar(
                 g.tolist(),
                 x.tolist(),
-                c.mask.mask.tolist(),
+                c.mask.tolist(),
                 c.quantized.scales.tolist(),
                 layer.epsilon,
                 layer.granularity.kind,
@@ -204,7 +204,7 @@ class TestMinima:
         grad1 = layer.backward(g)[1]["w"]
         layer.forward(x * 7.5)
         grad2 = layer.backward(g)[1]["w"]
-        dead = cache.mask.mask
+        dead = cache.mask
         np.testing.assert_array_equal(grad1[dead], grad2[dead])
 
 
@@ -241,7 +241,7 @@ class TestTequila:
                 layer.shadow_weights.tolist(),
                 c.quantized.codes.tolist(),
                 c.quantized.scales.tolist(),
-                c.mask.mask.tolist(),
+                c.mask.tolist(),
                 layer.lam,
                 layer.granularity.kind,
                 layer.granularity.group_size,
@@ -253,7 +253,7 @@ class TestTequila:
         w = np.array([[0.01, 1.0]])
         layer = QuantLinearLayer.create(w, "tequila", PT, lam=1e-3)
         layer.forward(np.array([[2.0, 0.0]]))
-        assert layer._cache.mask.mask[0, 0]
+        assert layer._cache.mask[0, 0]
         grad = layer.backward(np.array([[0.5]]))[1]["w"]
         assert grad[0, 0] == pytest.approx(1.0005, rel=1e-12)
 
@@ -269,7 +269,7 @@ class TestTequila:
             ref = oracles.backward_tequila_scalar(
                 g.tolist(),
                 x.tolist(),
-                c.mask.mask.tolist(),
+                c.mask.tolist(),
                 c.quantized.scales.tolist(),
                 layer.lam,
                 layer.granularity.kind,
@@ -288,7 +288,7 @@ class TestTequila:
             layer.forward(x)
             cache = layer._cache
             thr = cache.quantized.element_thresholds()
-            safe = cache.mask.mask & (np.abs(layer.shadow_weights) < 0.9 * thr)
+            safe = cache.mask & (np.abs(layer.shadow_weights) < 0.9 * thr)
             if not safe.any():
                 continue
             r, j = np.argwhere(safe)[0]
@@ -359,7 +359,7 @@ class TestLearnableSchemes:
                 c.quantized.codes.tolist(),
                 c.quantized.scales.tolist(),
                 c.learnable_b.tolist(),
-                c.mask.mask.tolist(),
+                c.mask.tolist(),
                 layer.granularity.kind,
                 layer.granularity.group_size,
             )
@@ -406,7 +406,7 @@ class TestLearnableSchemes:
                     ref_b = oracles.grad_b_seq_scalar(
                         g.tolist(),
                         x.tolist(),
-                        cache.mask.mask.tolist(),
+                        cache.mask.tolist(),
                         cache.quantized.scales.tolist(),
                         kind,
                         gs,
@@ -426,7 +426,7 @@ class TestLearnableSchemes:
             grad_alpha, grad_b = grads.get("alpha"), grads.get("b")
 
             def functional():
-                return float(np.sum(g * layer.forward(x, record=False)))
+                return float(np.sum(g * layer.forward(x)))
 
             h = 1e-6
             for name, grad, param in (
@@ -469,15 +469,6 @@ class TestLayerApi:
         assert layer._cache is None
         with pytest.raises(CacheError):
             layer.backward(g)
-
-    def test_unrecorded_forward_keeps_cache(self):
-        rng = np.random.default_rng(23)
-        layer = make_layer(rng, "absmean")
-        x, g = random_instance(rng, layer)
-        layer.forward(x)
-        cache = layer._cache
-        layer.forward(x * 2, record=False)
-        assert layer._cache is cache
 
     def test_mis_shaped_upstream_rejected(self):
         rng = np.random.default_rng(26)
@@ -522,8 +513,8 @@ class TestLayerApi:
                 xm = x.copy()
                 xm[b, j] -= h
                 fd = (
-                    float(np.sum(g * layer.forward(xp, record=False)))
-                    - float(np.sum(g * layer.forward(xm, record=False)))
+                    float(np.sum(g * layer.forward(xp)))
+                    - float(np.sum(g * layer.forward(xm)))
                 ) / (2 * h)
                 assert fd == pytest.approx(grad_x[b, j], rel=1e-5, abs=1e-8), scheme
 

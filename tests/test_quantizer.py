@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from tqla import (
-    DeadzoneMask,
     Granularity,
     absmean_params,
     deadzone_mask,
@@ -39,17 +38,18 @@ def random_granularity(rng, cols):
 
 class TestGranularity:
     @pytest.mark.parametrize("kind", ["per-group", "per-channel", "per-tensor"])
-    @pytest.mark.parametrize("size", [2.5, 4.0, "4", None, True, False])
+    @pytest.mark.parametrize("size", [2.5, 3.7, 4.0, "4", None, True, False])
     def test_non_integer_group_size_rejected(self, kind, size):
         with pytest.raises(InvalidParam):
             Granularity(kind, size)
+        with pytest.raises(InvalidParam):
+            Granularity.from_dict({"kind": kind, "group_size": size})
 
     def test_numpy_integer_group_size_becomes_int(self):
         g = Granularity("per-group", np.int64(5))
         assert type(g.group_size) is int
         assert g == Granularity("per-group", 5)
         assert json.dumps(g.to_dict()) == '{"kind": "per-group", "group_size": 5}'
-
 
 class TestAbsmeanParams:
     def test_hand_example(self):
@@ -241,19 +241,19 @@ class TestDeadzoneMask:
         w = np.array([[0.4, -0.2, 0.1, -0.9]])
         q = quantize(w, "absmean", PT)
         m = deadzone_mask(w, q)
-        assert m.mask.tolist() == [[False, False, True, False]]
-        assert m.mask.sum(axis=1).tolist() == [1]
+        assert m.tolist() == [[False, False, True, False]]
+        assert m.sum(axis=1).tolist() == [1]
 
     def test_zero_threshold_empty_deadzone(self):
         w = np.array([[1.0, -2.0]])
         q = quantize(w, "absmean", PT)
         q.thresholds[:] = 0.0
-        assert not deadzone_mask(w, q).mask.any()
+        assert not deadzone_mask(w, q).any()
 
     def test_all_dead(self):
         w = np.zeros((2, 4))
         q = quantize(np.ones((2, 4)), "absmean", PT)
-        assert deadzone_mask(w, q).mask.all()
+        assert deadzone_mask(w, q).all()
 
     def test_shape_mismatch(self):
         q = quantize(np.ones((2, 4)), "absmean", PT)
@@ -270,7 +270,7 @@ class TestDeadzoneMask:
             ref = oracles.deadzone_mask_scalar(
                 w.tolist(), q.thresholds.tolist(), g.kind, g.group_size
             )
-            assert m.mask.tolist() == ref
+            assert m.tolist() == ref
 
 
 class TestTequilaBias:
@@ -282,7 +282,7 @@ class TestTequilaBias:
 
     def test_empty_deadzone(self):
         w = np.array([[1.0, -1.0]])
-        mask = DeadzoneMask(mask=np.zeros((1, 2), dtype=bool))
+        mask = np.zeros((1, 2), dtype=bool)
         assert tequila_bias(w, mask, 1e-3).tolist() == [0.0]
 
     def test_all_live_negative_row_sums_to_positive_zero(self):
@@ -293,12 +293,12 @@ class TestTequilaBias:
 
     def test_all_dead_is_scaled_row_sum(self):
         w = np.array([[0.1, 0.2, -0.05]])
-        mask = DeadzoneMask(mask=np.ones((1, 3), dtype=bool))
+        mask = np.ones((1, 3), dtype=bool)
         bias = tequila_bias(w, mask, 2.0)
         assert bias[0] == pytest.approx(2.0 * (0.1 + 0.2 - 0.05), rel=1e-15)
 
     def test_shape_mismatch(self):
-        mask = DeadzoneMask(mask=np.ones((1, 3), dtype=bool))
+        mask = np.ones((1, 3), dtype=bool)
         with pytest.raises(InvalidShape):
             tequila_bias(np.ones((2, 3)), mask, 1.0)
 
@@ -314,11 +314,11 @@ class TestTequilaBias:
             ]
         )
         dead = np.array([[1, 1, 1, 1], [0, 0, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]], dtype=bool)
-        bias = tequila_bias(w, DeadzoneMask(mask=dead), 1e-3)
+        bias = tequila_bias(w, dead, 1e-3)
         assert bias.tobytes() == np.array([-0.0, 0.0, 0.0, 0.0]).tobytes()
 
     def test_non_finite_lambda(self):
-        mask = DeadzoneMask(mask=np.ones((1, 3), dtype=bool))
+        mask = np.ones((1, 3), dtype=bool)
         with pytest.raises(InvalidParam):
             tequila_bias(np.ones((1, 3)), mask, float("nan"))
 
@@ -329,9 +329,14 @@ class TestTequilaBias:
             g = random_granularity(rng, w.shape[1])
             q = quantize(w, "absmean", g)
             m = deadzone_mask(w, q)
+            # rows of signed zeros, all -0.0 or mixed, some wholly dead: the
+            # sign of a zero bias shows only in the bytes
+            for r in np.flatnonzero(rng.random(w.shape[0]) < 0.3):
+                w[r] = np.where(rng.random(w.shape[1]) < rng.choice([0.0, 0.5]), 0.0, -0.0)
+                m[r] |= rng.random() < 0.5
             got = tequila_bias(w, m, 1e-3)
-            ref = oracles.tequila_bias_scalar(w.tolist(), m.mask.tolist(), 1e-3)
-            assert got.tolist() == ref
+            ref = oracles.tequila_bias_scalar(w.tolist(), m.tolist(), 1e-3)
+            assert got.tobytes() == np.array(ref).tobytes()
 
 
 #: Shapes chosen around the block size of ``_sequential_sums`` so that every
@@ -413,15 +418,6 @@ class TestInvariants:
         with pytest.raises(InvalidParam):
             quantize(np.array([[1.0, np.nan]]), "absmean", PT)
 
-    def test_quantized_tensor_dict_roundtrip(self):
-        rng = np.random.default_rng(10)
-        q = quantize(random_matrix(rng, 3, 7), "twn", Granularity("per-group", 4))
-        q2 = type(q).from_dict(q.to_dict())
-        assert np.array_equal(q.codes, q2.codes)
-        assert np.array_equal(q.scales, q2.scales)
-        assert np.array_equal(q.thresholds, q2.thresholds)
-        assert q.granularity == q2.granularity
-
 
 # Byte pins for the group reductions, recorded before the grouping in
 # ``GroupLayout`` was rewritten. ``reduce_sum`` uses numpy's pairwise sum, so
@@ -472,7 +468,7 @@ def pinned_outputs(name):
         q = quantize(w, scheme, granularity)
         out += [q.codes, q.scales, q.thresholds]
         mask = deadzone_mask(w, q)
-        out += [mask.mask, tequila_bias(w, mask, 1e-3)]
+        out += [mask, tequila_bias(w, mask, 1e-3)]
     return out
 
 

@@ -156,3 +156,52 @@ def test_bad_diagnostics_settings_rejected_at_construction(key, value):
     d[key] = value
     with pytest.raises(InvalidParam, match=key):
         TrainConfig.from_dict(d)
+
+
+#: Config dict key of each ``TrainConfig`` attribute whose name differs.
+DICT_KEY = {"lam": "lambda"}
+
+
+@pytest.mark.parametrize(
+    "attr,value",
+    [
+        ("steps", 2.5),
+        ("steps", 2.7),
+        ("steps", True),
+        ("batch_size", 2.5),
+        ("snapshot_every", 1.5),
+        ("history_window", 2.5),
+        ("histogram_bins", 4.5),
+        ("seed", 1.5),
+        ("seed", -1),
+        ("seed", False),
+        ("widths", (4, 4.5)),
+        ("widths", (4, True)),
+        ("lam", float("nan")),
+        ("lam", float("inf")),
+        ("epsilon", -1.0),
+        ("epsilon", float("nan")),
+    ],
+)
+def test_bad_counts_and_strengths_rejected_at_construction(attr, value):
+    with pytest.raises(InvalidParam, match=DICT_KEY.get(attr, attr)):
+        TrainConfig(**{attr: value})
+    d = tiny_config("synthetic-regression", "per-tensor", "absmean").to_dict()
+    d[DICT_KEY.get(attr, attr)] = list(value) if attr == "widths" else value
+    with pytest.raises(InvalidParam, match=DICT_KEY.get(attr, attr)):
+        TrainConfig.from_dict(d)
+
+
+def test_numpy_integer_counts_become_int():
+    plain = TrainConfig(steps=2, batch_size=4, widths=(4, 4, 4), seed=1, histogram_bins=8)
+    config = TrainConfig(
+        steps=np.int64(2),
+        batch_size=np.int32(4),
+        widths=[np.int64(4), 4, np.uint8(4)],
+        seed=np.int64(1),
+        histogram_bins=np.int16(8),
+    )
+    assert config == plain
+    assert all(type(w) is int for w in config.widths)
+    assert all(type(getattr(config, attr)) is int for attr in ("steps", "batch_size", "seed"))
+    assert report_digest(train_toy(config)) == report_digest(train_toy(plain))
