@@ -6,12 +6,19 @@ and how often ternary codes flip between snapshots. A snapshot makes one
 pass per layer: the pair is validated and its thresholds expanded once,
 and every metric is read from that pass. Snapshot rows export to CSV (one
 row per snapshot) and JSON (full histograms); both round-trip losslessly.
+
+Histograms bin w / threshold over [-3, 3] with ``np.linspace(-3, 3, bins + 1)``
+edges. Every bin is half-open, ``[lo, hi)``, except the last, which is closed.
+Values beyond the range, and the +-inf of nonzero weights whose threshold is
+zero, go to the end bins. The counts equal ``np.histogram``'s for the clipped
+values, bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import numbers
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -40,7 +47,12 @@ CSV_COLUMNS = ("step", "loss", "deadzone_fraction", "boundary_fraction", "mean_f
 
 @dataclass
 class Histogram:
-    """Counts of threshold-normalized weights; end bins absorb overflow."""
+    """Counts of threshold-normalized weights over [-3, 3].
+
+    Bins are half-open, ``[edge[k], edge[k + 1])``, and the last one is
+    closed. Overflow, and the +-inf of nonzero weights whose threshold is
+    zero, go to the end bins. The counts equal ``np.histogram``'s.
+    """
 
     bin_edges: np.ndarray
     counts: np.ndarray
@@ -119,7 +131,7 @@ class CodeHistory:
         if prev is not None:
             if len(prev) != len(snap) or any(a.shape != b.shape for a, b in zip(prev, snap)):
                 raise InvalidShape("snapshot shapes differ from history")
-            self._flips.append(sum(int((a != b).sum()) for a, b in zip(prev, snap)))
+            self._flips.append(sum(np.count_nonzero(a != b) for a, b in zip(prev, snap)))
         self._last = snap
 
     def __len__(self):
@@ -137,6 +149,28 @@ def _normalized_values(w: np.ndarray, thr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bin_counts(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.histogram(values, bins, range=(-R, R))`` for values already in
+    [-R, R], with R = ``HISTOGRAM_RANGE``.
+
+    The index guess ``(x + R) * bins / 2R`` is at most one bin off, and only
+    next to an edge; one compare against the bin's lower edge and one against
+    its upper edge correct it. The ``+inf`` ending the lower-edge table sends
+    a guess of ``bins`` (x = R) down one; the ``+inf`` ending the upper-edge
+    table keeps the last bin closed.
+    """
+    edges = np.linspace(-HISTOGRAM_RANGE, HISTOGRAM_RANGE, bins + 1)
+    lower = np.append(edges[:-1], np.inf)
+    upper = np.append(edges[1:-1], np.inf)
+    x = values.reshape(-1)
+    guess = x + HISTOGRAM_RANGE
+    guess *= bins / (2.0 * HISTOGRAM_RANGE)
+    idx = guess.astype(np.intp)
+    idx -= x < lower.take(idx)
+    idx += x >= upper.take(idx)
+    return np.bincount(idx, minlength=bins), edges
+
+
 def _layer_stats(w, q: QuantizedTensor, band=DEFAULT_BAND, bins=DEFAULT_BINS):
     """(size, deadzone fraction, boundary fraction, histogram) of one layer.
 
@@ -145,20 +179,33 @@ def _layer_stats(w, q: QuantizedTensor, band=DEFAULT_BAND, bins=DEFAULT_BINS):
     band = float(band)
     if not 0.0 < band < 1.0:
         raise InvalidParam(f"band must be in (0, 1), got {band}")
+    if isinstance(bins, bool) or not isinstance(bins, numbers.Integral):
+        raise InvalidParam(f"bins must be an integer, got {bins!r}")
     if bins < 2:
         raise InvalidParam(f"need at least 2 bins, got {bins}")
+    bins = int(bins)
     w = _as_matrix(w)
     if w.shape != q.codes.shape:
         raise InvalidShape(f"weights {w.shape} do not match codes {q.codes.shape}")
-    thr = q.element_thresholds()
+    expand = q.layout.expand
+    thr = expand(q.thresholds)
     a = np.abs(w)
-    near = (a >= (1.0 - band) * thr) & (a <= (1.0 + band) * thr)
-    normalized = not (thr == 0).all()
-    values = _normalized_values(w, thr) if normalized else w
-    clipped = np.clip(values, -HISTOGRAM_RANGE, HISTOGRAM_RANGE)
-    counts, edges = np.histogram(clipped, bins, range=(-HISTOGRAM_RANGE, HISTOGRAM_RANGE))
+    dead = np.count_nonzero(a < thr)
+    # expanding the per-group products gives the bits of multiplying the expansion
+    lo = expand((1.0 - band) * q.thresholds)
+    hi = expand((1.0 + band) * q.thresholds)
+    near = np.count_nonzero((a >= lo) & (a <= hi))
+    normalized = not (q.thresholds == 0).all()
+    if (q.thresholds > 0).all():
+        values = w / thr
+    elif normalized:
+        values = _normalized_values(w, thr)
+    else:
+        values = w.copy()  # w may be the caller's array; it is clipped in place
+    np.clip(values, -HISTOGRAM_RANGE, HISTOGRAM_RANGE, out=values)
+    counts, edges = _bin_counts(values, bins)
     hist = Histogram(bin_edges=edges, counts=counts, normalized=normalized)
-    return w.size, float((a < thr).sum()) / w.size, float(near.sum()) / w.size, hist
+    return w.size, dead / w.size, near / w.size, hist
 
 
 def deadzone_fraction(w, q: QuantizedTensor) -> float:

@@ -102,6 +102,9 @@ class TrainConfig:
         if len(widths) < 2:
             raise InvalidParam(f"widths must be >= 2 positive sizes, got {self.widths}")
         object.__setattr__(self, "widths", widths)
+        # reals are stored as float, so numpy scalars and ints serialize as floats
+        for name, attr in _REAL_FIELDS.items():
+            object.__setattr__(self, attr, _real(name, getattr(self, attr)))
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise InvalidParam(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         # the layers and diagnostics reject these too, but only once train_toy is under way
@@ -132,22 +135,22 @@ def _raw(value):
 
 
 #: Config dict key -> (``TrainConfig`` attribute, converter used by ``from_dict``),
-#: in the order ``to_dict`` writes them. Counts pass through raw, so that the
-#: constructor's integer checks see what the file holds.
+#: in the order ``to_dict`` writes them. Counts and reals pass through raw, so
+#: that the constructor's type checks see what the file holds.
 _CONFIG_KEYS = {
     "scheme": ("scheme", str),
     "granularity": ("granularity", Granularity.from_dict),
-    "lambda": ("lam", float),
-    "epsilon": ("epsilon", float),
+    "lambda": ("lam", _raw),
+    "epsilon": ("epsilon", _raw),
     "seed": ("seed", _raw),
     "steps": ("steps", _raw),
     "batch_size": ("batch_size", _raw),
     "widths": ("widths", _raw),
     "task": ("task", str),
-    "learning_rate": ("learning_rate", float),
+    "learning_rate": ("learning_rate", _raw),
     "snapshot_every": ("snapshot_every", _raw),
     "history_window": ("history_window", _raw),
-    "boundary_band": ("boundary_band", float),
+    "boundary_band": ("boundary_band", _raw),
     "histogram_bins": ("histogram_bins", _raw),
 }
 
@@ -160,6 +163,22 @@ _COUNT_MINIMA = {
     "history_window": 2,
     "histogram_bins": 2,
 }
+
+
+#: Real ``TrainConfig`` fields: config dict key -> attribute.
+_REAL_FIELDS = {
+    "lambda": "lam",
+    "epsilon": "epsilon",
+    "learning_rate": "learning_rate",
+    "boundary_band": "boundary_band",
+}
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float; InvalidParam for a bool or a value that is not a real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParam(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _count(name: str, value, minimum: int) -> int:

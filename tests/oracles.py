@@ -3,8 +3,10 @@
 Everything here is written with plain Python loops and floats, element by
 element, deliberately avoiding the vectorized code paths under test. Sums
 accumulate strictly left to right so results are comparable bit for bit
-with the package's sequential group statistics. The one vectorized helper,
-``twn_alpha_grid``, runs numpy over its search grid, not over a tested path.
+with the package's sequential group statistics. Two helpers are vectorized:
+``twn_alpha_grid`` runs numpy over its search grid, not over a tested path,
+and ``layer_stats_reference`` keeps the ``np.histogram`` form of the trap
+statistics that ``diagnostics`` now bins directly.
 """
 
 import math
@@ -330,6 +332,30 @@ def flip_rate_recount(pushes, window):
                 flips += sum(x != y for x, y in zip(row_a, row_b))
     total = sum(c.size for c in snaps[0])
     return flips / ((len(snaps) - 1) * total)
+
+
+def layer_stats_reference(w, q, band, bins):
+    """(size, deadzone fraction, boundary fraction, counts, edges, normalized).
+
+    The trap statistics of one layer as ``diagnostics`` computed them through
+    a masked divide and ``np.histogram`` over the clipped w / threshold.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    thr = q.element_thresholds()
+    a = np.abs(w)
+    near = (a >= (1.0 - band) * thr) & (a <= (1.0 + band) * thr)
+    normalized = not (thr == 0).all()
+    values = w
+    if normalized:
+        values = np.zeros_like(w)
+        nonzero = thr > 0
+        np.divide(w, thr, out=values, where=nonzero)
+        zero_thr = ~nonzero & (w != 0)
+        values[zero_thr] = np.sign(w[zero_thr]) * np.inf
+    clipped = np.clip(values, -3.0, 3.0)
+    counts, edges = np.histogram(clipped, bins, range=(-3.0, 3.0))
+    dead = float((a < thr).sum()) / w.size
+    return w.size, dead, float(near.sum()) / w.size, counts, edges, normalized
 
 
 def gemv_scalar(codes, scales, bias, x, kind, group_size):

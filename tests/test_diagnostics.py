@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from tqla import Granularity, quantize
@@ -11,6 +12,8 @@ from tqla.diagnostics import (
     CodeHistory,
     Histogram,
     TrapReport,
+    _bin_counts,
+    _layer_stats,
     boundary_fraction,
     deadzone_fraction,
     export_report,
@@ -240,6 +243,25 @@ class TestWeightHistogram:
         with pytest.raises(InvalidParam):
             weight_histogram(w, q, bins=1)
 
+    @pytest.mark.parametrize(
+        "bins",
+        [2.5, 5.0, np.float64(5.0), True, False, "5", None],
+        ids=["2.5", "5.0", "float64", "True", "False", "str", "None"],
+    )
+    def test_non_integer_bins_rejected(self, bins):
+        rng = np.random.default_rng(14)
+        w, q = quantized_pair(rng)
+        with pytest.raises(InvalidParam, match="bins"):
+            weight_histogram(w, q, bins=bins)
+        with pytest.raises(InvalidParam, match="bins"):
+            take_snapshot(0, 1.0, [(w, q)], bins=bins)
+
+    def test_numpy_integer_bins_accepted(self):
+        rng = np.random.default_rng(15)
+        w, q = quantized_pair(rng)
+        h = weight_histogram(w, q, bins=np.int64(5))
+        assert h.counts.tolist() == weight_histogram(w, q, bins=5).counts.tolist()
+
     def test_matches_counting_oracle(self):
         import bisect
 
@@ -278,6 +300,82 @@ class TestWeightHistogram:
                     k = min(max(bisect.bisect_right(list(edges), v) - 1, 0), bins - 1)
                     ref[k] += 1
             assert h.counts.tolist() == ref
+
+
+@st.composite
+def clipped_values_and_bins(draw):
+    """Bins and values in [-3, 3]: bin edges, the floats either side, +-3, uniform."""
+    bins = draw(st.integers(2, 1024))
+    edges = np.linspace(-3.0, 3.0, bins + 1)
+    edge = st.integers(0, bins).map(lambda k: float(edges[k]))
+    point = st.one_of(
+        edge,
+        edge.map(lambda v: float(np.nextafter(v, -np.inf))),
+        edge.map(lambda v: float(np.nextafter(v, np.inf))),
+        st.sampled_from([-3.0, 3.0]),
+        st.floats(-3.0, 3.0),
+    )
+    values = draw(st.lists(point, min_size=1, max_size=300))
+    return np.clip(np.array(values, dtype=np.float64), -3.0, 3.0), bins
+
+
+def assert_same_histogram(values, bins):
+    counts, edges = _bin_counts(values, bins)
+    ref_counts, ref_edges = np.histogram(values, bins, range=(-3.0, 3.0))
+    assert counts.dtype == ref_counts.dtype
+    assert counts.tolist() == ref_counts.tolist()
+    assert edges.tobytes() == ref_edges.tobytes()
+
+
+class TestDirectBinning:
+    @settings(max_examples=200, deadline=None)
+    @given(clipped_values_and_bins())
+    def test_matches_np_histogram(self, case):
+        assert_same_histogram(*case)
+
+    def test_every_edge_and_its_neighbours(self):
+        for bins in [*range(2, 1001), (1 << 16) + 1, 999_983]:
+            edges = np.linspace(-3.0, 3.0, bins + 1)
+            values = np.concatenate(
+                [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+            )
+            assert_same_histogram(np.clip(values, -3.0, 3.0), bins)
+
+    @pytest.mark.parametrize("seed", range(36))
+    def test_layer_stats_match_histogram_reference(self, seed):
+        # kinds cycle per-tensor, per-channel, ragged per-group; thresholds are
+        # all positive, partly zero, or all zero; some weights sit on the bin
+        # edges (in threshold units), the floats either side, beyond +-3, at
+        # 0 or at 7 (raw values beyond the range where thresholds are zero)
+        rng = np.random.default_rng([seed, 91])
+        kind = ("per-tensor", "per-channel", "per-group")[seed % 3]
+        rows, cols = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+        w, q = quantized_pair(rng, rows, cols, kind)
+        zeros = (seed // 3) % 3
+        if zeros == 1:
+            q.thresholds[rng.random(q.thresholds.size) < 0.4] = 0.0
+        elif zeros == 2:
+            q.thresholds[:] = 0.0
+        band = float(rng.uniform(0.01, 0.99))
+        bins = int(rng.integers(2, 200))
+        edges = np.linspace(-3.0, 3.0, bins + 1)
+        special = np.concatenate(
+            [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), [0.0, -7.0, 7.0]]
+        )
+        thr = q.element_thresholds()
+        idx = rng.choice(w.size, size=w.size // 2, replace=False)
+        w.flat[idx] = rng.choice(special, idx.size) * thr.flat[idx]
+        w.flat[rng.choice(w.size, size=w.size // 8, replace=False)] = 0.0
+        w.flat[rng.choice(w.size, size=w.size // 8, replace=False)] = 7.0
+        before = w.copy()
+        size, dead, near, hist = _layer_stats(w, q, band, bins)
+        ref = oracles.layer_stats_reference(w, q, band, bins)
+        assert (size, dead, near) == ref[:3]
+        assert hist.counts.dtype == ref[3].dtype
+        assert hist.counts.tolist() == ref[3].tolist()
+        assert hist.bin_edges.tobytes() == ref[4].tobytes()
+        assert hist.normalized == ref[5]
+        assert w.tobytes() == before.tobytes()
 
 
 class TestSnapshotAndExport:

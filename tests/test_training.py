@@ -179,8 +179,13 @@ DICT_KEY = {"lam": "lambda"}
         ("widths", (4, True)),
         ("lam", float("nan")),
         ("lam", float("inf")),
+        ("lam", True),
+        ("lam", "0.001"),
         ("epsilon", -1.0),
         ("epsilon", float("nan")),
+        ("epsilon", np.bool_(True)),
+        ("learning_rate", None),
+        ("boundary_band", "0.1"),
     ],
 )
 def test_bad_counts_and_strengths_rejected_at_construction(attr, value):
@@ -205,3 +210,31 @@ def test_numpy_integer_counts_become_int():
     assert all(type(w) is int for w in config.widths)
     assert all(type(getattr(config, attr)) is int for attr in ("steps", "batch_size", "seed"))
     assert report_digest(train_toy(config)) == report_digest(train_toy(plain))
+
+
+REALS = ("lam", "epsilon", "learning_rate", "boundary_band")
+
+
+def test_numpy_reals_become_float():
+    # values exact in float32, so both configs train on the same numbers
+    values = {"lam": 0.5, "epsilon": 0.25, "learning_rate": 0.125, "boundary_band": 0.375}
+    plain = TrainConfig(scheme="tequila", steps=2, batch_size=4, widths=(4, 4, 4), **values)
+    config = TrainConfig(
+        scheme="tequila",
+        steps=2,
+        batch_size=4,
+        widths=(4, 4, 4),
+        **{attr: np.float32(v) for attr, v in values.items()},
+    )
+    assert config == plain
+    assert all(type(getattr(config, attr)) is float for attr in REALS)
+    report = train_toy(config)
+    json.dumps(report.to_dict())
+    assert report_digest(report) == report_digest(train_toy(plain))
+
+
+def test_integer_lambda_reports_like_float():
+    int_lam = TrainConfig(scheme="tequila", steps=2, batch_size=4, widths=(4, 4, 4), lam=0)
+    float_lam = TrainConfig(scheme="tequila", steps=2, batch_size=4, widths=(4, 4, 4), lam=0.0)
+    assert type(int_lam.lam) is float
+    assert report_digest(train_toy(int_lam)) == report_digest(train_toy(float_lam))
