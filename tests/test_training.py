@@ -238,3 +238,29 @@ def test_integer_lambda_reports_like_float():
     float_lam = TrainConfig(scheme="tequila", steps=2, batch_size=4, widths=(4, 4, 4), lam=0.0)
     assert type(int_lam.lam) is float
     assert report_digest(train_toy(int_lam)) == report_digest(train_toy(float_lam))
+
+
+@pytest.mark.parametrize(
+    "steps,snapshot_every,snapshot_steps",
+    [(0, 3, [0]), (6, 3, [0, 3, 6]), (7, 3, [0, 3, 6, 7])],
+)
+def test_last_pass_evaluates_and_snapshots_once(steps, snapshot_every, snapshot_steps):
+    config = TrainConfig(
+        steps=steps, snapshot_every=snapshot_every, widths=(16,) * 4, batch_size=8
+    )
+    report = train_toy(config)
+    assert not report.diverged
+    assert len(report.losses) == steps + 1
+    assert [s.step for s in report.snapshots] == snapshot_steps
+    assert report.snapshots[-1].loss == report.final_loss
+
+
+def test_divergence_on_the_last_pass():
+    # the one update overflows the weights, so only the evaluation pass sees it
+    config = TrainConfig(learning_rate=1e160, steps=1, widths=(16,) * 4, batch_size=8)
+    with np.errstate(all="ignore"):
+        report = train_toy(config)
+    assert report.diverged
+    assert report.divergence_step == config.steps
+    assert report.losses == [0.10001939485011996, float("inf")]
+    assert [s.step for s in report.snapshots] == [0]
