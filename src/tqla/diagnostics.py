@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -33,7 +32,7 @@ from .errors import (
     InvalidShape,
     IoError,
 )
-from .quantizer import QuantizedTensor, _as_matrix
+from .quantizer import QuantizedTensor, _as_matrix, _count, _real
 
 DEFAULT_BAND = 0.1
 DEFAULT_BINS = 120
@@ -121,8 +120,7 @@ class CodeHistory:
     _flips: deque = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.window < 2:
-            raise InvalidParam(f"history window must be >= 2, got {self.window}")
+        self.window = _count("history window", self.window, 2)
         self._flips = deque(maxlen=self.window - 1)
 
     def push(self, codes_per_layer):
@@ -176,14 +174,10 @@ def _layer_stats(w, q: QuantizedTensor, band=DEFAULT_BAND, bins=DEFAULT_BINS):
 
     The pair is validated and its thresholds expanded once for all three.
     """
-    band = float(band)
+    band = _real("band", band)
     if not 0.0 < band < 1.0:
         raise InvalidParam(f"band must be in (0, 1), got {band}")
-    if isinstance(bins, bool) or not isinstance(bins, numbers.Integral):
-        raise InvalidParam(f"bins must be an integer, got {bins!r}")
-    if bins < 2:
-        raise InvalidParam(f"need at least 2 bins, got {bins}")
-    bins = int(bins)
+    bins = _count("bins", bins, 2)
     w = _as_matrix(w)
     if w.shape != q.codes.shape:
         raise InvalidShape(f"weights {w.shape} do not match codes {q.codes.shape}")

@@ -50,6 +50,7 @@ from .quantizer import (
     Granularity,
     QuantizedTensor,
     _as_matrix,
+    _real,
     _tequila_bias,
 )
 
@@ -206,7 +207,7 @@ def pack_model(layers, lam: float) -> PackedModel:
     scale or bias that is not finite as float32 raises InvalidParam, since
     the file stores float32.
     """
-    lam = float(lam)
+    lam = _real("lambda", lam)
     _finite_float32(lam, "lambda")
     packed = []
     for q, shadow, mask in layers:

@@ -36,11 +36,12 @@ the learnable slots hold codes and deadzone membership fixed:
 Data flow of one layer step. The forward builds one quantized view of the
 shadow weights on the layer's own layout: from one ``|w|`` and one threshold
 expand it gets the codes and the bool deadzone mask, and it records them in
-``ForwardCache``. The backward and the trap snapshot read that view instead
-of quantizing again; the backward expands the group scales once and uses
-them for both ``e * alpha`` and ``w_q``. The hot path does not re-check
-the shadow weights: ``QuantLinearLayer.create`` validates them and
-``optimizer_step`` only commits finite values.
+the layer's public ``cache`` (a ``ForwardCache``). The backward and the trap
+snapshot read that view instead of quantizing again; the backward expands
+the group scales once, uses them for both ``e * alpha`` and ``w_q``, and
+clears ``cache``. The hot path does not re-check the shadow weights:
+``QuantLinearLayer.create`` validates them and ``optimizer_step`` only
+commits finite values.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .quantizer import (
     QuantizedTensor,
     _as_matrix,
     _quantized_view,
+    _real,
     _tequila_bias,
     dequantize,
 )
@@ -177,7 +179,8 @@ class QuantLinearLayer:
     learnable_alpha: np.ndarray | None = None
     learnable_b: np.ndarray | None = None
     frozen_thresholds: np.ndarray | None = None
-    _cache: ForwardCache | None = field(default=None, repr=False)
+    #: the view the last forward recorded; ``backward`` consumes it
+    cache: ForwardCache | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.layout = GroupLayout(self.granularity, *self.shadow_weights.shape)
@@ -187,8 +190,8 @@ class QuantLinearLayer:
         if scheme not in SCHEMES:
             raise UnsupportedScheme(f"unknown scheme {scheme!r}; known: {SCHEMES}")
         w = _as_matrix(weights).copy()
-        lam = float(lam)
-        epsilon = float(epsilon)
+        lam = _real("lambda", lam)
+        epsilon = _real("epsilon", epsilon)
         if not np.isfinite(lam):
             raise InvalidParam(f"lambda must be finite, got {lam}")
         if not np.isfinite(epsilon) or epsilon < 0:
@@ -232,7 +235,7 @@ class QuantLinearLayer:
         """y = x @ w_q.T plus the entry's coupling and extra term.
 
         Records the quantized view, the bool deadzone mask and the input in
-        ``ForwardCache`` for the next ``backward``.
+        ``cache`` for the next ``backward``.
         """
         entry = self._entry()
         x = _as_batch(x, None, self.cols, "input")
@@ -246,7 +249,7 @@ class QuantLinearLayer:
             y = y + x @ entry.coupling(q, mask, b).T
         if entry.extra is not None:
             y = y + entry.extra(self, x, mask)
-        self._cache = ForwardCache(x=x, quantized=q, mask=mask, learnable_b=b)
+        self.cache = ForwardCache(x=x, quantized=q, mask=mask, learnable_b=b)
         return y
 
     def backward(self, g) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -256,11 +259,11 @@ class QuantLinearLayer:
         values after a forward of one input row; a mis-shaped ``g`` raises
         ``InvalidShape`` and leaves the cache in place.
         """
-        cache = self._cache
+        cache = self.cache
         if cache is None:
             raise CacheError("backward called without a recorded forward")
         g = _as_batch(g, len(cache.x), self.rows, "upstream gradient")
-        self._cache = None
+        self.cache = None
         entry = self._entry()
         x, q, mask = cache.x, cache.quantized, cache.mask
         e = g.T @ x

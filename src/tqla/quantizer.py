@@ -176,6 +176,22 @@ def _as_matrix(w) -> np.ndarray:
     return w
 
 
+def _count(name: str, value, minimum: int) -> int:
+    """``value`` as an int; InvalidParam for a bool, a non-integer or a value below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParam(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidParam(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float; InvalidParam for a bool or a value that is not a real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParam(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _as_vector(w) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64).reshape(-1)
     if w.size == 0:
@@ -353,7 +369,7 @@ def tequila_bias(w, mask, lam: float) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     if w.shape != mask.shape:
         raise InvalidShape(f"weights {w.shape} do not match mask {mask.shape}")
-    lam = float(lam)
+    lam = _real("lambda", lam)
     if not np.isfinite(lam):
         raise InvalidParam(f"lambda must be finite, got {lam}")
     return _tequila_bias(w, mask, lam)

@@ -10,13 +10,17 @@ for qualitative convergence runs.
 Everything is a pure function of (config, seed): data, inits, and update
 order are drawn from fixed substreams, so two runs with the same config
 produce identical reports bit for bit.
+
+``train_toy`` is one loop of ``steps + 1`` passes, each a forward, its loss
+and, on snapshot steps, a trap snapshot of the view that forward recorded.
+Every pass but the last then runs the backward and the update; the last
+pass only evaluates the trained student.
 """
 
 from __future__ import annotations
 
-import numbers
-import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -26,7 +30,6 @@ from .diagnostics import (
     DEFAULT_HISTORY_WINDOW,
     DEFAULT_SNAPSHOT_EVERY,
     CodeHistory,
-    TrapReport,
     take_snapshot,
 )
 from .errors import GradientError, InvalidParam, UnsupportedScheme
@@ -39,9 +42,7 @@ from .qat import (
     QuantLinearLayer,
     optimizer_step,
 )
-from .quantizer import Granularity, dequantize, quantize
-
-TASKS = ("synthetic-regression", "char-lm")
+from .quantizer import Granularity, _count, _real, dequantize, quantize
 
 # substream tags so that data, teacher, and student draws never interleave
 _STREAM_TEACHER = 1
@@ -91,120 +92,99 @@ class TrainConfig:
     histogram_bins: int = DEFAULT_BINS
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise UnsupportedScheme(f"unknown scheme {self.scheme!r}; known: {SCHEMES}")
-        if self.task not in TASKS:
-            raise InvalidParam(f"unknown task {self.task!r}; known: {TASKS}")
-        # counts are stored as int, so numpy integers serialize like the rest
-        for name, minimum in _COUNT_MINIMA.items():
-            object.__setattr__(self, name, _count(name, getattr(self, name), minimum))
-        widths = tuple(_count("widths", w, 1) for w in self.widths)
-        if len(widths) < 2:
-            raise InvalidParam(f"widths must be >= 2 positive sizes, got {self.widths}")
-        object.__setattr__(self, "widths", widths)
-        # reals are stored as float, so numpy scalars and ints serialize as floats
-        for name, attr in _REAL_FIELDS.items():
-            object.__setattr__(self, attr, _real(name, getattr(self, attr)))
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise InvalidParam(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        # the layers and diagnostics reject these too, but only once train_toy is under way
-        if not np.isfinite(self.lam):
-            raise InvalidParam(f"lambda must be finite, got {self.lam}")
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise InvalidParam(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if not 0.0 < self.boundary_band < 1.0:
-            raise InvalidParam(f"boundary_band must be in (0, 1), got {self.boundary_band}")
+        # counts are stored as int and reals as float, so numpy scalars serialize
+        # like the rest; the layers and diagnostics check some of these too, but
+        # only once train_toy is under way
+        for key, (attr, check) in _FIELDS.items():
+            object.__setattr__(self, attr, check(key, getattr(self, attr)))
 
     def to_dict(self):
-        d = {key: getattr(self, attr) for key, (attr, _) in _CONFIG_KEYS.items()}
+        d = {key: getattr(self, attr) for key, (attr, _) in _FIELDS.items()}
         d["granularity"] = self.granularity.to_dict()
         d["widths"] = list(self.widths)
         return d
 
     @classmethod
     def from_dict(cls, d):
-        unknown = set(d) - set(_CONFIG_KEYS)
+        unknown = set(d) - set(_FIELDS)
         if unknown:
             raise InvalidParam(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {attr: conv(d[key]) for key, (attr, conv) in _CONFIG_KEYS.items() if key in d}
+        kwargs = {attr: d[key] for key, (attr, _) in _FIELDS.items() if key in d}
+        if "granularity" in kwargs:
+            kwargs["granularity"] = Granularity.from_dict(kwargs["granularity"])
         return cls(**kwargs)
 
 
-def _raw(value):
+def _scheme(name, value):
+    if value not in SCHEMES:
+        raise UnsupportedScheme(f"unknown {name} {value!r}; known: {SCHEMES}")
     return value
 
 
-#: Config dict key -> (``TrainConfig`` attribute, converter used by ``from_dict``),
-#: in the order ``to_dict`` writes them. Counts and reals pass through raw, so
-#: that the constructor's type checks see what the file holds.
-_CONFIG_KEYS = {
-    "scheme": ("scheme", str),
-    "granularity": ("granularity", Granularity.from_dict),
-    "lambda": ("lam", _raw),
-    "epsilon": ("epsilon", _raw),
-    "seed": ("seed", _raw),
-    "steps": ("steps", _raw),
-    "batch_size": ("batch_size", _raw),
-    "widths": ("widths", _raw),
-    "task": ("task", str),
-    "learning_rate": ("learning_rate", _raw),
-    "snapshot_every": ("snapshot_every", _raw),
-    "history_window": ("history_window", _raw),
-    "boundary_band": ("boundary_band", _raw),
-    "histogram_bins": ("histogram_bins", _raw),
+def _task(name, value):
+    if value not in TASKS:
+        raise InvalidParam(f"unknown {name} {value!r}; known: {TASKS}")
+    return value
+
+
+def _granularity(name, value):
+    if not isinstance(value, Granularity):
+        raise InvalidParam(f"{name} must be a Granularity, got {value!r}")
+    return value
+
+
+def _widths(name, value):
+    widths = tuple(_count(name, w, 1) for w in value)
+    if len(widths) < 2:
+        raise InvalidParam(f"{name} must be >= 2 positive sizes, got {value}")
+    return widths
+
+
+def _real_where(rule, holds):
+    """Check of a real field: its float, or InvalidParam when ``holds`` is false for it."""
+
+    def check(name, value):
+        value = _real(name, value)
+        if not holds(value):
+            raise InvalidParam(f"{name} must be {rule}, got {value}")
+        return value
+
+    return check
+
+
+#: Config dict key -> (``TrainConfig`` attribute, check), in the order ``to_dict``
+#: writes them. A check takes the key and the given value and returns the value
+#: to store, or raises naming the key.
+_FIELDS = {
+    "scheme": ("scheme", _scheme),
+    "granularity": ("granularity", _granularity),
+    "lambda": ("lam", _real_where("finite", np.isfinite)),
+    "epsilon": ("epsilon", _real_where("finite and >= 0", lambda v: np.isfinite(v) and v >= 0)),
+    "seed": ("seed", partial(_count, minimum=0)),
+    "steps": ("steps", partial(_count, minimum=0)),
+    "batch_size": ("batch_size", partial(_count, minimum=1)),
+    "widths": ("widths", _widths),
+    "task": ("task", _task),
+    "learning_rate": (
+        "learning_rate",
+        _real_where("finite and > 0", lambda v: np.isfinite(v) and v > 0),
+    ),
+    "snapshot_every": ("snapshot_every", partial(_count, minimum=1)),
+    "history_window": ("history_window", partial(_count, minimum=2)),
+    "boundary_band": ("boundary_band", _real_where("in (0, 1)", lambda v: 0.0 < v < 1.0)),
+    "histogram_bins": ("histogram_bins", partial(_count, minimum=2)),
 }
-
-#: Integer ``TrainConfig`` fields and the least value each accepts.
-_COUNT_MINIMA = {
-    "seed": 0,
-    "steps": 0,
-    "batch_size": 1,
-    "snapshot_every": 1,
-    "history_window": 2,
-    "histogram_bins": 2,
-}
-
-
-#: Real ``TrainConfig`` fields: config dict key -> attribute.
-_REAL_FIELDS = {
-    "lambda": "lam",
-    "epsilon": "epsilon",
-    "learning_rate": "learning_rate",
-    "boundary_band": "boundary_band",
-}
-
-
-def _real(name: str, value) -> float:
-    """``value`` as a float; InvalidParam for a bool or a value that is not a real number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidParam(f"{name} must be a real number, got {value!r}")
-    return float(value)
-
-
-def _count(name: str, value, minimum: int) -> int:
-    """``value`` as an int; InvalidParam for a bool, a non-integer or a value below ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidParam(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise InvalidParam(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
 
 
 @dataclass
 class TrainReport:
-    """Loss curve, trap snapshots, and the config that produced them.
-
-    ``wall_time_s`` is informational only and deliberately excluded from
-    serialization so that identical (config, seed) runs produce identical
-    artifacts.
-    """
+    """Loss curve, trap snapshots, and the config that produced them."""
 
     config: dict
     losses: list
     snapshots: list
     diverged: bool = False
     divergence_step: int | None = None
-    wall_time_s: float | None = None
 
     @property
     def final_loss(self) -> float:
@@ -218,16 +198,6 @@ class TrainReport:
             "diverged": self.diverged,
             "divergence_step": self.divergence_step,
         }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            config=d["config"],
-            losses=[float(v) for v in d["losses"]],
-            snapshots=[TrapReport.from_dict(s) for s in d["snapshots"]],
-            diverged=bool(d["diverged"]),
-            divergence_step=d["divergence_step"],
-        )
 
 
 def _init_weights(rng, widths):
@@ -296,7 +266,7 @@ class QuantMlp:
 
     def quantized_pairs(self):
         """(shadow weights, quantized view the last forward used) per layer."""
-        return [(layer.shadow_weights, layer._cache.quantized) for layer in self.layers]
+        return [(layer.shadow_weights, layer.cache.quantized) for layer in self.layers]
 
 
 #: Scale of the per-row constants added to regression targets. Sized so a
@@ -317,25 +287,17 @@ class _RegressionTask:
     between schemes free of minibatch noise.
     """
 
-    def __init__(self, config: TrainConfig, teacher_rng):
-        self.widths = tuple(config.widths)
-        self.batch_size = config.batch_size
+    def __init__(self, config: TrainConfig, teacher_rng, data_rng):
+        self.widths = config.widths
         raw = _init_weights(teacher_rng, self.widths)
         per_channel = Granularity(kind="per-channel")
-        self.teacher = [dequantize(quantize(w, "absmean", per_channel)) for w in raw]
-        self.offset = teacher_rng.standard_normal(self.widths[-1]) * _TARGET_OFFSET_SCALE
-        self._fixed = None
+        teacher = [dequantize(quantize(w, "absmean", per_channel)) for w in raw]
+        offset = teacher_rng.standard_normal(self.widths[-1]) * _TARGET_OFFSET_SCALE
+        x = data_rng.standard_normal((config.batch_size, self.widths[0]))
+        self.sample = (x, _mlp_forward_plain(teacher, x) + offset)
 
-    @property
-    def student_widths(self):
-        return self.widths
-
-    def batch(self, rng):
-        if self._fixed is None:
-            x = rng.standard_normal((self.batch_size, self.widths[0]))
-            self._fixed = (x, _mlp_forward_plain(self.teacher, x) + self.offset)
-            self.teacher = None  # the targets are all that is read from now on
-        return self._fixed
+    def batch(self):
+        return self.sample
 
     def loss(self, y, target):
         diff = y - target
@@ -348,8 +310,9 @@ class _RegressionTask:
 class _CharLmTask:
     """Next-character prediction over the embedded corpus, one-hot contexts."""
 
-    def __init__(self, config: TrainConfig, _teacher_rng):
+    def __init__(self, config: TrainConfig, _teacher_rng, data_rng):
         self.batch_size = config.batch_size
+        self.rng = data_rng
         self.vocab = sorted(set(_CHAR_CORPUS))
         self.char_to_id = {c: i for i, c in enumerate(self.vocab)}
         self.ids = np.array([self.char_to_id[c] for c in _CHAR_CORPUS], dtype=np.int64)
@@ -357,13 +320,9 @@ class _CharLmTask:
         hidden = tuple(config.widths[1:-1])
         self.widths = (self.context * len(self.vocab), *hidden, len(self.vocab))
 
-    @property
-    def student_widths(self):
-        return self.widths
-
-    def batch(self, rng):
+    def batch(self):
         v = len(self.vocab)
-        pos = rng.integers(self.context, len(self.ids), size=self.batch_size)
+        pos = self.rng.integers(self.context, len(self.ids), size=self.batch_size)
         x = np.zeros((self.batch_size, self.context * v))
         for k in range(self.context):
             cols = self.ids[pos - self.context + k] + k * v
@@ -389,23 +348,24 @@ class _CharLmTask:
 
 _TASKS = {"synthetic-regression": _RegressionTask, "char-lm": _CharLmTask}
 
+TASKS = tuple(_TASKS)
+
 
 def train_toy(config: TrainConfig) -> TrainReport:
     """Run one quantization-aware training experiment.
 
-    Records the training loss at every step and a trap snapshot every
-    ``snapshot_every`` steps, plus one final evaluation and snapshot after
-    the last update. A non-finite loss or gradient halts the run with the
-    partial curve retained and ``diverged`` set.
+    Runs ``config.steps`` updates and then one evaluation pass. Records the
+    loss of every pass and a trap snapshot every ``snapshot_every`` steps
+    and after the last pass. A non-finite loss or gradient halts the run
+    with the partial curve retained and ``diverged`` set.
     """
-    started = time.perf_counter()
     teacher_rng = np.random.default_rng([config.seed, _STREAM_TEACHER])
     student_rng = np.random.default_rng([config.seed, _STREAM_STUDENT])
     data_rng = np.random.default_rng([config.seed, _STREAM_DATA])
 
-    task = _TASKS[config.task](config, teacher_rng)
+    task = _TASKS[config.task](config, teacher_rng, data_rng)
     student = QuantMlp.create(
-        _init_weights(student_rng, task.student_widths),
+        _init_weights(student_rng, task.widths),
         config.scheme,
         config.granularity,
         lam=config.lam,
@@ -417,57 +377,40 @@ def train_toy(config: TrainConfig) -> TrainReport:
 
     losses = []
     snapshots = []
-    diverged = False
     divergence_step = None
-
-    def snapshot(step, loss):
-        snapshots.append(
-            take_snapshot(
-                step,
-                loss,
-                student.quantized_pairs(),
-                history,
-                band=config.boundary_band,
-                bins=config.histogram_bins,
-            )
-        )
-
-    for step in range(config.steps):
-        x, target = task.batch(data_rng)
+    for step in range(config.steps + 1):
+        x, target = task.batch()
         y = student.forward(x)
         loss = task.loss(y, target)
         losses.append(loss)
         if not np.isfinite(loss):
-            diverged = True
             divergence_step = step
             break
-        if step % config.snapshot_every == 0:
-            snapshot(step, loss)
+        if step % config.snapshot_every == 0 or step == config.steps:
+            snapshots.append(
+                take_snapshot(
+                    step,
+                    loss,
+                    student.quantized_pairs(),
+                    history,
+                    band=config.boundary_band,
+                    bins=config.histogram_bins,
+                )
+            )
+        if step == config.steps:
+            break  # the last pass only evaluates
         grads = student.backward(task.loss_grad(y, target))
         try:
             optimizer_step(params, grads, state)
         except GradientError:
-            diverged = True
             divergence_step = step
             break
         del grads  # not held through the next forward, snapshot and backward
-
-    if not diverged:
-        x, target = task.batch(data_rng)
-        y = student.forward(x)
-        loss = task.loss(y, target)
-        losses.append(loss)
-        if np.isfinite(loss):
-            snapshot(config.steps, loss)
-        else:
-            diverged = True
-            divergence_step = config.steps
 
     return TrainReport(
         config=config.to_dict(),
         losses=losses,
         snapshots=snapshots,
-        diverged=diverged,
+        diverged=divergence_step is not None,
         divergence_step=divergence_step,
-        wall_time_s=time.perf_counter() - started,
     )

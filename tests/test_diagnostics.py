@@ -167,6 +167,15 @@ class TestFlipRate:
             h.push([np.zeros((1, 1), dtype=np.int8)])
         assert len(h) == 3
 
+    @pytest.mark.parametrize("window", [1, 2.5, "3", True, None])
+    def test_bad_window_rejected(self, window):
+        with pytest.raises(InvalidParam, match="history window"):
+            CodeHistory(window=window)
+
+    def test_numpy_integer_window_accepted(self):
+        h = CodeHistory(window=np.int64(3))
+        assert type(h.window) is int
+
     def test_shape_drift_rejected(self):
         h = CodeHistory(window=4)
         h.push([np.zeros((2, 2), dtype=np.int8)])

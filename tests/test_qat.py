@@ -33,7 +33,7 @@ class TestForwardTernary:
         x = np.zeros((1, layer.cols))
         x[0, j] = 1.0
         y = layer.forward(x)
-        q = layer._cache.quantized
+        q = layer.cache.quantized
         expected = dequantize(q)[:, j]
         np.testing.assert_array_equal(y[0], expected)
 
@@ -48,7 +48,7 @@ class TestForwardTernary:
             layer = make_layer(rng, "absmean")
             x, _ = random_instance(rng, layer)
             y = layer.forward(x)
-            q = layer._cache.quantized
+            q = layer.cache.quantized
             ref = oracles.forward_ternary_scalar(
                 x.tolist(),
                 q.codes.tolist(),
@@ -86,7 +86,7 @@ class TestBackwardSte:
         # same upstream but the weight sits inside the deadzone: no alpha factor
         layer = QuantLinearLayer.create(np.array([[0.1, 0.9]]), "absmean", PT)
         layer.forward(np.array([[2.0, 0.0]]))
-        assert layer._cache.mask[0, 0]
+        assert layer.cache.mask[0, 0]
         grad = layer.backward(np.array([[0.5]]))[1]["w"]
         assert grad[0, 0] == pytest.approx(1.0, rel=1e-12)
 
@@ -96,7 +96,7 @@ class TestBackwardSte:
             layer = make_layer(rng, "absmean")
             x, g = random_instance(rng, layer)
             layer.forward(x)
-            cache = layer._cache
+            cache = layer.cache
             grad = layer.backward(g)[1]["w"]
             live = (~cache.mask).tolist()
             ref = oracles.backward_ste_scalar(
@@ -143,7 +143,7 @@ class TestMinima:
         layer = QuantLinearLayer.create(w, "minima", PT, epsilon=1e-3)
         x = np.array([[1.0, 2.0, 3.0, 4.0, 0.0, 0.0]])
         y = layer.forward(x)
-        mask = layer._cache.mask
+        mask = layer.cache.mask
         assert mask[0, :4].all() and not mask[0, 4:].any()
         assert y[0, 0] == pytest.approx(1e-3 * 4, rel=1e-12)
 
@@ -153,7 +153,7 @@ class TestMinima:
             layer = make_layer(rng, "minima", epsilon=float(rng.uniform(1e-4, 1e-2)))
             x, _ = random_instance(rng, layer)
             y = layer.forward(x)
-            c = layer._cache
+            c = layer.cache
             ref = oracles.forward_minima_scalar(
                 x.tolist(),
                 layer.shadow_weights.tolist(),
@@ -172,7 +172,7 @@ class TestMinima:
         layer = QuantLinearLayer.create(w, "minima", PT, epsilon=1e-3)
         x = np.array([[-3.0, 0.0]])
         layer.forward(x)
-        assert layer._cache.mask[0, 0]
+        assert layer.cache.mask[0, 0]
         grad = layer.backward(np.array([[0.5]]))[1]["w"]
         assert grad[0, 0] == pytest.approx(-5e-4, rel=1e-12)
 
@@ -182,7 +182,7 @@ class TestMinima:
             layer = make_layer(rng, "minima", epsilon=float(rng.uniform(1e-4, 1e-2)))
             x, g = random_instance(rng, layer)
             layer.forward(x)
-            c = layer._cache
+            c = layer.cache
             grad = layer.backward(g)[1]["w"]
             ref = oracles.backward_minima_scalar(
                 g.tolist(),
@@ -200,7 +200,7 @@ class TestMinima:
         layer = make_layer(rng, "minima")
         x, g = random_instance(rng, layer)
         layer.forward(x)
-        cache = layer._cache
+        cache = layer.cache
         grad1 = layer.backward(g)[1]["w"]
         layer.forward(x * 7.5)
         grad2 = layer.backward(g)[1]["w"]
@@ -224,7 +224,7 @@ class TestTequila:
         rng = np.random.default_rng(11)
         layer = make_layer(rng, "tequila")
         y = layer.forward(np.zeros((3, layer.cols)))
-        c = layer._cache
+        c = layer.cache
         expected = tequila_bias(layer.shadow_weights, c.mask, layer.lam)
         for b in range(3):
             np.testing.assert_array_equal(y[b], expected)
@@ -235,7 +235,7 @@ class TestTequila:
             layer = make_layer(rng, "tequila")
             x, _ = random_instance(rng, layer)
             y = layer.forward(x)
-            c = layer._cache
+            c = layer.cache
             ref = oracles.forward_tequila_scalar(
                 x.tolist(),
                 layer.shadow_weights.tolist(),
@@ -253,7 +253,7 @@ class TestTequila:
         w = np.array([[0.01, 1.0]])
         layer = QuantLinearLayer.create(w, "tequila", PT, lam=1e-3)
         layer.forward(np.array([[2.0, 0.0]]))
-        assert layer._cache.mask[0, 0]
+        assert layer.cache.mask[0, 0]
         grad = layer.backward(np.array([[0.5]]))[1]["w"]
         assert grad[0, 0] == pytest.approx(1.0005, rel=1e-12)
 
@@ -264,7 +264,7 @@ class TestTequila:
             layer = make_layer(rng, variant)
             x, g = random_instance(rng, layer)
             layer.forward(x)
-            c = layer._cache
+            c = layer.cache
             grad = layer.backward(g)[1]["w"]
             ref = oracles.backward_tequila_scalar(
                 g.tolist(),
@@ -286,7 +286,7 @@ class TestTequila:
             layer = make_layer(rng, "tequila")
             x, g = random_instance(rng, layer)
             layer.forward(x)
-            cache = layer._cache
+            cache = layer.cache
             thr = cache.quantized.element_thresholds()
             safe = cache.mask & (np.abs(layer.shadow_weights) < 0.9 * thr)
             if not safe.any():
@@ -335,7 +335,7 @@ class TestLearnableSchemes:
             layer.learnable_alpha[:] = rng.uniform(0.1, 2.0, layer.learnable_alpha.shape)
             x, _ = random_instance(rng, layer)
             y = layer.forward(x)
-            c = layer._cache
+            c = layer.cache
             ref = oracles.forward_dlt_scalar(
                 x.tolist(),
                 c.quantized.codes.tolist(),
@@ -353,7 +353,7 @@ class TestLearnableSchemes:
             layer.learnable_b[:] = rng.standard_normal(layer.learnable_b.shape) * 0.1
             x, _ = random_instance(rng, layer)
             y = layer.forward(x)
-            c = layer._cache
+            c = layer.cache
             ref = oracles.forward_seq_scalar(
                 x.tolist(),
                 c.quantized.codes.tolist(),
@@ -377,7 +377,7 @@ class TestLearnableSchemes:
         w = np.zeros((2, 4))
         layer = QuantLinearLayer.create(w, "lsq", PT)
         layer.forward(np.ones((1, 4)))
-        assert not layer._cache.quantized.codes.any()
+        assert not layer.cache.quantized.codes.any()
         grad_alpha = layer.backward(np.ones((1, 2)))[1]["alpha"]
         assert not grad_alpha.any()
 
@@ -390,7 +390,7 @@ class TestLearnableSchemes:
                     layer.learnable_b[:] = rng.standard_normal(layer.learnable_b.shape) * 0.1
                 x, g = random_instance(rng, layer)
                 layer.forward(x)
-                cache = layer._cache
+                cache = layer.cache
                 _, grads = layer.backward(g)
                 grad_alpha, grad_b = grads.get("alpha"), grads.get("b")
                 kind, gs = layer.granularity.kind, layer.granularity.group_size
@@ -466,7 +466,7 @@ class TestLayerApi:
         x, g = random_instance(rng, layer)
         layer.forward(x)
         layer.backward(g)
-        assert layer._cache is None
+        assert layer.cache is None
         with pytest.raises(CacheError):
             layer.backward(g)
 

@@ -16,7 +16,10 @@ from tqla import (
     ternarize,
     twn_params,
 )
+from tqla.diagnostics import boundary_fraction
 from tqla.errors import InvalidParam, InvalidShape, InvalidThreshold, UnsupportedScheme
+from tqla.packing import pack_model
+from tqla.qat import QuantLinearLayer
 from tqla.quantizer import _SUM_BLOCK, GroupLayout, _sequential_sums, _ternarize_elementwise
 
 PT = Granularity("per-tensor")
@@ -489,3 +492,37 @@ def test_group_outputs_pinned(name):
 
 def test_vector_estimates_pinned():
     assert _digest(vector_estimates()) == PINNED_DIGESTS["vector-10000"]
+
+
+#: (name the error must give, call) for each public parameter that takes a real number
+REAL_PARAMETERS = {
+    "create-lambda": (
+        "lambda",
+        lambda w, q, m, v: QuantLinearLayer.create(w, "tequila", PC, lam=v),
+    ),
+    "create-epsilon": (
+        "epsilon",
+        lambda w, q, m, v: QuantLinearLayer.create(w, "minima", PC, epsilon=v),
+    ),
+    "tequila_bias": ("lambda", lambda w, q, m, v: tequila_bias(w, m, v)),
+    "pack_model": ("lambda", lambda w, q, m, v: pack_model([(q, w, m)], v)),
+    "band": ("band", lambda w, q, m, v: boundary_fraction(w, q, band=v)),
+}
+
+
+@pytest.mark.parametrize("value", ["0.001", True, np.bool_(False), None], ids=repr)
+@pytest.mark.parametrize("call", list(REAL_PARAMETERS))
+def test_real_parameters_reject_strings_and_bools(call, value):
+    name, run = REAL_PARAMETERS[call]
+    w = np.random.default_rng(16).standard_normal((3, 7))
+    q = quantize(w, "absmean", PC)
+    with pytest.raises(InvalidParam, match=name):
+        run(w, q, deadzone_mask(w, q), value)
+
+
+@pytest.mark.parametrize("value", [np.float32(0.125), np.float64(0.25)], ids=repr)
+@pytest.mark.parametrize("call", list(REAL_PARAMETERS))
+def test_real_parameters_accept_numpy_reals(call, value):
+    w = np.random.default_rng(16).standard_normal((3, 7))
+    q = quantize(w, "absmean", PC)
+    REAL_PARAMETERS[call][1](w, q, deadzone_mask(w, q), value)

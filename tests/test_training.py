@@ -158,6 +158,11 @@ def test_bad_diagnostics_settings_rejected_at_construction(key, value):
         TrainConfig.from_dict(d)
 
 
+def test_granularity_must_be_a_granularity():
+    with pytest.raises(InvalidParam, match="granularity"):
+        TrainConfig(granularity="per-group")
+
+
 #: Config dict key of each ``TrainConfig`` attribute whose name differs.
 DICT_KEY = {"lam": "lambda"}
 
