@@ -30,10 +30,13 @@ On-disk "TQLA" layout (all little-endian):
 
 Both directions go through tables built once from the pattern table, so the
 format lives in one place. Encoding looks up the index byte of each pair of
-triples by their two keys, and each sign bit by its triple's key. Decoding
-reads an index byte together with the sign bits of its two triples as one of
-1024 entries, each holding the six signed codes of the byte, so a layer
-decodes with one gather.
+triples by their two keys; keys order triples lexicographically with the
+zero triple at 13, so a triple's sign bit is set exactly when its key is
+below 13. Decoding reads each index byte with the two sign bits of its
+triples as one 16-bit key, ``index byte | sign pair << 8``: a 256-entry
+table splits every sign byte into its four 2-bit pairs, one per index byte,
+and the keys index a table of 1024 entries, each holding the six signed
+codes of a byte, so a layer decodes with one gather.
 """
 
 from __future__ import annotations
@@ -74,23 +77,20 @@ def _build_patterns() -> np.ndarray:
 
 PATTERNS = _build_patterns()
 
-# key = 9*(a+1) + 3*(b+1) + (c+1) of a triple (a, b, c) -> index, sign bit;
-# the positive member is written last, so the zero triple keeps a clear bit
+# key = 9*(a+1) + 3*(b+1) + (c+1) of a triple (a, b, c) -> its pattern index;
+# the keys below _ZERO_KEY are the negated patterns, which carry a set sign bit
+_ZERO_KEY = 13
 _KEY_TO_INDEX = np.zeros(27, dtype=np.uint8)
-_KEY_TO_NEGATIVE = np.zeros(27, dtype=bool)
 for _i, _p in enumerate(PATTERNS):
-    for _negative in (True, False):
-        _t = -_p if _negative else _p
-        _key = 9 * (_t[0] + 1) + 3 * (_t[1] + 1) + (_t[2] + 1)
-        _KEY_TO_INDEX[_key] = _i
-        _KEY_TO_NEGATIVE[_key] = _negative
+    for _t in (_p, -_p):
+        _KEY_TO_INDEX[9 * (_t[0] + 1) + 3 * (_t[1] + 1) + (_t[2] + 1)] = _i
 
 # _PAIR_TO_BYTE[27*key(t0) + key(t1)]: the index byte of triples t0, t1
 _PAIR_TO_BYTE = (_KEY_TO_INDEX[:, None] | (_KEY_TO_INDEX[None, :] << 4)).reshape(-1)
 
 
 def _build_decode_table() -> np.ndarray:
-    """The six codes of index byte b with sign bits s0, s1 at b + 256*(s0 + 2*s1).
+    """The six codes of index byte b with sign bits s0, s1 at key b | (s0 + 2*s1) << 8.
 
     Each entry is one 6-byte item, so decoding is a single ``take``. Nibbles
     14 and 15 decode to zeros; ``read_packed`` rejects them before they can.
@@ -106,6 +106,10 @@ def _build_decode_table() -> np.ndarray:
 
 _DECODE = _build_decode_table()
 
+# _SIGN_PAIRS[s]: sign byte s split into its four 2-bit pairs, little-endian
+# byte j holding pair j, the sign bits of the j-th of the four index bytes it covers
+_SIGN_PAIRS = sum(((np.arange(256) >> 2 * j) & 3) << 8 * j for j in range(4)).astype("<u4")
+
 # _TAIL_ZERO[r][i]: pattern i is zero after its first r elements, so it may
 # close a row whose cols % 3 == r
 _TAIL_ZERO = (None,) + tuple(~PATTERNS[:, r:].any(axis=1) for r in (1, 2))
@@ -120,9 +124,9 @@ def _encode(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     flat = np.zeros(3 * (n + n % 2), dtype=np.int8)
     flat[: 3 * n].reshape(rows, 3 * per_row)[:, :cols] = codes
     t = flat.reshape(-1, 3)
-    keys = 9 * t[:, 0] + 3 * t[:, 1] + t[:, 2] + 13  # the key above, in int8
+    keys = 9 * t[:, 0] + 3 * t[:, 1] + t[:, 2] + _ZERO_KEY  # the key above, in int8
     index_bytes = _PAIR_TO_BYTE[27 * keys[0::2].astype(np.intp) + keys[1::2]]
-    sign_bytes = np.packbits(_KEY_TO_NEGATIVE[keys[:n]], bitorder="little")
+    sign_bytes = np.packbits(keys[:n] < _ZERO_KEY, bitorder="little")
     return index_bytes, sign_bytes
 
 
@@ -150,9 +154,10 @@ class PackedLayer:
         """Ternary codes (rows, padded_cols), padding columns included."""
         n = self.rows * self.n_triples_per_row
         m = self.index_bytes.size
-        bits = np.unpackbits(self.sign_bytes, count=2 * m, bitorder="little")
-        signs = bits[0::2] + 2 * bits[1::2]
-        codes = _DECODE.take(self.index_bytes + 256 * signs.astype(np.intp))
+        keys = np.empty((m, 2), dtype=np.uint8)  # little-endian u2: index byte, sign pair
+        keys[:, 0] = self.index_bytes
+        keys[:, 1] = _SIGN_PAIRS.take(self.sign_bytes).view(np.uint8)[:m]
+        codes = _DECODE.take(keys.view("<u2").reshape(m))
         return codes.view(np.int8)[: 3 * n].reshape(self.rows, self.padded_cols)
 
 

@@ -53,17 +53,16 @@ class Granularity:
     def __post_init__(self):
         if self.kind not in GRANULARITY_KINDS:
             raise InvalidParam(f"unknown granularity kind: {self.kind!r}")
-        if isinstance(self.group_size, bool) or not isinstance(self.group_size, numbers.Integral):
-            raise InvalidParam(f"group_size must be an integer, got {self.group_size!r}")
-        object.__setattr__(self, "group_size", int(self.group_size))
-        if self.kind == PER_GROUP and self.group_size < 1:
-            raise InvalidParam(f"group_size must be >= 1, got {self.group_size}")
+        # every kind carries a positive size, so reports never show a negative one
+        object.__setattr__(self, "group_size", _count("group_size", self.group_size, 1))
 
     def to_dict(self):
         return {"kind": self.kind, "group_size": self.group_size}
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict) or "kind" not in d:
+            raise InvalidParam(f"granularity must be a dict with a 'kind', got {d!r}")
         return cls(kind=d["kind"], group_size=d.get("group_size", DEFAULT_GROUP_SIZE))
 
 

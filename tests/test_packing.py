@@ -12,7 +12,9 @@ from tqla.errors import FormatError, InvalidParam, InvalidShape
 from tqla.packing import (
     FORMAT_VERSION,
     PATTERNS,
+    PackedLayer,
     PackedModel,
+    _encode,
     pack_model,
     read_packed,
     write_packed,
@@ -101,6 +103,74 @@ def test_sections_match_scalar_oracle(tmp_path, codes):
     assert blob[start + len(index) : start + len(index) + len(signs)] == signs
     (layer,) = read_packed(path).layers
     np.testing.assert_array_equal(layer.unpack_codes(), unpack_codes_scalar(index, signs, *codes.shape))
+
+
+#: Every (index byte, sign pair) key ``byte | pair << 8`` whose nibbles are both
+#: pattern indices: 14 x 14 patterns x 4 sign pairs. The writer produces the 729
+#: of them that put no sign bit on a zero pattern; the decoder reads all 784.
+DECODE_KEYS = np.array(
+    [b | s << 8 for s in range(4) for b in range(256) if b & 0x0F < 14 and b >> 4 < 14]
+)
+
+
+def layer_of_keys(keys, rows, cols):
+    """A layer whose index byte j and sign pair j come from key ``keys[j % len(keys)]``."""
+    n = rows * -(-cols // 3)
+    key = np.resize(keys, (n + 1) // 2)
+    pair_bits = (key[:, None] >> np.array([8, 9])) & 1
+    sign_bytes = np.packbits(pair_bits.reshape(-1), bitorder="little")
+    return code_layer(rows, cols, (key & 0xFF).astype(np.uint8), sign_bytes)
+
+
+def code_layer(rows, cols, index_bytes, sign_bytes):
+    """A per-tensor layer of the given packed codes, unit scale and zero bias."""
+    scales, bias = np.ones(1, np.float32), np.zeros(rows, np.float32)
+    return PackedLayer(rows, cols, 0, index_bytes, sign_bytes, scales, bias)
+
+
+# a cycle of 785 keys puts each of the 784 at all four places of a sign byte
+# within 4 * 785 index bytes; odd and even triple counts with each cols % 3
+@pytest.mark.parametrize(
+    "rows,cols",
+    [
+        (1, 1),
+        (1, 2),
+        (1, 3),
+        (2, 4),
+        (1, 3 * 6281),
+        (8, 3 * 786),
+        (7, 3 * 899 - 2),
+        (4, 3 * 1571 - 2),
+        (5, 3 * 1257 - 1),
+        (2, 3 * 3141 - 1),
+    ],
+)
+def test_every_decode_key_matches_scalar_oracle(rows, cols):
+    layer = layer_of_keys(np.append(DECODE_KEYS, DECODE_KEYS[0]), rows, cols)
+    codes = layer.unpack_codes()
+    assert type(codes) is np.ndarray and codes.dtype == np.int8
+    assert codes.shape == (rows, layer.padded_cols) and codes.flags.c_contiguous
+    for source in (layer.index_bytes, layer.sign_bytes, layer.unpack_codes()):
+        assert not np.shares_memory(codes, source)
+    index, signs = layer.index_bytes.tobytes(), layer.sign_bytes.tobytes()
+    np.testing.assert_array_equal(codes, unpack_codes_scalar(index, signs, rows, cols))
+
+
+def test_every_sign_byte_matches_scalar_oracle():
+    # all 256 sign bytes over (+,+,+) triples, so each bit shows as a sign
+    index, signs = bytes([0xDD] * 1024), bytes(range(256))
+    layer = code_layer(2, 3 * 1024, np.frombuffer(index, np.uint8), np.frombuffer(signs, np.uint8))
+    expected = unpack_codes_scalar(index, signs, 2, 3 * 1024)
+    np.testing.assert_array_equal(layer.unpack_codes(), expected)
+
+
+def test_sign_bit_marks_a_first_nonzero_minus_one():
+    triples = list(itertools.product((-1, 0, 1), repeat=3))
+    _, sign_bytes = _encode(np.array([ALL_TRIPLES], dtype=np.int8))
+    negative = np.unpackbits(sign_bytes, count=len(triples), bitorder="little")
+    for (a, b, c), bit in zip(triples, negative):
+        first = next((v for v in (a, b, c) if v), 0)
+        assert bit == (first == -1) == (9 * (a + 1) + 3 * (b + 1) + (c + 1) < 13)
 
 
 #: SHA-256 of the file written by ``fixed_model_file``; recorded before the

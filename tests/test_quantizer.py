@@ -48,6 +48,14 @@ class TestGranularity:
         with pytest.raises(InvalidParam):
             Granularity.from_dict({"kind": kind, "group_size": size})
 
+    @pytest.mark.parametrize("kind", ["per-group", "per-channel", "per-tensor"])
+    @pytest.mark.parametrize("size", [0, -5, np.int64(-1)])
+    def test_non_positive_group_size_rejected(self, kind, size):
+        with pytest.raises(InvalidParam, match="group_size"):
+            Granularity(kind, size)
+        with pytest.raises(InvalidParam, match="group_size"):
+            Granularity.from_dict({"kind": kind, "group_size": size})
+
     def test_numpy_integer_group_size_becomes_int(self):
         g = Granularity("per-group", np.int64(5))
         assert type(g.group_size) is int

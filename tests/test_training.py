@@ -163,6 +163,16 @@ def test_granularity_must_be_a_granularity():
         TrainConfig(granularity="per-group")
 
 
+@pytest.mark.parametrize("value", ["per-group", None, {"group_size": 4}])
+def test_malformed_granularity_dict_rejected(value):
+    with pytest.raises(InvalidParam, match="granularity"):
+        Granularity.from_dict(value)
+    d = tiny_config("synthetic-regression", "per-tensor", "absmean").to_dict()
+    d["granularity"] = value
+    with pytest.raises(InvalidParam, match="granularity"):
+        TrainConfig.from_dict(d)
+
+
 #: Config dict key of each ``TrainConfig`` attribute whose name differs.
 DICT_KEY = {"lam": "lambda"}
 
