@@ -32,7 +32,7 @@ from .errors import (
     InvalidShape,
     IoError,
 )
-from .quantizer import QuantizedTensor, _as_matrix, _count, _real
+from .quantizer import QuantizedTensor, _as_matrix, _count, _real_where
 
 DEFAULT_BAND = 0.1
 DEFAULT_BINS = 120
@@ -169,14 +169,15 @@ def _bin_counts(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
     return np.bincount(idx, minlength=bins), edges
 
 
+_band = _real_where("in (0, 1)", lambda v: 0.0 < v < 1.0)
+
+
 def _layer_stats(w, q: QuantizedTensor, band=DEFAULT_BAND, bins=DEFAULT_BINS):
     """(size, deadzone fraction, boundary fraction, histogram) of one layer.
 
     The pair is validated and its thresholds expanded once for all three.
     """
-    band = _real("band", band)
-    if not 0.0 < band < 1.0:
-        raise InvalidParam(f"band must be in (0, 1), got {band}")
+    band = _band("band", band)
     bins = _count("bins", bins, 2)
     w = _as_matrix(w)
     if w.shape != q.codes.shape:

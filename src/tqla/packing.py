@@ -130,9 +130,19 @@ def _encode(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return index_bytes, sign_bytes
 
 
+def _section_sizes(rows: int, cols: int, group_size: int) -> tuple[int, int, int, int]:
+    """Item counts of a layer's index, sign, scale and bias sections."""
+    n = rows * -(-cols // 3)
+    n_scales = 1 if group_size == 0 else rows * -(-cols // group_size)
+    return (n + 1) // 2, (n + 7) // 8, n_scales, rows
+
+
 @dataclass
 class PackedLayer:
-    """One layer in deployment form: packed codes, scales, frozen bias."""
+    """One layer in deployment form: packed codes, scales, frozen bias.
+
+    A section whose size does not fit the shape raises InvalidShape naming it.
+    """
 
     rows: int
     cols: int
@@ -141,6 +151,13 @@ class PackedLayer:
     sign_bytes: np.ndarray  # uint8, one bit per triple
     scales: np.ndarray  # float32, one per group
     bias: np.ndarray  # float32, one per row
+
+    def __post_init__(self):
+        sizes = _section_sizes(self.rows, self.cols, self.group_size)
+        got = (self.index_bytes.size, self.sign_bytes.size, self.scales.size, self.bias.size)
+        for name, size, n in zip(("index_bytes", "sign_bytes", "scales", "bias"), sizes, got):
+            if n != size:
+                raise InvalidShape(f"{self.rows}x{self.cols} layer needs {size} {name}, got {n}")
 
     @property
     def n_triples_per_row(self) -> int:
@@ -269,18 +286,14 @@ def read_packed(path) -> PackedModel:
                 f"layer shape must be at least 1x1, got {rows}x{cols}",
                 offset=offset - _LAYER_HEADER.size,
             )
-        n_triples = rows * (-(-cols // 3))
+        n_index, n_sign, n_scales, _ = _section_sizes(rows, cols, group_size)
         idx_offset = offset
-        raw, offset = _take(blob, offset, (n_triples + 1) // 2, "packed indices")
+        raw, offset = _take(blob, offset, n_index, "packed indices")
         index_bytes = np.frombuffer(raw, dtype=np.uint8)
         sign_offset = offset
-        raw, offset = _take(blob, offset, (n_triples + 7) // 8, "packed signs")
+        raw, offset = _take(blob, offset, n_sign, "packed signs")
         sign_bytes = np.frombuffer(raw, dtype=np.uint8)
         _validate_codes(index_bytes, sign_bytes, rows, cols, idx_offset, sign_offset)
-        if group_size == 0:
-            n_scales = 1
-        else:
-            n_scales = rows * (-(-cols // group_size))
         scale_offset = offset
         raw, offset = _take(blob, offset, 4 * n_scales, "scales")
         scales = np.frombuffer(raw, dtype="<f4")

@@ -41,7 +41,9 @@ snapshot read that view instead of quantizing again; the backward expands
 the group scales once, uses them for both ``e * alpha`` and ``w_q``, and
 clears ``cache``. The hot path does not re-check the shadow weights:
 ``QuantLinearLayer.create`` validates them and ``optimizer_step`` only
-commits finite values.
+commits finite values. An MLP reads each layer's recorded input ``cache.x``
+as its activation. The optimizer's moment decays and epsilon are fixed
+constants; only the learning rate is set per run.
 """
 
 from __future__ import annotations
@@ -51,14 +53,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CacheError, GradientError, InvalidParam, InvalidShape, UnsupportedScheme
+from .errors import CacheError, GradientError, InvalidShape, UnsupportedScheme
 from .quantizer import (
     Granularity,
     GroupLayout,
     QuantizedTensor,
     _as_matrix,
     _quantized_view,
-    _real,
+    _lam,
+    _real_where,
     _tequila_bias,
     dequantize,
 )
@@ -66,6 +69,7 @@ from .quantizer import (
 DEFAULT_LAMBDA = 1e-3
 DEFAULT_EPSILON = 1e-3
 DEFAULT_LEARNING_RATE = 1e-4
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # optimizer_step's moment decays and epsilon
 
 
 # Entry callables reach quantizer functions through this module's globals
@@ -144,6 +148,17 @@ SCHEME_TABLE = {
 SCHEMES = tuple(SCHEME_TABLE)
 
 
+def _scheme(name, value):
+    """``value`` if it names a scheme, else UnsupportedScheme naming ``name``."""
+    if value not in SCHEMES:
+        raise UnsupportedScheme(f"unknown {name} {value!r}; known: {SCHEMES}")
+    return value
+
+
+_epsilon = _real_where("finite and >= 0", lambda v: np.isfinite(v) and v >= 0)
+_learning_rate = _real_where("finite and > 0", lambda v: np.isfinite(v) and v > 0)
+
+
 @dataclass
 class ForwardCache:
     """The quantized view one forward recorded for its backward.
@@ -176,9 +191,9 @@ class QuantLinearLayer:
     granularity: Granularity
     lam: float = DEFAULT_LAMBDA
     epsilon: float = DEFAULT_EPSILON
-    learnable_alpha: np.ndarray | None = None
-    learnable_b: np.ndarray | None = None
-    frozen_thresholds: np.ndarray | None = None
+    learnable_alpha: np.ndarray | None = field(default=None, init=False)
+    learnable_b: np.ndarray | None = field(default=None, init=False)
+    frozen_thresholds: np.ndarray | None = field(default=None, init=False)
     #: the view the last forward recorded; ``backward`` consumes it
     cache: ForwardCache | None = field(default=None, init=False, repr=False)
 
@@ -187,15 +202,10 @@ class QuantLinearLayer:
 
     @classmethod
     def create(cls, weights, scheme, granularity, *, lam=DEFAULT_LAMBDA, epsilon=DEFAULT_EPSILON):
-        if scheme not in SCHEMES:
-            raise UnsupportedScheme(f"unknown scheme {scheme!r}; known: {SCHEMES}")
+        _scheme("scheme", scheme)
         w = _as_matrix(weights).copy()
-        lam = _real("lambda", lam)
-        epsilon = _real("epsilon", epsilon)
-        if not np.isfinite(lam):
-            raise InvalidParam(f"lambda must be finite, got {lam}")
-        if not np.isfinite(epsilon) or epsilon < 0:
-            raise InvalidParam(f"epsilon must be finite and >= 0, got {epsilon}")
+        lam = _lam("lambda", lam)
+        epsilon = _epsilon("epsilon", epsilon)
         layer = cls(
             shadow_weights=w, scheme=scheme, granularity=granularity, lam=lam, epsilon=epsilon
         )
@@ -295,15 +305,15 @@ def _as_batch(a, batch: int | None, width: int, what: str) -> np.ndarray:
 
 @dataclass
 class OptimizerState:
-    """Adaptive-moment optimizer state with a fixed learning rate."""
+    """Adaptive-moment optimizer state with a fixed, finite, positive learning rate."""
 
     learning_rate: float = DEFAULT_LEARNING_RATE
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    step_count: int = field(default=0, init=False)
+    m: dict = field(default_factory=dict, init=False)
+    v: dict = field(default_factory=dict, init=False)
+
+    def __post_init__(self):
+        self.learning_rate = _learning_rate("learning_rate", self.learning_rate)
 
 
 def optimizer_step(params: dict, grads: dict, state: OptimizerState) -> dict:
@@ -329,24 +339,23 @@ def optimizer_step(params: dict, grads: dict, state: OptimizerState) -> dict:
             )
         if not np.isfinite(grad).all():
             raise GradientError(f"non-finite gradient for parameter {key!r}")
-    b1, b2 = state.beta1, state.beta2
     t = state.step_count + 1
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    bc1 = 1.0 - _BETA1**t
+    bc2 = 1.0 - _BETA2**t
     staged = {}
     for key, p in params.items():
         g = np.asarray(grads[key], dtype=np.float64)
-        # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g**2, from
-        # zero moments on a parameter's first step
-        m = (1.0 - b1) * g
-        m += state.m.get(key, 0.0) * b1
+        # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g**2,
+        # from zero moments on a parameter's first step
+        m = (1.0 - _BETA1) * g
+        m += state.m.get(key, 0.0) * _BETA1
         v = g * g
-        v *= 1.0 - b2
-        v += state.v.get(key, 0.0) * b2
+        v *= 1.0 - _BETA2
+        v += state.v.get(key, 0.0) * _BETA2
         # new_p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
         den = v / bc2
         np.sqrt(den, out=den)
-        den += state.eps
+        den += _EPS
         new_p = m / bc1
         new_p *= state.learning_rate
         new_p /= den

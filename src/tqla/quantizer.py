@@ -82,7 +82,7 @@ class GroupLayout:
     def __init__(self, granularity: Granularity, rows: int, cols: int):
         if rows < 1 or cols < 1:
             raise InvalidShape(f"matrix must be at least 1x1, got {rows}x{cols}")
-        self.granularity = granularity
+        self.granularity = _granularity("granularity", granularity)
         self.rows = rows
         self.cols = cols
         if granularity.kind == PER_TENSOR:
@@ -164,6 +164,13 @@ class QuantizedTensor:
         return self.layout.expand(self.thresholds)
 
 
+def _granularity(name: str, value) -> Granularity:
+    """``value`` if it is a ``Granularity``, else InvalidParam naming ``name``."""
+    if not isinstance(value, Granularity):
+        raise InvalidParam(f"{name} must be a Granularity, got {value!r}")
+    return value
+
+
 def _as_matrix(w) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.ndim == 1:
@@ -191,13 +198,19 @@ def _real(name: str, value) -> float:
     return float(value)
 
 
-def _as_vector(w) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    if w.size == 0:
-        raise InvalidShape("expected a non-empty array")
-    if not np.isfinite(w).all():
-        raise InvalidParam("array contains NaN or Inf")
-    return w
+def _real_where(rule: str, holds):
+    """Check of a real parameter: its float, or InvalidParam when ``holds`` is false for it."""
+
+    def check(name, value):
+        value = _real(name, value)
+        if not holds(value):
+            raise InvalidParam(f"{name} must be {rule}, got {value}")
+        return value
+
+    return check
+
+
+_lam = _real_where("finite", np.isfinite)
 
 
 #: Elements (512 KiB of float64) copied per block by ``_sequential_sums``.
@@ -244,17 +257,18 @@ def _sequential_sums(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _vector_params(w, scheme: str) -> tuple[float, float]:
-    """``_group_params`` of a vector taken as one per-tensor group."""
-    w = _as_vector(w)
-    layout = GroupLayout(Granularity(PER_TENSOR), 1, w.size)
-    alphas, deltas = _group_params(np.abs(w).reshape(1, -1), scheme, layout)
-    return float(alphas[0]), float(deltas[0])
+def _per_tensor_params(w, scheme: str) -> tuple[float, float]:
+    """(scale, threshold) of ``w``, of any shape, quantized as one per-tensor group."""
+    q = quantize(np.reshape(w, (1, -1)), scheme, Granularity(PER_TENSOR))
+    return float(q.scales[0]), float(q.thresholds[0])
 
 
 def absmean_params(w) -> tuple[float, float]:
-    """Absmean estimator: alpha = mean |w|, delta = alpha / 2."""
-    return _vector_params(w, "absmean")
+    """Absmean estimator: alpha = mean |w|, delta = alpha / 2.
+
+    ``w`` of any shape is one group, scaled and checked by per-tensor ``quantize``.
+    """
+    return _per_tensor_params(w, "absmean")
 
 
 def twn_params(w) -> tuple[float, float]:
@@ -262,9 +276,10 @@ def twn_params(w) -> tuple[float, float]:
 
     Alpha is the mean of |w| over the elements at or outside the threshold,
     which minimizes the squared reconstruction error for that fixed delta.
-    An empty outside set yields alpha = 0 (degenerate group).
+    An empty outside set yields alpha = 0 (degenerate group). Computed like
+    ``absmean_params``.
     """
-    return _vector_params(w, "twn")
+    return _per_tensor_params(w, "twn")
 
 
 def ternarize(w, delta: float) -> np.ndarray:
@@ -368,10 +383,7 @@ def tequila_bias(w, mask, lam: float) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     if w.shape != mask.shape:
         raise InvalidShape(f"weights {w.shape} do not match mask {mask.shape}")
-    lam = _real("lambda", lam)
-    if not np.isfinite(lam):
-        raise InvalidParam(f"lambda must be finite, got {lam}")
-    return _tequila_bias(w, mask, lam)
+    return _tequila_bias(w, mask, _lam("lambda", lam))
 
 
 def _tequila_bias(w: np.ndarray, dead: np.ndarray, lam: float) -> np.ndarray:

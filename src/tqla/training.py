@@ -30,19 +30,22 @@ from .diagnostics import (
     DEFAULT_HISTORY_WINDOW,
     DEFAULT_SNAPSHOT_EVERY,
     CodeHistory,
+    _band,
     take_snapshot,
 )
-from .errors import GradientError, InvalidParam, UnsupportedScheme
+from .errors import GradientError, InvalidParam
 from .qat import (
     DEFAULT_EPSILON,
     DEFAULT_LAMBDA,
     DEFAULT_LEARNING_RATE,
-    SCHEMES,
     OptimizerState,
     QuantLinearLayer,
+    _epsilon,
+    _learning_rate,
+    _scheme,
     optimizer_step,
 )
-from .quantizer import Granularity, _count, _real, dequantize, quantize
+from .quantizer import Granularity, _count, _granularity, _lam, dequantize, quantize
 
 # substream tags so that data, teacher, and student draws never interleave
 _STREAM_TEACHER = 1
@@ -93,8 +96,8 @@ class TrainConfig:
 
     def __post_init__(self):
         # counts are stored as int and reals as float, so numpy scalars serialize
-        # like the rest; the layers and diagnostics check some of these too, but
-        # only once train_toy is under way
+        # like the rest; a value the layers, optimizer or diagnostics also take
+        # is checked by their own check, here before train_toy starts
         for key, (attr, check) in _FIELDS.items():
             object.__setattr__(self, attr, check(key, getattr(self, attr)))
 
@@ -115,21 +118,9 @@ class TrainConfig:
         return cls(**kwargs)
 
 
-def _scheme(name, value):
-    if value not in SCHEMES:
-        raise UnsupportedScheme(f"unknown {name} {value!r}; known: {SCHEMES}")
-    return value
-
-
 def _task(name, value):
     if value not in TASKS:
         raise InvalidParam(f"unknown {name} {value!r}; known: {TASKS}")
-    return value
-
-
-def _granularity(name, value):
-    if not isinstance(value, Granularity):
-        raise InvalidParam(f"{name} must be a Granularity, got {value!r}")
     return value
 
 
@@ -140,38 +131,23 @@ def _widths(name, value):
     return widths
 
 
-def _real_where(rule, holds):
-    """Check of a real field: its float, or InvalidParam when ``holds`` is false for it."""
-
-    def check(name, value):
-        value = _real(name, value)
-        if not holds(value):
-            raise InvalidParam(f"{name} must be {rule}, got {value}")
-        return value
-
-    return check
-
-
 #: Config dict key -> (``TrainConfig`` attribute, check), in the order ``to_dict``
 #: writes them. A check takes the key and the given value and returns the value
 #: to store, or raises naming the key.
 _FIELDS = {
     "scheme": ("scheme", _scheme),
     "granularity": ("granularity", _granularity),
-    "lambda": ("lam", _real_where("finite", np.isfinite)),
-    "epsilon": ("epsilon", _real_where("finite and >= 0", lambda v: np.isfinite(v) and v >= 0)),
+    "lambda": ("lam", _lam),
+    "epsilon": ("epsilon", _epsilon),
     "seed": ("seed", partial(_count, minimum=0)),
     "steps": ("steps", partial(_count, minimum=0)),
     "batch_size": ("batch_size", partial(_count, minimum=1)),
     "widths": ("widths", _widths),
     "task": ("task", _task),
-    "learning_rate": (
-        "learning_rate",
-        _real_where("finite and > 0", lambda v: np.isfinite(v) and v > 0),
-    ),
+    "learning_rate": ("learning_rate", _learning_rate),
     "snapshot_every": ("snapshot_every", partial(_count, minimum=1)),
     "history_window": ("history_window", partial(_count, minimum=2)),
-    "boundary_band": ("boundary_band", _real_where("in (0, 1)", lambda v: 0.0 < v < 1.0)),
+    "boundary_band": ("boundary_band", _band),
     "histogram_bins": ("histogram_bins", partial(_count, minimum=2)),
 }
 
@@ -221,7 +197,6 @@ class QuantMlp:
 
     def __init__(self, layers):
         self.layers = layers
-        self._activations = None
 
     @classmethod
     def create(cls, weight_list, scheme, granularity, *, lam, epsilon):
@@ -232,29 +207,22 @@ class QuantMlp:
         return cls(layers)
 
     def forward(self, x):
-        acts = []
-        h = x
-        for i, layer in enumerate(self.layers):
-            z = layer.forward(h)
-            if i < len(self.layers) - 1:
-                h = np.tanh(z)
-                acts.append(h)
-            else:
-                h = z
-        self._activations = acts
+        h = self.layers[0].forward(x)
+        for layer in self.layers[1:]:
+            h = layer.forward(np.tanh(h))
         return h
 
     def backward(self, g):
         """Chain rule through the recorded forward; returns grads per parameter."""
         grads = {}
         for i in range(len(self.layers) - 1, -1, -1):
+            cache = self.layers[i].cache
             grad_x, layer_grads = self.layers[i].backward(g)
             for name, value in layer_grads.items():
                 grads[f"layer{i}.{name}"] = value
             if i > 0:
-                a = self._activations[i - 1]
+                a = cache.x  # the tanh output below, recorded as this layer's input
                 g = grad_x * (1.0 - a * a)
-        self._activations = None
         return grads
 
     def params(self):
@@ -329,11 +297,6 @@ class _CharLmTask:
             x[np.arange(self.batch_size), cols] = 1.0
         return x, self.ids[pos]
 
-    def _softmax(self, logits):
-        z = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
-
     def loss(self, logits, targets):
         z = logits - logits.max(axis=1, keepdims=True)
         log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -341,7 +304,8 @@ class _CharLmTask:
         return float(-picked.mean())
 
     def loss_grad(self, logits, targets):
-        probs = self._softmax(logits)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
         probs[np.arange(len(targets)), targets] -= 1.0
         return probs / len(targets)
 

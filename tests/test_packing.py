@@ -240,6 +240,29 @@ def test_pack_model_input_checks():
     assert layer.bias.tobytes() == pack_model([(q, w, mask)], LAM).layers[0].bias.tobytes()
 
 
+def sections_of_sizes(index, signs, scales, biases):
+    u8, f4 = np.uint8, np.float32
+    return np.zeros(index, u8), np.zeros(signs, u8), np.ones(scales, f4), np.zeros(biases, f4)
+
+
+@pytest.mark.parametrize(
+    "rows,cols,group_size,sizes,section",
+    [
+        # 10 triples: 5 index bytes and 2 sign bytes
+        (1, 30, 0, (5, 0, 1, 1), "sign_bytes"),
+        (1, 30, 0, (4, 2, 1, 1), "index_bytes"),
+        (1, 30, 0, (6, 2, 1, 1), "index_bytes"),
+        (1, 3, 0, (1, 1, 2, 1), "scales"),
+        # per-group 3 over 7 columns: 3 groups a row
+        (2, 7, 3, (3, 1, 3, 2), "scales"),
+        (2, 7, 7, (3, 1, 2, 1), "bias"),
+    ],
+)
+def test_layer_sections_must_fit_its_shape(rows, cols, group_size, sizes, section):
+    with pytest.raises(InvalidShape, match=section):
+        PackedLayer(rows, cols, group_size, *sections_of_sizes(*sizes))
+
+
 def test_non_float32_values_rejected():
     # finite in float64 but not in float32 (largest float32 is about 3.4e38)
     w = np.array([[0.5, -1.0, 0.0], [0.25, 0.0, -2.0]])

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from tqla import Granularity, dequantize, tequila_bias
-from tqla.errors import CacheError, GradientError, InvalidShape, UnsupportedScheme
+from tqla.errors import CacheError, GradientError, InvalidParam, InvalidShape, UnsupportedScheme
 from tqla.qat import SCHEMES, OptimizerState, QuantLinearLayer, optimizer_step
 
 PT = Granularity("per-tensor")
@@ -579,6 +579,18 @@ class TestOptimizer:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidShape):
             optimizer_step({"w": np.ones(3)}, {"w": np.ones(4)}, OptimizerState())
+
+    @pytest.mark.parametrize(
+        "learning_rate", [True, np.bool_(True), "x", "0.1", None, np.nan, np.inf, -np.inf, 0.0, -1.0]
+    )
+    def test_bad_learning_rate_rejected(self, learning_rate):
+        with pytest.raises(InvalidParam, match="learning_rate"):
+            OptimizerState(learning_rate=learning_rate)
+
+    @pytest.mark.parametrize("learning_rate", [np.float32(0.5), np.float64(0.5), 1])
+    def test_learning_rate_stored_as_float(self, learning_rate):
+        state = OptimizerState(learning_rate)
+        assert type(state.learning_rate) is float and state.learning_rate == learning_rate
 
     def test_missing_gradient_rejected_without_mutation(self):
         p = {"w": np.array([1.0]), "b": np.array([2.0])}

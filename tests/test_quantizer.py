@@ -62,6 +62,17 @@ class TestGranularity:
         assert g == Granularity("per-group", 5)
         assert json.dumps(g.to_dict()) == '{"kind": "per-group", "group_size": 5}'
 
+    @pytest.mark.parametrize("granularity", ["per-group", None, {"kind": "per-tensor"}])
+    def test_granularity_must_be_a_granularity(self, granularity):
+        w = np.ones((2, 3))
+        with pytest.raises(InvalidParam, match="granularity"):
+            quantize(w, "absmean", granularity)
+        with pytest.raises(InvalidParam, match="granularity"):
+            QuantLinearLayer.create(w, "absmean", granularity)
+        with pytest.raises(InvalidParam, match="granularity"):
+            GroupLayout(granularity, 2, 3)
+
+
 class TestAbsmeanParams:
     def test_hand_example(self):
         assert absmean_params([0.4, -0.2, 0.1, -0.9]) == (0.4, 0.2)
@@ -78,6 +89,39 @@ class TestAbsmeanParams:
     def test_empty_raises(self):
         with pytest.raises(InvalidShape):
             absmean_params([])
+
+
+#: scheme -> (estimator, its scalar oracle)
+ESTIMATORS = {
+    "absmean": (absmean_params, oracles.absmean_params_scalar),
+    "twn": (twn_params, oracles.twn_params_scalar),
+}
+
+
+@pytest.mark.parametrize("scheme", list(ESTIMATORS))
+class TestEstimatorsArePerTensorQuantize:
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5), (2, 3, 4)])
+    def test_any_shape_is_one_group(self, scheme, shape):
+        estimator, scalar = ESTIMATORS[scheme]
+        w = np.random.default_rng(len(shape)).standard_normal(shape)
+        q = quantize(np.reshape(w, (1, -1)), scheme, PT)
+        alpha, delta = estimator(w)
+        assert type(alpha) is float and type(delta) is float
+        assert (alpha, delta) == (q.scales[0], q.thresholds[0])
+        assert (alpha, delta) == scalar(np.ravel(w).tolist())
+
+    @pytest.mark.parametrize("empty", [np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0, 4))])
+    def test_empty_raises(self, scheme, empty):
+        with pytest.raises(InvalidShape):
+            ESTIMATORS[scheme][0](empty)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, scheme, bad):
+        estimator = ESTIMATORS[scheme][0]
+        with pytest.raises(InvalidParam):
+            estimator(bad)
+        with pytest.raises(InvalidParam):
+            estimator([[0.5, bad], [1.0, -2.0]])
 
 
 class TestTwnParams:

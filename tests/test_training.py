@@ -14,10 +14,10 @@ import json
 import numpy as np
 import pytest
 
-from tqla.errors import InvalidParam
+from tqla.errors import CacheError, InvalidParam, UnsupportedScheme
 from tqla.qat import SCHEMES
 from tqla.quantizer import Granularity
-from tqla.training import TASKS, TrainConfig, train_toy
+from tqla.training import TASKS, QuantMlp, TrainConfig, train_toy
 
 GRANULARITIES = {
     "per-group-5": Granularity("per-group", 5),
@@ -171,6 +171,28 @@ def test_malformed_granularity_dict_rejected(value):
     d["granularity"] = value
     with pytest.raises(InvalidParam, match="granularity"):
         TrainConfig.from_dict(d)
+
+
+def test_unknown_scheme_rejected():
+    with pytest.raises(UnsupportedScheme, match="unknown scheme 'binary'"):
+        TrainConfig(scheme="binary")
+    d = tiny_config("synthetic-regression", "per-tensor", "absmean").to_dict()
+    d["scheme"] = "binary"
+    with pytest.raises(UnsupportedScheme, match="unknown scheme 'binary'"):
+        TrainConfig.from_dict(d)
+
+
+def test_mlp_backward_needs_a_recorded_forward():
+    rng = np.random.default_rng(7)
+    weights = [rng.standard_normal((4, 3)), rng.standard_normal((2, 4))]
+    mlp = QuantMlp.create(weights, "tequila", Granularity("per-tensor"), lam=0.1, epsilon=0.0)
+    g = np.ones((5, 2))
+    with pytest.raises(CacheError):
+        mlp.backward(g)
+    mlp.forward(rng.standard_normal((5, 3)))
+    assert set(mlp.backward(g)) == {"layer0.w", "layer1.w"}
+    with pytest.raises(CacheError):
+        mlp.backward(g)
 
 
 #: Config dict key of each ``TrainConfig`` attribute whose name differs.
