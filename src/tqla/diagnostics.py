@@ -3,9 +3,10 @@
 Quantifies how weights behave around the quantization deadzone during
 training: occupancy of the deadzone, mass accumulated near its boundary,
 and how often ternary codes flip between snapshots. A snapshot makes one
-pass per layer: the pair is validated and its thresholds expanded once,
-and every metric is read from that pass. Snapshot rows export to CSV (one
-row per snapshot) and JSON (full histograms); both round-trip losslessly.
+pass per layer: the pair is validated once, the group thresholds are
+broadcast over the weights, and every metric is read from that pass.
+Snapshot rows export to CSV (one row per snapshot) and JSON (full
+histograms); both round-trip losslessly.
 
 Histograms bin w / threshold over [-3, 3] with ``np.linspace(-3, 3, bins + 1)``
 edges. Every bin is half-open, ``[lo, hi)``, except the last, which is closed.
@@ -175,32 +176,30 @@ _band = _real_where("in (0, 1)", lambda v: 0.0 < v < 1.0)
 def _layer_stats(w, q: QuantizedTensor, band=DEFAULT_BAND, bins=DEFAULT_BINS):
     """(size, deadzone fraction, boundary fraction, histogram) of one layer.
 
-    The pair is validated and its thresholds expanded once for all three.
+    The pair is validated once for all three; the thresholds are broadcast over the weights.
     """
     band = _band("band", band)
     bins = _count("bins", bins, 2)
     w = _as_matrix(w)
     if w.shape != q.codes.shape:
         raise InvalidShape(f"weights {w.shape} do not match codes {q.codes.shape}")
-    expand = q.layout.expand
-    thr = expand(q.thresholds)
+    apply, thr = q.layout.apply, q.thresholds
     a = np.abs(w)
-    dead = np.count_nonzero(a < thr)
-    # expanding the per-group products gives the bits of multiplying the expansion
-    lo = expand((1.0 - band) * q.thresholds)
-    hi = expand((1.0 + band) * q.thresholds)
-    near = np.count_nonzero((a >= lo) & (a <= hi))
-    normalized = not (q.thresholds == 0).all()
-    if (q.thresholds > 0).all():
-        values = w / thr
+    dead = np.count_nonzero(apply(np.less, a, thr))
+    # the per-group products give the bits of multiplying each element's threshold
+    near = apply(np.greater_equal, a, (1.0 - band) * thr)
+    near &= apply(np.less_equal, a, (1.0 + band) * thr)
+    normalized = not (thr == 0).all()
+    if (thr > 0).all():
+        values = apply(np.divide, w, thr)
     elif normalized:
-        values = _normalized_values(w, thr)
+        values = _normalized_values(w, q.layout.expand(thr))
     else:
         values = w.copy()  # w may be the caller's array; it is clipped in place
     np.clip(values, -HISTOGRAM_RANGE, HISTOGRAM_RANGE, out=values)
     counts, edges = _bin_counts(values, bins)
     hist = Histogram(bin_edges=edges, counts=counts, normalized=normalized)
-    return w.size, dead / w.size, near / w.size, hist
+    return w.size, dead / w.size, np.count_nonzero(near) / w.size, hist
 
 
 def deadzone_fraction(w, q: QuantizedTensor) -> float:

@@ -53,6 +53,7 @@ from .quantizer import (
     Granularity,
     QuantizedTensor,
     _as_matrix,
+    _count,
     _real,
     _tequila_bias,
 )
@@ -141,7 +142,10 @@ def _section_sizes(rows: int, cols: int, group_size: int) -> tuple[int, int, int
 class PackedLayer:
     """One layer in deployment form: packed codes, scales, frozen bias.
 
-    A section whose size does not fit the shape raises InvalidShape naming it.
+    The header fields are u32 counts, as ``read_packed`` reads them: ``rows``
+    and ``cols`` at least 1 and ``group_size`` at least 0; any other value
+    raises InvalidParam naming the field. A section whose size does not fit
+    the shape raises InvalidShape naming it.
     """
 
     rows: int
@@ -153,6 +157,11 @@ class PackedLayer:
     bias: np.ndarray  # float32, one per row
 
     def __post_init__(self):
+        for name, minimum in (("rows", 1), ("cols", 1), ("group_size", 0)):
+            value = _count(name, getattr(self, name), minimum)
+            if value >= 2**32:
+                raise InvalidParam(f"{name} must fit in a u32, got {value}")
+            setattr(self, name, value)
         sizes = _section_sizes(self.rows, self.cols, self.group_size)
         got = (self.index_bytes.size, self.sign_bytes.size, self.scales.size, self.bias.size)
         for name, size, n in zip(("index_bytes", "sign_bytes", "scales", "bias"), sizes, got):

@@ -34,11 +34,12 @@ the learnable slots hold codes and deadzone membership fixed:
   b_g (seq)           alpha_g * sum over the group's dead positions of e
 
 Data flow of one layer step. The forward builds one quantized view of the
-shadow weights on the layer's own layout: from one ``|w|`` and one threshold
-expand it gets the codes and the bool deadzone mask, and it records them in
-the layer's public ``cache`` (a ``ForwardCache``). The backward and the trap
-snapshot read that view instead of quantizing again; the backward expands
-the group scales once, uses them for both ``e * alpha`` and ``w_q``, and
+shadow weights on the layer's own layout: from one set of compares of
+``w`` with the group thresholds it gets the codes and the bool deadzone
+mask, and it records them in the layer's public ``cache`` (a
+``ForwardCache``). The backward and the trap snapshot read that view
+instead of quantizing again; the backward broadcasts the group scales
+into ``e * alpha`` and ``w_q`` without expanding them, and
 clears ``cache``. The hot path does not re-check the shadow weights:
 ``QuantLinearLayer.create`` validates them and ``optimizer_step`` only
 commits finite values. An MLP reads each layer's recorded input ``cache.x``
@@ -167,7 +168,7 @@ class ForwardCache:
     bool deadzone ``mask`` come from the same ternarizer pass; the trap
     snapshot reads ``quantized`` as well. Besides them only the input and a
     copy of b are kept: no per-element float64 array is held between
-    forward and backward, and the backward expands the scales once.
+    forward and backward.
     """
 
     x: np.ndarray
@@ -277,13 +278,13 @@ class QuantLinearLayer:
         entry = self._entry()
         x, q, mask = cache.x, cache.quantized, cache.mask
         e = g.T @ x
-        scales = q.element_scales()
-        grads = {"w": np.where(mask, entry.dead_grad(self, e, g, x), e * scales)}
+        live = q.layout.apply(np.multiply, e, q.scales)
+        grads = {"w": np.where(mask, entry.dead_grad(self, e, g, x), live)}
         if "alpha" in entry.learnable:
             grads["alpha"] = q.layout.reduce_sum(e * q.codes)
         if "b" in entry.learnable:
             grads["b"] = entry.grad_b(e, q, mask)
-        grad_x = g @ (q.codes * scales)
+        grad_x = g @ dequantize(q)
         if entry.coupling is not None:
             grad_x = grad_x + g @ entry.coupling(q, mask, cache.learnable_b)
         return grad_x, grads

@@ -14,12 +14,22 @@ of a contiguous block adds one row of the block at a time, so every output
 is still a strict left-to-right sum while the additions run across many
 runs at once. Its docstring lists the two cases in which that reduce would
 not match the scalar loop, and what is done about each.
+
+For a ``w`` larger than one such block no step builds a float64 matrix of
+its size: the summed terms (``|w|``, or the weights a mask selects) are
+formed block by block on their way into the buffer; per-group thresholds
+and scales reach the elements by broadcasting (``GroupLayout.apply``), not
+by an expanded copy; and the deadzone ``|w| < delta`` is read from the
+compares ``w >= delta`` and ``w <= -delta`` that also give the codes. A
+smaller ``w`` is compared against one expansion of its thresholds, which
+stays in cache.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -98,36 +108,72 @@ class GroupLayout:
         self.lens = np.array([self.size] * full + [tail] * (tail > 0), dtype=np.int64)
         self.groups_per_row = len(self.lens)
         self.n_groups = self.view[0] * self.groups_per_row
+        self._cut = full * self.size  # view columns in full runs; a tail follows when < width
+        self._runs = (self.view[0], full, self.size)
 
-    def expand(self, per_group: np.ndarray) -> np.ndarray:
-        """Broadcast one value per group to a full (rows, cols) matrix."""
+    def _table(self, per_group) -> np.ndarray:
+        """One value per group as a (view rows, groups per row) table."""
         per_group = np.asarray(per_group)
         if per_group.shape != (self.n_groups,):
             raise InvalidShape(
                 f"expected {self.n_groups} per-group values, got shape {per_group.shape}"
             )
-        table = per_group.reshape(self.view[0], self.groups_per_row)
-        return np.repeat(table, self.lens, axis=1).reshape(self.rows, self.cols)
+        return per_group.reshape(self.view[0], self.groups_per_row)
 
-    def _reduce(self, elem: np.ndarray, run_sums) -> np.ndarray:
-        """Apply ``run_sums`` (sums along the last axis) to every group's run."""
+    def _views(self, elem: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """(full runs as (view rows, full, size), tail as (view rows, 1, tail) or None)."""
         if elem.shape != (self.rows, self.cols):
             raise InvalidShape(f"expected {(self.rows, self.cols)}, got {elem.shape}")
         v = elem.reshape(self.view)
-        full = self.view[1] // self.size
-        cut = full * self.size
-        sums = run_sums(v[:, :cut].reshape(self.view[0], full, self.size))
-        if cut < self.view[1]:
-            sums = np.concatenate([sums, run_sums(v[:, None, cut:])], axis=1)
+        cut = self._cut
+        return v[:, :cut].reshape(self._runs), (v[:, None, cut:] if cut < self.view[1] else None)
+
+    def expand(self, per_group: np.ndarray) -> np.ndarray:
+        """Broadcast one value per group to a full (rows, cols) matrix."""
+        return np.repeat(self._table(per_group), self.lens, axis=1).reshape(self.rows, self.cols)
+
+    def apply(self, op: np.ufunc, elem: np.ndarray, per_group, out=None) -> np.ndarray:
+        """``op(elem, self.expand(per_group), out=out)`` for a binary ufunc, without the expansion.
+
+        The table of group values broadcasts over the full runs of the view
+        and its last column over the tail, so every element meets the same
+        value as in the expanded matrix and the result is identical. ``out``,
+        when given, is a (rows, cols) array for the result; it may be ``elem``.
+        """
+        table = self._table(per_group)[:, :, None]
+        runs, tail = self._views(elem)
+        if out is None:
+            if tail is None:
+                return op(runs, table).reshape(self.rows, self.cols)
+            dtype = op(elem[:0, :0], table[:0, 0]).dtype  # an empty call picks the loop
+            out = np.empty((self.rows, self.cols), dtype=dtype)
+        out_runs, out_tail = self._views(out)
+        full = self._runs[1]
+        op(runs, table[:, :full], out=out_runs)
+        if tail is not None:
+            op(tail, table[:, full:], out=out_tail)
+        return out
+
+    def _reduce(self, run_sums, *elems: np.ndarray) -> np.ndarray:
+        """Apply ``run_sums`` (sums along the last axis) to every group's run of ``elems``."""
+        runs, tails = zip(*(self._views(e) for e in elems))
+        sums = run_sums(*runs)
+        if tails[0] is not None:
+            sums = np.concatenate([sums, run_sums(*tails)], axis=1)
         return sums.reshape(-1)
 
     def reduce_sum(self, elem: np.ndarray) -> np.ndarray:
         """Sum a (rows, cols) matrix over each group; returns (n_groups,)."""
-        return self._reduce(elem, lambda runs: runs.sum(axis=-1))
+        return self._reduce(lambda runs: runs.sum(axis=-1), elem)
 
-    def _seq_group_sums(self, elem: np.ndarray) -> np.ndarray:
-        """Left-to-right sequential group sums, matching a scalar loop exactly."""
-        return self._reduce(elem, _sequential_sums)
+    def _seq_group_sums(self, elem, mask=None, magnitude=False) -> np.ndarray:
+        """Left-to-right sequential group sums, matching a scalar loop exactly.
+
+        The summed terms are those of ``_sequential_sums``: ``elem``, or
+        ``|elem|`` with ``magnitude``, where the bool ``mask`` is set.
+        """
+        arrays = (elem,) if mask is None else (elem, mask)
+        return self._reduce(partial(_sequential_sums, magnitude=magnitude), *arrays)
 
 
 @dataclass
@@ -217,43 +263,73 @@ _lam = _real_where("finite", np.isfinite)
 _SUM_BLOCK = 1 << 16
 
 
-def _sequential_sums(a: np.ndarray) -> np.ndarray:
+def _sequential_sums(a: np.ndarray, mask=None, magnitude=False) -> np.ndarray:
     """Strict left-to-right sums along the last axis, bit for bit.
 
-    Each sum is that of a scalar loop starting from the run's first element
-    (not from 0.0, so a run of -0.0 sums to -0.0). ``a`` has at least two
-    axes. Blocks of about ``_SUM_BLOCK`` elements,
+    The summed terms are ``a``, or ``|a|`` with ``magnitude``, where the bool
+    ``mask`` (of ``a``'s shape) is set, and +0.0 where it is clear: the
+    result equals ``np.add.accumulate(np.where(mask, t, 0.0), axis=-1)[..., -1]``
+    with ``t`` those terms. Each sum is that of a scalar loop starting from
+    the run's first term (not from 0.0, so a run of -0.0 sums to -0.0).
+    ``a`` has at least two axes. Blocks of about ``_SUM_BLOCK`` elements,
     whole indices of the first axis at a time, are copied with all axes
     reversed into one reused contiguous buffer, so the summed axis comes
-    first; ``np.add.reduce`` over it then adds the buffer's rows one after
-    another, each output a left-to-right sum. Two guards keep the result
-    equal to ``np.add.accumulate(a, axis=-1)[..., -1]``:
+    first; the terms are formed on the way (a masked block is first
+    multiplied by its mask into a second block-sized buffer, and ``np.abs``
+    runs in place after the copy), and ``np.add.reduce`` over the buffer
+    then adds its rows one after another, each output a left-to-right sum.
+    Two guards keep the result exact:
 
     - A block holding a single run reduces as a 1-D array, which numpy sums
       pairwise; such a run (a row wider than half a block, or a short last
-      block) goes through ``np.add.accumulate`` instead.
+      block) is summed with ``np.add.accumulate`` instead, one buffer-sized
+      chunk at a time, each chunk's first term adding the total so far.
     - ``add.reduce`` starts from +0.0, so a run made only of -0.0 sums to
-      +0.0 where the scalar loop gives -0.0. Any other run sums to the same
-      value either way, since adding a signed zero changes nothing once the
-      partial sum differs from zero; the outputs that are zero are
-      recomputed with ``np.add.accumulate``.
+      +0.0 where the scalar loop gives -0.0; and the mask multiply leaves
+      -0.0, not +0.0, for a clear negative term. Signed zero terms change a
+      left-to-right sum only while it is zero, so only the outputs that are
+      zero can differ: they are recomputed with ``np.add.accumulate`` over
+      the ``np.where`` form of their runs. Magnitudes hold no -0.0, so with
+      ``magnitude`` every zero output is already +0.0 and none is redone.
     """
     n = a.shape[-1]
     per_index = a[0].size
     step = max(1, _SUM_BLOCK // per_index)
     out = np.empty(a.shape[:-1], dtype=a.dtype)
-    buf = np.empty(min(step, a.shape[0]) * per_index, dtype=a.dtype)
+    size = min(step, a.shape[0]) * per_index
+    if per_index == n:  # every block of one index is a single run, summed in chunks
+        size = min(size, _SUM_BLOCK)
+    buf = np.empty(size, dtype=a.dtype)
+    masked = None if mask is None else np.empty(size, dtype=a.dtype)
+
+    def terms(part):
+        """Block ``part(a)``'s terms, selected by ``part(mask)``, in ``buf``, axes reversed."""
+        src = part(a)
+        if mask is not None:
+            src = np.multiply(src, part(mask), out=masked[: src.size].reshape(src.shape))
+        t = buf[: src.size].reshape(src.shape[::-1])
+        np.copyto(t, src.T)
+        if magnitude:
+            np.abs(t, out=t)
+        return t
+
     for i in range(0, a.shape[0], step):
         block = a[i : i + step]
         if block.size == n:
-            out[i] = np.add.accumulate(block.reshape(n))[-1]
+            for j in range(0, n, size):
+                t = terms(lambda x: x[i].reshape(n)[j : j + size])
+                if j:
+                    t[0] += total
+                total = np.add.accumulate(t, out=t)[-1]
+            out[i] = total
             continue
-        t = buf[: block.size].reshape(block.shape[::-1])
-        np.copyto(t, block.T)
+        t = terms(lambda x: x[i : i + step])
         np.add.reduce(t, axis=0, out=out[i : i + step].T)
-    zero = out == 0.0
-    if zero.any():
-        out[zero] = np.add.accumulate(a[zero], axis=-1)[:, -1]
+    if not magnitude:
+        zero = out == 0.0
+        if zero.any():
+            runs = a[zero] if mask is None else np.where(mask[zero], a[zero], 0.0)
+            out[zero] = np.add.accumulate(runs, axis=-1)[:, -1]
     return out
 
 
@@ -295,33 +371,52 @@ def ternarize(w, delta: float) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if not np.isfinite(w).all():
         raise InvalidParam("weights contain NaN or Inf")
-    return _ternarize_elementwise(w, delta, np.abs(w) < delta)
+    return _ternary(w >= delta, np.abs(w) >= delta)[0]
 
 
-def _ternarize_elementwise(w: np.ndarray, delta, dead: np.ndarray) -> np.ndarray:
-    """Ternarize with a scalar or per-element threshold (no validation).
+def _sides(w: np.ndarray, layout: GroupLayout, deltas) -> tuple[np.ndarray, np.ndarray]:
+    """(``w >= delta``, ``|w| >= delta``) with each element's group threshold.
 
-    ``dead`` is the deadzone mask ``|w| < delta``. Branches top-down like
-    ``ternarize``: ``w >= delta`` -> +1, then ``dead`` -> 0, else -1; so at
-    ``delta == 0`` both zeros give +1, and NaN gives -1.
+    ``w`` is finite and every delta >= 0 or +inf. A matrix larger than one
+    ``_SUM_BLOCK`` is compared by broadcasting, with ``|w| >= delta`` read
+    as ``w >= delta or w <= -delta``, so that it holds no float64 matrix of
+    its size. A smaller one is compared against one expansion of the
+    thresholds and its ``|w|``: both stay in cache, where numpy's
+    contiguous compares beat broadcasts over short group runs. Both give
+    the same bits.
     """
-    pos = w >= delta
-    neg = pos | dead
-    np.logical_not(neg, out=neg)
-    return np.subtract(pos.view(np.int8), neg.view(np.int8))
+    if w.size > _SUM_BLOCK:
+        pos = layout.apply(np.greater_equal, w, deltas)
+        live = layout.apply(np.less_equal, w, -deltas)
+        return pos, np.logical_or(live, pos, out=live)
+    thr = layout.expand(deltas)
+    return w >= thr, np.abs(w) >= thr
 
 
-def _group_params(a: np.ndarray, scheme: str, layout: GroupLayout):
-    """Per-group (alpha, delta) arrays for a static scheme, from ``a = |w|``."""
+def _ternary(pos: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(int8 codes, bool deadzone mask) of the top-down ternarizer; consumes both.
+
+    ``pos`` is ``w >= delta`` and ``live`` is ``|w| >= delta``: +1 where
+    ``pos``, -1 where ``live`` but not ``pos``, 0 (the deadzone) elsewhere.
+    So at delta == 0 a zero weight takes the first branch (+1).
+    """
+    neg = np.logical_xor(live, pos)  # pos implies live
+    codes = pos.view(np.int8)
+    np.subtract(codes, neg.view(np.int8), out=codes)
+    return codes, np.logical_not(live, out=live)
+
+
+def _group_params(w: np.ndarray, scheme: str, layout: GroupLayout):
+    """Per-group (alpha, delta) arrays for a static scheme."""
     counts = np.tile(layout.lens.astype(np.float64), layout.view[0])
-    means = layout._seq_group_sums(a) / counts
+    means = layout._seq_group_sums(w, magnitude=True) / counts
     if scheme == "absmean":
         return means, means / 2.0
-    # twn: threshold first, then the mean of |w| over the kept elements
+    # twn: threshold first, then the mean of |w| over the kept elements (|w| >= delta)
     deltas = 0.75 * means
-    keep = a >= layout.expand(deltas)
-    kept_totals = layout._seq_group_sums(a * keep)  # a >= +0.0: same as np.where
-    kept_counts = layout.reduce_sum(keep.astype(np.float64))
+    keep = _sides(w, layout, deltas)[1]
+    kept_totals = layout._seq_group_sums(w, keep, magnitude=True)
+    kept_counts = layout.reduce_sum(keep)
     alphas = np.divide(
         kept_totals, kept_counts, out=np.zeros_like(kept_totals), where=kept_counts > 0
     )
@@ -348,16 +443,12 @@ def _quantized_view(w: np.ndarray, scheme: str, layout: GroupLayout, params=None
 
     ``params`` gives the per-group (alpha, delta) instead of the ``scheme``
     estimator. Returns ``(tensor, mask)``: the bool mask ``|w| < delta`` is
-    the ternarizer's zero branch, so it comes from the same ``|w|`` and the
-    same threshold expand as the codes. Only groups with alpha == 0 are
-    expanded a second time, to force their codes to zero. The tensor owns
-    ``layout``.
+    the ternarizer's zero branch, so it comes from the same compares as the
+    codes. Groups with alpha == 0 have their codes forced to zero. The
+    tensor owns ``layout``.
     """
-    a = np.abs(w)
-    alphas, deltas = _group_params(a, scheme, layout) if params is None else params
-    thresholds = layout.expand(deltas)
-    dead = a < thresholds
-    codes = _ternarize_elementwise(w, thresholds, dead)
+    alphas, deltas = _group_params(w, scheme, layout) if params is None else params
+    codes, dead = _ternary(*_sides(w, layout, deltas))
     degenerate = alphas == 0.0
     if degenerate.any():
         codes[layout.expand(degenerate)] = 0
@@ -366,15 +457,25 @@ def _quantized_view(w: np.ndarray, scheme: str, layout: GroupLayout, params=None
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
     """Reconstruct the quantized weights: element = code * group scale."""
-    return q.codes.astype(np.float64) * q.element_scales()
+    w_q = q.codes.astype(np.float64)
+    return q.layout.apply(np.multiply, w_q, q.scales, out=w_q)
 
 
 def deadzone_mask(w, q: QuantizedTensor) -> np.ndarray:
-    """Bool mask of elements with |w| strictly below their group threshold."""
+    """Bool mask of elements with |w| strictly below their group threshold.
+
+    Every threshold must be >= 0 (+inf included), as ``quantize`` makes
+    them; a NaN or negative one raises InvalidThreshold.
+    """
     w = _as_matrix(w)
     if w.shape != q.codes.shape:
         raise InvalidShape(f"weights {w.shape} do not match codes {q.codes.shape}")
-    return np.abs(w) < q.element_thresholds()
+    thresholds = np.asarray(q.thresholds)
+    if not (thresholds >= 0).all():
+        bad = thresholds[~(thresholds >= 0)][0]
+        raise InvalidThreshold(f"thresholds must be >= 0, got {bad}")
+    live = _sides(w, q.layout, thresholds)[1]
+    return np.logical_not(live, out=live)
 
 
 def tequila_bias(w, mask, lam: float) -> np.ndarray:
@@ -389,16 +490,7 @@ def tequila_bias(w, mask, lam: float) -> np.ndarray:
 def _tequila_bias(w: np.ndarray, dead: np.ndarray, lam: float) -> np.ndarray:
     """``tequila_bias`` without validation; ``w`` must be finite.
 
-    The sums are those of ``np.where(dead, w, 0.0)``, built faster from
-    ``w * dead`` (``dead`` is boolean). The two differ only where a live
-    negative weight leaves -0.0 in the product instead of +0.0, and signed
-    zero terms change a left-to-right sum only when that sum is zero. So
-    the rows that sum to zero are summed again in the ``np.where`` form,
-    which gives +0.0 for a row of live negative weights and -0.0 for a
-    deadzone holding only -0.0.
+    The sums are those of ``np.where(dead, w, 0.0)``, the selected weights
+    formed block by block inside ``_sequential_sums``.
     """
-    sums = _sequential_sums(w * dead)
-    zero = sums == 0.0
-    if zero.any():
-        sums[zero] = _sequential_sums(np.where(dead[zero], w[zero], 0.0))
-    return lam * sums
+    return lam * _sequential_sums(w, dead)

@@ -1,11 +1,12 @@
 import hashlib
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import pack_codes_scalar, unpack_codes_scalar
+from oracles import gemv_scalar, pack_codes_scalar, rel_err, unpack_codes_scalar
 
 from tqla import Granularity, deadzone_mask, quantize, tequila_bias
 from tqla.errors import FormatError, InvalidParam, InvalidShape
@@ -19,6 +20,7 @@ from tqla.packing import (
     read_packed,
     write_packed,
 )
+from tqla.quantizer import GroupLayout
 
 HEADER_BYTES = 16
 LAYER_HEADER_BYTES = 12
@@ -263,6 +265,22 @@ def test_layer_sections_must_fit_its_shape(rows, cols, group_size, sizes, sectio
         PackedLayer(rows, cols, group_size, *sections_of_sizes(*sizes))
 
 
+@pytest.mark.parametrize(
+    "rows,cols,group_size,field",
+    [
+        (0, 3, 0, "rows"),  # read_packed refuses a layer of no rows
+        (1, 0, 0, "cols"),
+        (1, 3, 2**33, "group_size"),  # does not fit the u32 header field
+        (1, 3, -1, "group_size"),
+        (2**32, 1, 0, "rows"),
+    ],
+)
+def test_header_fields_must_be_u32_counts(rows, cols, group_size, field):
+    # sections of a 1x3 per-tensor layer: only the header field is wrong
+    with pytest.raises(InvalidParam, match=field):
+        PackedLayer(rows, cols, group_size, *sections_of_sizes(1, 1, 1, 1))
+
+
 def test_non_float32_values_rejected():
     # finite in float64 but not in float32 (largest float32 is about 3.4e38)
     w = np.array([[0.5, -1.0, 0.0], [0.25, 0.0, -2.0]])
@@ -372,3 +390,76 @@ def test_truncation_and_trailing_bytes(tmp_path):
     assert "truncated" in expect_format_error(path, len(blob) - 4)
     path.write_bytes(blob + b"\0")
     assert "trailing" in expect_format_error(path, len(blob))
+
+
+@pytest.mark.parametrize("cols", [9, 10, 11], ids=lambda c: f"cols%3={c % 3}")
+@pytest.mark.parametrize(
+    "granularity",
+    [Granularity("per-tensor"), Granularity("per-channel"), Granularity("per-group", 4)],
+    ids=lambda g: g.kind,
+)
+def test_packed_forward_matches_scalar_gemv(tmp_path, granularity, cols):
+    # quantize, pack, write and read a layer, then run its forward from the
+    # file alone: float32 codes * scales, a float32 product and the bias
+    rng = np.random.default_rng(cols)
+    rows = 5
+    w = rng.standard_normal((rows, cols))
+    w[1, :4] = 0.0  # a degenerate group for per-group 4
+    q = quantize(w, "absmean", granularity)
+    path = tmp_path / "layer.tqla"
+    write_packed(pack_model([(q, w, deadzone_mask(w, q))], 0.05), path)
+    (layer,) = read_packed(path).layers
+    codes = layer.unpack_codes()[:, :cols]
+    scales = GroupLayout(granularity, rows, cols).expand(layer.scales)
+    assert scales.dtype == np.float32
+    for _ in range(4):
+        x = rng.standard_normal(cols).astype(np.float32)
+        y = (codes * scales) @ x + layer.bias
+        ref = gemv_scalar(
+            codes.tolist(),
+            layer.scales.tolist(),
+            layer.bias.tolist(),
+            x.tolist(),
+            granularity.kind,
+            granularity.group_size,
+        )
+        # float32 products and sums of at most 11 terms against float64
+        assert rel_err(y, ref) < 1e-5
+
+
+def _traced_peak(fn):
+    """Bytes ``fn()`` holds at its peak, as numpy reports them to tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "shape,granularity",
+    [
+        ((512, 500), Granularity("per-group", 128)),
+        ((500, 512), Granularity("per-channel")),
+        ((500, 512), Granularity("per-tensor")),  # one run, summed in buffer-sized chunks
+    ],
+    ids=lambda case: getattr(case, "kind", None),
+)
+def test_export_holds_no_full_size_float64_temporary(shape, granularity):
+    # quantize, deadzone_mask and pack_model form |w|, the thresholds and the
+    # deadzone sums block by block or by broadcasting; their peak, results
+    # included, stays below one float64 matrix of the weights' size
+    w = np.random.default_rng(0).standard_normal(shape)
+
+    def export():
+        q = quantize(w, "absmean", granularity)
+        pack_model([(q, w, deadzone_mask(w, q))], LAM)
+
+    export()
+    assert _traced_peak(export) < w.nbytes

@@ -20,7 +20,7 @@ from tqla.diagnostics import boundary_fraction
 from tqla.errors import InvalidParam, InvalidShape, InvalidThreshold, UnsupportedScheme
 from tqla.packing import pack_model
 from tqla.qat import QuantLinearLayer
-from tqla.quantizer import _SUM_BLOCK, GroupLayout, _sequential_sums, _ternarize_elementwise
+from tqla.quantizer import _SUM_BLOCK, GroupLayout, _sequential_sums, _sides, _ternary
 
 PT = Granularity("per-tensor")
 PC = Granularity("per-channel")
@@ -189,8 +189,9 @@ class TestTernarize:
         # per-element thresholds, as quantize passes them, with some exactly zero
         rng = np.random.default_rng(seed)
         thr = np.where(rng.random(w.size) < 0.5, 0.0, rng.uniform(0.0, 2.0, w.size))
-        codes = _ternarize_elementwise(w, thr, np.abs(w) < thr)
+        codes, dead = _ternary(w >= thr, np.abs(w) >= thr)
         assert codes.dtype == np.int8
+        assert dead.tolist() == (np.abs(w) < thr).tolist()
         assert codes.tolist() == [oracles.ternarize_scalar(v, d) for v, d in zip(values, thr)]
 
 
@@ -315,6 +316,23 @@ class TestDeadzoneMask:
         with pytest.raises(InvalidShape):
             deadzone_mask(np.ones((2, 5)), q)
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, -np.inf])
+    def test_nan_or_negative_threshold_rejected(self, bad):
+        # the mask is read from w >= t and w <= -t, which is |w| < t only
+        # for a threshold that is >= 0 (+inf included)
+        w = np.array([[1.0, -2.0, 0.1, 0.0], [0.5, 0.25, -0.75, 3.0]])
+        q = quantize(w, "absmean", PC)
+        q.thresholds[1] = bad
+        with pytest.raises(InvalidThreshold):
+            deadzone_mask(w, q)
+
+    def test_infinite_threshold_makes_the_group_dead(self):
+        w = np.array([[1.0, -2.0, 0.0], [0.5, -0.25, 0.75]])
+        q = quantize(w, "absmean", PC)
+        q.thresholds[0] = np.inf
+        q.thresholds[1] = 0.0
+        assert deadzone_mask(w, q).tolist() == [[True] * 3, [False] * 3]
+
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
@@ -403,6 +421,7 @@ SUM_BRANCH_SHAPES = [
     (150, 7, 128),  # 3-D group runs spanning several blocks
     (_SUM_BLOCK // 1000 + 1, 1, 1000),  # 3-D, last block a single run
     (1, 1, _SUM_BLOCK + 5),  # per-tensor view wider than a block
+    (2, 1, 3 * _SUM_BLOCK + 7),  # single runs of three full chunks and a short one
     (1, 1, 5),  # per-tensor view of a small matrix
     (3, 1),  # runs of one element
 ]
@@ -451,6 +470,25 @@ class TestSequentialSums:
         assert got.shape == ref.shape
         np.testing.assert_array_equal(_int_bits(got), _int_bits(ref))
 
+    @settings(max_examples=60, deadline=None)
+    @given(sum_inputs(), st.sampled_from([0.0, 0.3, 0.9, 1.0]), st.booleans(), st.integers(0, 99))
+    @example(np.full((3, 5), -0.0), 1.0, False, 0)
+    @example(np.full((1, 1, 3 * _SUM_BLOCK + 7), -0.0), 1.0, False, 0)
+    def test_terms_formed_in_the_buffer_match_accumulate(self, a, density, magnitude, seed):
+        # a density of 1.0 selects every term; clearing the mask over the
+        # first half of the runs leaves whole runs of +0.0 terms
+        rng = np.random.default_rng(seed)
+        mask = rng.random(a.shape) < density
+        if seed % 4 == 0:
+            mask[: a.shape[0] // 2] = False
+        terms = np.abs(a) if magnitude else a
+        ref = np.add.accumulate(np.where(mask, terms, 0.0), axis=-1)[..., -1]
+        got = _sequential_sums(a, mask, magnitude=magnitude)
+        np.testing.assert_array_equal(_int_bits(got), _int_bits(ref))
+        ref = np.add.accumulate(terms, axis=-1)[..., -1]
+        got = _sequential_sums(a, magnitude=magnitude)
+        np.testing.assert_array_equal(_int_bits(got), _int_bits(ref))
+
     @pytest.mark.parametrize("shape", SUM_BRANCH_SHAPES, ids=str)
     def test_branch_shapes_with_signed_zero_runs(self, shape):
         rng = np.random.default_rng(sum(shape))
@@ -459,6 +497,66 @@ class TestSequentialSums:
         a[1::4] = np.where(rng.random(a[1::4].shape) < 0.5, -0.0, 0.0)
         ref = np.add.accumulate(a, axis=-1)[..., -1]
         np.testing.assert_array_equal(_int_bits(_sequential_sums(a)), _int_bits(ref))
+
+
+BROADCAST_OPS = [np.multiply, np.divide, np.greater_equal, np.less_equal, np.less]
+
+
+def _layouts():
+    """Every layout of up to 4 rows and 8 columns: all kinds, tails and cols % 3."""
+    for rows in range(1, 5):
+        for cols in range(1, 9):
+            yield GroupLayout(PT, rows, cols)
+            yield GroupLayout(PC, rows, cols)
+            for size in range(1, cols + 2):
+                yield GroupLayout(Granularity("per-group", size), rows, cols)
+
+
+class TestGroupLayoutApply:
+    def test_matches_op_of_the_expansion_exhaustively(self):
+        rng = np.random.default_rng(11)
+        for layout in _layouts():
+            shape = (layout.rows, layout.cols)
+            elem = rng.standard_normal(shape)
+            elem[rng.random(shape) < 0.2] = -0.0
+            values = rng.uniform(0.1, 2.0, layout.n_groups)
+            values[rng.random(layout.n_groups) < 0.3] *= -1
+            for op in BROADCAST_OPS:
+                got = layout.apply(op, elem, values)
+                ref = op(elem, layout.expand(values))
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes(), (layout.view, layout.size, op)
+            codes = rng.integers(-1, 2, size=shape).astype(np.int8)
+            got = layout.apply(np.multiply, codes, values)
+            assert got.tobytes() == (codes * layout.expand(values)).tobytes()
+
+    @pytest.mark.parametrize("shape", [(13, 510), (130, 510)], ids=["cached", "broadcast"])
+    def test_sides_match_the_expanded_compares(self, shape):
+        # both sides of the _SUM_BLOCK switch, with weights exactly at +-delta,
+        # signed zeros, and groups whose threshold is zero or +inf
+        assert 13 * 510 <= _SUM_BLOCK < 130 * 510
+        layout = GroupLayout(Granularity("per-group", 128), *shape)
+        rng = np.random.default_rng(5)
+        deltas = rng.uniform(0.1, 1.0, layout.n_groups)
+        deltas[::7] = 0.0
+        deltas[3::11] = np.inf
+        thr = layout.expand(deltas)
+        w = rng.standard_normal(shape)
+        at = rng.random(shape)
+        w = np.where(at < 0.1, thr, np.where(at < 0.2, -thr, w))
+        w[~np.isfinite(w)] = 0.5
+        w[rng.random(shape) < 0.05] = -0.0
+        w[rng.random(shape) < 0.05] = 0.0
+        pos, live = _sides(w, layout, deltas)
+        assert pos.tolist() == (w >= thr).tolist()
+        assert live.tolist() == (np.abs(w) >= thr).tolist()
+
+    def test_shape_checks(self):
+        layout = GroupLayout(Granularity("per-group", 3), 2, 7)
+        with pytest.raises(InvalidShape):
+            layout.apply(np.multiply, np.ones((2, 7)), np.ones(5))
+        with pytest.raises(InvalidShape):
+            layout.apply(np.multiply, np.ones((7, 2)), np.ones(6))
 
 
 class TestInvariants:
