@@ -55,7 +55,10 @@ from .quantizer import (
     _as_matrix,
     _count,
     _real,
-    _tequila_bias,
+    _require_finite,
+    _row_ranges,
+    _run_shards,
+    _sequential_sums,
 )
 
 MAGIC = b"TQLA"
@@ -214,16 +217,42 @@ def _finite_float32(values, what: str) -> np.ndarray:
     return cast
 
 
-def _pack_layer(q: QuantizedTensor, bias: np.ndarray) -> PackedLayer:
-    index_bytes, sign_bytes = _encode(q.codes)
+def _pack_layer(
+    q: QuantizedTensor, shadow: np.ndarray, mask: np.ndarray, lam: float
+) -> PackedLayer:
+    """Encode ``q.codes`` and freeze ``lam`` times the masked row sums of ``shadow``.
+
+    Shards cut on multiples of 8 rows, so each one encodes whole index and
+    sign bytes. A non-finite shadow weight makes its row's masked sum
+    non-finite (NaN and Inf times a clear mask bit are NaN); only then is
+    ``shadow`` scanned, to tell it from finite weights whose sum overflows.
+    """
+    rows, cols = q.codes.shape
+    per_row = -(-cols // 3)
+    n_index, n_sign, _, _ = _section_sizes(rows, cols, 0)
+    index_bytes = np.empty(n_index, dtype=np.uint8)
+    sign_bytes = np.empty(n_sign, dtype=np.uint8)
+    sums = np.empty(rows)
+
+    def shard(lo, hi):
+        with np.errstate(invalid="ignore"):  # Inf times a clear mask bit
+            sums[lo:hi] = _sequential_sums(shadow[lo:hi], mask[lo:hi])
+        index, sign = _encode(q.codes[lo:hi])
+        start = lo * per_row  # triples before the shard, a multiple of 8
+        index_bytes[start // 2 : start // 2 + index.size] = index
+        sign_bytes[start // 8 : start // 8 + sign.size] = sign
+
+    _run_shards(shard, _row_ranges(rows, shadow.size, align=8))
+    if not np.isfinite(sums).all():
+        _require_finite(shadow)
     return PackedLayer(
-        rows=q.rows,
-        cols=q.cols,
-        group_size=_granularity_to_group_size(q.granularity, q.cols),
+        rows=rows,
+        cols=cols,
+        group_size=_granularity_to_group_size(q.granularity, cols),
         index_bytes=index_bytes,
         sign_bytes=sign_bytes,
         scales=_finite_float32(q.scales, "scale"),
-        bias=_finite_float32(bias, "bias"),
+        bias=_finite_float32(lam * sums, "bias"),
     )
 
 
@@ -242,11 +271,12 @@ def pack_model(layers, lam: float) -> PackedModel:
     _finite_float32(lam, "lambda")
     packed = []
     for q, shadow, mask in layers:
-        shadow = _as_matrix(shadow)
+        shadow = _as_matrix(shadow, scan=False)
         mask = np.asarray(mask, dtype=bool)
         if not shadow.shape == mask.shape == q.codes.shape:
+            _require_finite(shadow)  # a non-finite weight is reported first
             raise InvalidShape(f"shadow {shadow.shape}, mask {mask.shape}, codes {q.codes.shape}")
-        packed.append(_pack_layer(q, _tequila_bias(shadow, mask, lam)))
+        packed.append(_pack_layer(q, shadow, mask, lam))
     return PackedModel(lam=lam, layers=packed)
 
 

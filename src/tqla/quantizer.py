@@ -23,17 +23,41 @@ by an expanded copy; and the deadzone ``|w| < delta`` is read from the
 compares ``w >= delta`` and ``w <= -delta`` that also give the codes. A
 smaller ``w`` is compared against one expansion of its thresholds, which
 stays in cache.
+
+The three export calls, ``quantize``, ``deadzone_mask`` and
+``packing.pack_model``, split a large matrix into row ranges ("shards"),
+one per usable CPU, and run them at once on a small thread pool while the
+calling thread waits. numpy releases the GIL inside its ufunc, ``take``
+and reduce loops, so the shards do run in parallel. The split is exact: a per-group or per-channel
+group lies within one row, so a shard's sums, thresholds, codes and mask
+depend only on its own rows and are bit for bit those of one pass over the
+matrix, and ``pack_model`` cuts on multiples of 8 rows so that each shard
+encodes whole index and sign bytes. A per-tensor group spans every row, so
+``quantize`` and ``deadzone_mask`` keep such a matrix on one shard.
+Matrices below ``_SHARD_MIN`` elements stay on one shard, run inline: for
+them the hand-over to the pool costs more than the second core gives.
+Workers call only the private kernels; every public entry point and each
+shard's ``GroupLayout`` run in the calling thread.
+
+The export checks each weight matrix for NaN and Inf once. ``quantize``
+reads finiteness from its ``|w|`` group sums and ``pack_model`` from its
+masked row sums (NaN and Inf times a clear mask bit are NaN); only when a
+sum is not finite is the matrix scanned, to tell a non-finite weight from
+finite weights whose sum overflows. ``deadzone_mask`` scans in its shards.
 """
 
 from __future__ import annotations
 
 import numbers
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .errors import InvalidParam, InvalidShape, InvalidThreshold, UnsupportedScheme
+from .errors import InvalidParam, InvalidShape, InvalidThreshold, TqlaError, UnsupportedScheme
 
 PER_TENSOR = "per-tensor"
 PER_CHANNEL = "per-channel"
@@ -217,15 +241,21 @@ def _granularity(name: str, value) -> Granularity:
     return value
 
 
-def _as_matrix(w) -> np.ndarray:
+def _as_matrix(w, scan=True) -> np.ndarray:
+    """``w`` as a non-empty float64 matrix; with ``scan``, also checked finite."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim == 1:
         w = w.reshape(1, -1)
     if w.ndim != 2 or w.size == 0:
         raise InvalidShape(f"expected a non-empty 2-D weight matrix, got shape {w.shape}")
+    if scan:
+        _require_finite(w)
+    return w
+
+
+def _require_finite(w: np.ndarray) -> None:
     if not np.isfinite(w).all():
         raise InvalidParam("weight matrix contains NaN or Inf")
-    return w
 
 
 def _count(name: str, value, minimum: int) -> int:
@@ -333,6 +363,104 @@ def _sequential_sums(a: np.ndarray, mask=None, magnitude=False) -> np.ndarray:
     return out
 
 
+#: Elements (3 MiB of float64) from which a matrix is split into shards. In
+#: four-layer export loops on 2 cores sharding won 5 of 5 pairs from 660x660
+#: up, but only 3-10% in 3-4 of 5 from 512x512 to 600x600.
+_SHARD_MIN = 3 << 17
+
+_pool = None  # a concurrent.futures.ThreadPoolExecutor, made on first use
+_pool_lock = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _row_ranges(rows: int, size: int, align: int = 1) -> list[tuple[int, int]]:
+    """Half-open row ranges, one per usable CPU, of a matrix of ``size`` elements.
+
+    Every range but the last holds a multiple of ``align`` rows. A matrix
+    below ``_SHARD_MIN`` elements, or a process with one usable CPU, gets
+    the single range ``(0, rows)``.
+    """
+    if size < _SHARD_MIN:
+        return [(0, rows)]
+    step = -(-rows // _usable_cpus())
+    step += -step % align
+    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def _group_shards(layout: GroupLayout) -> list[tuple[slice, slice, GroupLayout]]:
+    """(row slice, group-id slice, layout) of each shard of a matrix with ``layout``.
+
+    Ranges run over the layout's view rows, so a per-tensor matrix is one
+    shard; a single shard keeps ``layout`` itself. The shards' layouts are
+    built here, in the calling thread.
+    """
+    ranges = _row_ranges(layout.view[0], layout.rows * layout.cols)
+    if len(ranges) == 1:
+        return [(slice(None), slice(None), layout)]
+    g = layout.groups_per_row
+    parts = [GroupLayout(layout.granularity, hi - lo, layout.cols) for lo, hi in ranges]
+    return [(slice(lo, hi), slice(lo * g, hi * g), p) for (lo, hi), p in zip(ranges, parts)]
+
+
+def _run_shards(work, shards) -> list:
+    """``[work(*shard) for shard in shards]``, all at once when there are several.
+
+    One shard runs inline. Several go to the pool as one task per shard,
+    each taking shards from a shared queue until it is empty, so that a
+    task that starts late (its CPU busy elsewhere) leaves its shard to
+    another. The calling thread waits meanwhile, which frees its CPU for a
+    pool thread. Each shard runs under the caller's numpy error state.
+    """
+    if len(shards) == 1:
+        return [work(*shards[0])]
+    # imported here, so that a process that never shards does not load it
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    state = np.geterr()
+    results = [None] * len(shards)
+    pending = deque(enumerate(shards))
+
+    def drain():
+        with np.errstate(**state):
+            while True:
+                try:
+                    i, shard = pending.popleft()
+                except IndexError:
+                    return
+                try:
+                    results[i] = work(*shard)
+                except BaseException:
+                    pending.clear()  # start no further shard
+                    raise
+
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(len(shards), thread_name_prefix="tqla-shard")
+        pool = _pool
+    drains = [pool.submit(drain) for _ in shards]
+    wait(drains)
+    for drained in drains:
+        drained.result()
+    return results
+
+
+def _drop_pool() -> None:
+    """Forget the pool in a forked child, whose copy of it has no threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
 def _per_tensor_params(w, scheme: str) -> tuple[float, float]:
     """(scale, threshold) of ``w``, of any shape, quantized as one per-tensor group."""
     q = quantize(np.reshape(w, (1, -1)), scheme, Granularity(PER_TENSOR))
@@ -374,23 +502,25 @@ def ternarize(w, delta: float) -> np.ndarray:
     return _ternary(w >= delta, np.abs(w) >= delta)[0]
 
 
-def _sides(w: np.ndarray, layout: GroupLayout, deltas) -> tuple[np.ndarray, np.ndarray]:
+def _sides(w: np.ndarray, layout: GroupLayout, deltas, pos=None, live=None):
     """(``w >= delta``, ``|w| >= delta``) with each element's group threshold.
 
-    ``w`` is finite and every delta >= 0 or +inf. A matrix larger than one
+    Every delta is >= 0 or +inf; ``w`` is finite, or its caller rejects it
+    after the compares, where NaN is on neither side. A matrix larger than one
     ``_SUM_BLOCK`` is compared by broadcasting, with ``|w| >= delta`` read
     as ``w >= delta or w <= -delta``, so that it holds no float64 matrix of
     its size. A smaller one is compared against one expansion of the
     thresholds and its ``|w|``: both stay in cache, where numpy's
     contiguous compares beat broadcasts over short group runs. Both give
-    the same bits.
+    the same bits. ``pos`` and ``live``, when given, are bool arrays of
+    ``w``'s shape for the two results.
     """
     if w.size > _SUM_BLOCK:
-        pos = layout.apply(np.greater_equal, w, deltas)
-        live = layout.apply(np.less_equal, w, -deltas)
+        pos = layout.apply(np.greater_equal, w, deltas, out=pos)
+        live = layout.apply(np.less_equal, w, -deltas, out=live)
         return pos, np.logical_or(live, pos, out=live)
     thr = layout.expand(deltas)
-    return w >= thr, np.abs(w) >= thr
+    return np.greater_equal(w, thr, out=pos), np.greater_equal(np.abs(w), thr, out=live)
 
 
 def _ternary(pos: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -434,21 +564,42 @@ def quantize(w, scheme: str, granularity: Granularity) -> QuantizedTensor:
         raise UnsupportedScheme(
             f"unknown scheme {scheme!r}; static schemes are {STATIC_SCHEMES}"
         )
-    w = _as_matrix(w)
-    return _quantized_view(w, scheme, GroupLayout(granularity, *w.shape))[0]
+    w = _as_matrix(w, scan=False)
+    try:
+        layout = GroupLayout(granularity, *w.shape)
+    except TqlaError:
+        _require_finite(w)  # a non-finite weight is reported first
+        raise
+    codes = np.empty(w.shape, dtype=np.int8)
+    scales = np.empty(layout.n_groups)
+    thresholds = np.empty(layout.n_groups)
+
+    def shard(rows, groups, part):
+        q = _quantized_view(w[rows], scheme, part, codes=codes[rows])[0]
+        scales[groups] = q.scales
+        thresholds[groups] = q.thresholds
+
+    _run_shards(shard, _group_shards(layout))
+    # each threshold is a finite multiple of its group's |w| sum, which is
+    # NaN or Inf for a non-finite weight and Inf when finite weights overflow
+    if not np.isfinite(thresholds).all():
+        _require_finite(w)
+    return QuantizedTensor(codes=codes, scales=scales, thresholds=thresholds, layout=layout)
 
 
-def _quantized_view(w: np.ndarray, scheme: str, layout: GroupLayout, params=None):
+def _quantized_view(w: np.ndarray, scheme: str, layout: GroupLayout, params=None, codes=None):
     """``quantize`` without validation, plus the deadzone mask it computes.
 
     ``params`` gives the per-group (alpha, delta) instead of the ``scheme``
     estimator. Returns ``(tensor, mask)``: the bool mask ``|w| < delta`` is
     the ternarizer's zero branch, so it comes from the same compares as the
     codes. Groups with alpha == 0 have their codes forced to zero. The
-    tensor owns ``layout``.
+    tensor owns ``layout`` and, when given, ``codes``: an int8 array of
+    ``w``'s shape that receives the codes.
     """
     alphas, deltas = _group_params(w, scheme, layout) if params is None else params
-    codes, dead = _ternary(*_sides(w, layout, deltas))
+    pos = None if codes is None else codes.view(bool)
+    codes, dead = _ternary(*_sides(w, layout, deltas, pos))
     degenerate = alphas == 0.0
     if degenerate.any():
         codes[layout.expand(degenerate)] = 0
@@ -467,15 +618,30 @@ def deadzone_mask(w, q: QuantizedTensor) -> np.ndarray:
     Every threshold must be >= 0 (+inf included), as ``quantize`` makes
     them; a NaN or negative one raises InvalidThreshold.
     """
-    w = _as_matrix(w)
-    if w.shape != q.codes.shape:
-        raise InvalidShape(f"weights {w.shape} do not match codes {q.codes.shape}")
+    w = _as_matrix(w, scan=False)
     thresholds = np.asarray(q.thresholds)
-    if not (thresholds >= 0).all():
-        bad = thresholds[~(thresholds >= 0)][0]
-        raise InvalidThreshold(f"thresholds must be >= 0, got {bad}")
-    live = _sides(w, q.layout, thresholds)[1]
-    return np.logical_not(live, out=live)
+    try:
+        if w.shape != q.codes.shape:
+            raise InvalidShape(f"weights {w.shape} do not match codes {q.codes.shape}")
+        if not (thresholds >= 0).all():
+            bad = thresholds[~(thresholds >= 0)][0]
+            raise InvalidThreshold(f"thresholds must be >= 0, got {bad}")
+        q.layout._table(thresholds)  # one per group, before the shards slice them
+    except TqlaError:
+        _require_finite(w)  # a non-finite weight is reported first
+        raise
+    mask = np.empty(w.shape, dtype=bool)
+
+    def shard(rows, groups, part):
+        if not np.isfinite(w[rows]).all():
+            return False
+        live = _sides(w[rows], part, thresholds[groups], live=mask[rows])[1]
+        np.logical_not(live, out=live)
+        return True
+
+    if not all(_run_shards(shard, _group_shards(q.layout))):
+        _require_finite(w)
+    return mask
 
 
 def tequila_bias(w, mask, lam: float) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import gemv_scalar, pack_codes_scalar, rel_err, unpack_codes_scalar
 
-from tqla import Granularity, deadzone_mask, quantize, tequila_bias
+from tqla import Granularity, deadzone_mask, quantize, quantizer, tequila_bias
 from tqla.errors import FormatError, InvalidParam, InvalidShape
 from tqla.packing import (
     FORMAT_VERSION,
@@ -448,13 +448,17 @@ def _traced_peak(fn):
         ((512, 500), Granularity("per-group", 128)),
         ((500, 512), Granularity("per-channel")),
         ((500, 512), Granularity("per-tensor")),  # one run, summed in buffer-sized chunks
+        # above the size constant: two shards, each with its own temporaries
+        ((1024, 1000), Granularity("per-group", 128)),
+        ((1000, 1024), Granularity("per-channel")),
     ],
     ids=lambda case: getattr(case, "kind", None),
 )
-def test_export_holds_no_full_size_float64_temporary(shape, granularity):
+def test_export_holds_no_full_size_float64_temporary(monkeypatch, shape, granularity):
     # quantize, deadzone_mask and pack_model form |w|, the thresholds and the
     # deadzone sums block by block or by broadcasting; their peak, results
     # included, stays below one float64 matrix of the weights' size
+    monkeypatch.setattr(quantizer, "_usable_cpus", lambda: 2)
     w = np.random.default_rng(0).standard_normal(shape)
 
     def export():
