@@ -3,9 +3,6 @@
 from .quantizer import (
     Granularity,
     QuantizedTensor,
-    absmean_params,
-    twn_params,
-    ternarize,
     quantize,
     dequantize,
     deadzone_mask,
@@ -17,9 +14,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Granularity",
     "QuantizedTensor",
-    "absmean_params",
-    "twn_params",
-    "ternarize",
     "quantize",
     "dequantize",
     "deadzone_mask",

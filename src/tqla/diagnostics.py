@@ -5,8 +5,6 @@ training: occupancy of the deadzone, mass accumulated near its boundary,
 and how often ternary codes flip between snapshots. A snapshot makes one
 pass per layer: the pair is validated once, the group thresholds are
 broadcast over the weights, and every metric is read from that pass.
-Snapshot rows export to CSV (one row per snapshot) and JSON (full
-histograms); both round-trip losslessly.
 
 Histograms bin w / threshold over [-3, 3] with ``np.linspace(-3, 3, bins + 1)``
 edges. Every bin is half-open, ``[lo, hi)``, except the last, which is closed.
@@ -17,22 +15,13 @@ values, bit for bit.
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateNormalization,
-    FormatError,
-    InsufficientHistory,
-    InvalidParam,
-    InvalidShape,
-    IoError,
-)
+from .errors import DegenerateNormalization, InsufficientHistory, InvalidParam, InvalidShape
 from .quantizer import QuantizedTensor, _as_matrix, _count, _real_where
 
 DEFAULT_BAND = 0.1
@@ -40,9 +29,6 @@ DEFAULT_BINS = 120
 DEFAULT_HISTORY_WINDOW = 8
 DEFAULT_SNAPSHOT_EVERY = 50
 HISTOGRAM_RANGE = 3.0  # in units of the group threshold
-_SCHEMA_VERSION = 1  # of the JSON report file
-
-CSV_COLUMNS = ("step", "loss", "deadzone_fraction", "boundary_fraction", "mean_flip_rate")
 
 
 @dataclass
@@ -64,14 +50,6 @@ class Histogram:
             "counts": self.counts.tolist(),
             "normalized": self.normalized,
         }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            bin_edges=np.array(d["bin_edges"], dtype=np.float64),
-            counts=np.array(d["counts"], dtype=np.int64),
-            normalized=bool(d["normalized"]),
-        )
 
 
 @dataclass
@@ -95,17 +73,6 @@ class TrapReport:
             "histogram": self.histogram.to_dict(),
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            step=int(d["step"]),
-            loss=float(d["loss"]),
-            deadzone_fraction=float(d["deadzone_fraction"]),
-            boundary_fraction=float(d["boundary_fraction"]),
-            mean_flip_rate=float(d["mean_flip_rate"]),
-            histogram=Histogram.from_dict(d["histogram"]),
-        )
-
 
 @dataclass
 class CodeHistory:
@@ -126,6 +93,8 @@ class CodeHistory:
 
     def push(self, codes_per_layer):
         snap = [np.asarray(c, dtype=np.int8).copy() for c in codes_per_layer]
+        if not snap or any(c.size == 0 for c in snap):
+            raise InvalidShape("a snapshot needs at least one code array, none of them empty")
         prev = self._last
         if prev is not None:
             if len(prev) != len(snap) or any(a.shape != b.shape for a, b in zip(prev, snap)):
@@ -202,16 +171,6 @@ def _layer_stats(w, q: QuantizedTensor, band=DEFAULT_BAND, bins=DEFAULT_BINS):
     return w.size, dead / w.size, np.count_nonzero(near) / w.size, hist
 
 
-def deadzone_fraction(w, q: QuantizedTensor) -> float:
-    """Share of weights strictly inside the deadzone of their group."""
-    return _layer_stats(w, q)[1]
-
-
-def boundary_fraction(w, q: QuantizedTensor, band: float = DEFAULT_BAND) -> float:
-    """Share of weights with |w| within a relative band of the threshold."""
-    return _layer_stats(w, q, band=band)[2]
-
-
 def flip_rate(history: CodeHistory) -> float:
     """Mean per-weight frequency of code changes between adjacent snapshots."""
     pairs = len(history._flips)
@@ -219,21 +178,6 @@ def flip_rate(history: CodeHistory) -> float:
         raise InsufficientHistory(f"need at least 2 snapshots, have {len(history)}")
     total_weights = sum(c.size for c in history._last)
     return sum(history._flips) / (pairs * total_weights)
-
-
-def weight_histogram(w, q: QuantizedTensor, bins: int = DEFAULT_BINS) -> Histogram:
-    """Histogram of w / threshold over [-3, 3]; end bins absorb overflow.
-
-    If every threshold is zero the normalization is degenerate: the raw
-    weight values are binned instead and the result is flagged.
-    """
-    hist = _layer_stats(w, q, bins=bins)[3]
-    if not hist.normalized:
-        warnings.warn(
-            "all thresholds are zero; histogram uses raw weight values",
-            DegenerateNormalization,
-        )
-    return hist
 
 
 def take_snapshot(
@@ -279,60 +223,3 @@ def take_snapshot(
         mean_flip_rate=rate,
         histogram=hist,
     )
-
-
-def _fmt(value) -> str:
-    """Shortest lossless decimal text for a float."""
-    return repr(float(value))
-
-
-def export_report(reports, base_path) -> tuple[str, str]:
-    """Write snapshots to ``<base>.csv`` (metrics) and ``<base>.json`` (full).
-
-    Returns the two paths. Both files round-trip through ``load_report``.
-    """
-    reports = list(reports)
-    if not reports:
-        raise InvalidParam("cannot export an empty report sequence")
-    base = str(base_path)
-    csv_path = base + ".csv"
-    json_path = base + ".json"
-    try:
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for r in reports:
-                writer.writerow(
-                    [
-                        r.step,
-                        _fmt(r.loss),
-                        _fmt(r.deadzone_fraction),
-                        _fmt(r.boundary_fraction),
-                        _fmt(r.mean_flip_rate),
-                    ]
-                )
-        payload = {"schema_version": _SCHEMA_VERSION, "reports": [r.to_dict() for r in reports]}
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"failed to write report files at {base!r}: {exc}") from exc
-    return csv_path, json_path
-
-
-def load_report(base_path) -> list[TrapReport]:
-    """Read back a report pair written by ``export_report``."""
-    base = str(base_path)
-    try:
-        with open(base + ".json", "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"failed to read report files at {base!r}: {exc}") from exc
-    except ValueError as exc:  # undecodable text or JSON
-        raise FormatError(f"report file {base!r}.json is not JSON: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("schema_version") != _SCHEMA_VERSION:
-        raise FormatError(f"report file {base!r}.json is not schema version {_SCHEMA_VERSION}")
-    try:
-        return [TrapReport.from_dict(d) for d in payload["reports"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"report file {base!r}.json is malformed: {exc!r}") from exc

@@ -43,9 +43,5 @@ class GradientError(TqlaError):
     """Non-finite gradient; the optimizer step was aborted."""
 
 
-class IoError(TqlaError):
-    """Failed to read or write an artifact file."""
-
-
 class DegenerateNormalization(UserWarning):
-    """All thresholds are zero; histogram fell back to raw values."""
+    """Some snapshot layers, not all, have only zero thresholds; their raw values are binned."""

@@ -141,14 +141,25 @@ def _section_sizes(rows: int, cols: int, group_size: int) -> tuple[int, int, int
     return (n + 1) // 2, (n + 7) // 8, n_scales, rows
 
 
+#: (name, dtype) of a layer's sections, in file order
+_SECTIONS = (
+    ("index_bytes", "uint8"),
+    ("sign_bytes", "uint8"),
+    ("scales", "float32"),
+    ("bias", "float32"),
+)
+
+
 @dataclass
 class PackedLayer:
     """One layer in deployment form: packed codes, scales, frozen bias.
 
     The header fields are u32 counts, as ``read_packed`` reads them: ``rows``
     and ``cols`` at least 1 and ``group_size`` at least 0; any other value
-    raises InvalidParam naming the field. A section whose size does not fit
-    the shape raises InvalidShape naming it.
+    raises InvalidParam naming the field. The sections are 1-D numpy arrays
+    of the dtypes below, as ``write_packed`` writes their bytes; any other
+    value raises InvalidParam naming the section, and a section whose size
+    does not fit the shape raises InvalidShape naming it.
     """
 
     rows: int
@@ -166,10 +177,17 @@ class PackedLayer:
                 raise InvalidParam(f"{name} must fit in a u32, got {value}")
             setattr(self, name, value)
         sizes = _section_sizes(self.rows, self.cols, self.group_size)
-        got = (self.index_bytes.size, self.sign_bytes.size, self.scales.size, self.bias.size)
-        for name, size, n in zip(("index_bytes", "sign_bytes", "scales", "bias"), sizes, got):
-            if n != size:
-                raise InvalidShape(f"{self.rows}x{self.cols} layer needs {size} {name}, got {n}")
+        for (name, dtype), size in zip(_SECTIONS, sizes):
+            section = getattr(self, name)
+            if not isinstance(section, np.ndarray) or section.dtype != dtype or section.ndim != 1:
+                got = getattr(section, "dtype", type(section).__name__)
+                raise InvalidParam(
+                    f"{name} must be a 1-D {dtype} array, got {got} of shape {np.shape(section)}"
+                )
+            if section.size != size:
+                raise InvalidShape(
+                    f"{self.rows}x{self.cols} layer needs {size} {name}, got {section.size}"
+                )
 
     @property
     def n_triples_per_row(self) -> int:

@@ -106,7 +106,7 @@ def _dlt_coupling(q, mask, b):
 
 
 def _seq_coupling(q, mask, b):
-    return q.element_scales() * q.layout.expand(b) * mask
+    return q.layout.expand(q.scales) * q.layout.expand(b) * mask
 
 
 def _dlt_grad_b(e, q, mask):

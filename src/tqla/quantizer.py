@@ -97,7 +97,10 @@ class Granularity:
     def from_dict(cls, d):
         if not isinstance(d, dict) or "kind" not in d:
             raise InvalidParam(f"granularity must be a dict with a 'kind', got {d!r}")
-        return cls(kind=d["kind"], group_size=d.get("group_size", DEFAULT_GROUP_SIZE))
+        unknown = set(d) - {"kind", "group_size"}
+        if unknown:
+            raise InvalidParam(f"unknown granularity keys: {sorted(unknown, key=repr)}")
+        return cls(**d)
 
 
 class GroupLayout:
@@ -226,12 +229,6 @@ class QuantizedTensor:
     @property
     def granularity(self) -> Granularity:
         return self.layout.granularity
-
-    def element_scales(self) -> np.ndarray:
-        return self.layout.expand(self.scales)
-
-    def element_thresholds(self) -> np.ndarray:
-        return self.layout.expand(self.thresholds)
 
 
 def _granularity(name: str, value) -> Granularity:
@@ -461,47 +458,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _per_tensor_params(w, scheme: str) -> tuple[float, float]:
-    """(scale, threshold) of ``w``, of any shape, quantized as one per-tensor group."""
-    q = quantize(np.reshape(w, (1, -1)), scheme, Granularity(PER_TENSOR))
-    return float(q.scales[0]), float(q.thresholds[0])
-
-
-def absmean_params(w) -> tuple[float, float]:
-    """Absmean estimator: alpha = mean |w|, delta = alpha / 2.
-
-    ``w`` of any shape is one group, scaled and checked by per-tensor ``quantize``.
-    """
-    return _per_tensor_params(w, "absmean")
-
-
-def twn_params(w) -> tuple[float, float]:
-    """Threshold-first estimator: delta = 0.75 * mean |w|.
-
-    Alpha is the mean of |w| over the elements at or outside the threshold,
-    which minimizes the squared reconstruction error for that fixed delta.
-    An empty outside set yields alpha = 0 (degenerate group). Computed like
-    ``absmean_params``.
-    """
-    return _per_tensor_params(w, "twn")
-
-
-def ternarize(w, delta: float) -> np.ndarray:
-    """Map weights to codes in {-1, 0, +1} for a single threshold.
-
-    Branches are evaluated top-down: w >= delta -> +1, then |w| < delta -> 0,
-    else -1. Values exactly at +-delta therefore quantize to +-1, and at
-    delta == 0 a zero weight takes the first branch (+1).
-    """
-    delta = float(delta)
-    if not np.isfinite(delta) or delta < 0:
-        raise InvalidThreshold(f"threshold must be finite and >= 0, got {delta}")
-    w = np.asarray(w, dtype=np.float64)
-    if not np.isfinite(w).all():
-        raise InvalidParam("weights contain NaN or Inf")
-    return _ternary(w >= delta, np.abs(w) >= delta)[0]
-
-
 def _sides(w: np.ndarray, layout: GroupLayout, deltas, pos=None, live=None):
     """(``w >= delta``, ``|w| >= delta``) with each element's group threshold.
 
@@ -542,7 +498,9 @@ def _group_params(w: np.ndarray, scheme: str, layout: GroupLayout):
     means = layout._seq_group_sums(w, magnitude=True) / counts
     if scheme == "absmean":
         return means, means / 2.0
-    # twn: threshold first, then the mean of |w| over the kept elements (|w| >= delta)
+    # twn: threshold first, then alpha is the mean of |w| over the kept elements
+    # (|w| >= delta), which minimizes the squared reconstruction error for that
+    # fixed delta; a group that keeps none gets alpha = 0 (degenerate)
     deltas = 0.75 * means
     keep = _sides(w, layout, deltas)[1]
     kept_totals = layout._seq_group_sums(w, keep, magnitude=True)

@@ -111,7 +111,7 @@ class TrainConfig:
     def from_dict(cls, d):
         unknown = set(d) - set(_FIELDS)
         if unknown:
-            raise InvalidParam(f"unknown config keys: {sorted(unknown)}")
+            raise InvalidParam(f"unknown config keys: {sorted(unknown, key=repr)}")
         kwargs = {attr: d[key] for key, (attr, _) in _FIELDS.items() if key in d}
         if "granularity" in kwargs:
             kwargs["granularity"] = Granularity.from_dict(kwargs["granularity"])

@@ -341,7 +341,7 @@ def layer_stats_reference(w, q, band, bins):
     a masked divide and ``np.histogram`` over the clipped w / threshold.
     """
     w = np.asarray(w, dtype=np.float64)
-    thr = q.element_thresholds()
+    thr = q.layout.expand(q.thresholds)
     a = np.abs(w)
     near = (a >= (1.0 - band) * thr) & (a <= (1.0 + band) * thr)
     normalized = not (thr == 0).all()

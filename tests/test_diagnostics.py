@@ -8,28 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from tqla import Granularity, quantize
-from tqla.diagnostics import (
-    CodeHistory,
-    Histogram,
-    TrapReport,
-    _bin_counts,
-    _layer_stats,
-    boundary_fraction,
-    deadzone_fraction,
-    export_report,
-    flip_rate,
-    load_report,
-    take_snapshot,
-    weight_histogram,
-)
-from tqla.errors import (
-    DegenerateNormalization,
-    FormatError,
-    InsufficientHistory,
-    InvalidParam,
-    InvalidShape,
-    IoError,
-)
+from tqla.diagnostics import CodeHistory, _bin_counts, _layer_stats, flip_rate, take_snapshot
+from tqla.errors import DegenerateNormalization, InsufficientHistory, InvalidParam, InvalidShape
 
 PT = Granularity("per-tensor")
 
@@ -54,28 +34,28 @@ def count_fraction_oracle(w, thresholds_elem, predicate):
 class TestDeadzoneFraction:
     def test_all_zero_weights(self):
         q = quantize(np.ones((2, 4)), "absmean", PT)
-        assert deadzone_fraction(np.zeros((2, 4)), q) == 1.0
+        assert _layer_stats(np.zeros((2, 4)), q)[1] == 1.0
 
     def test_zero_threshold(self):
         w = np.ones((2, 4))
         q = quantize(w, "absmean", PT)
         q.thresholds[:] = 0.0
-        assert deadzone_fraction(w, q) == 0.0
+        assert _layer_stats(w, q)[1] == 0.0
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
             w, q = quantized_pair(rng)
-            got = deadzone_fraction(w, q)
+            got = _layer_stats(w, q)[1]
             ref = count_fraction_oracle(
-                w, q.element_thresholds(), lambda v, t: abs(v) < t
+                w, q.layout.expand(q.thresholds), lambda v, t: abs(v) < t
             )
             assert got == ref
 
     def test_shape_mismatch(self):
         q = quantize(np.ones((2, 4)), "absmean", PT)
         with pytest.raises(InvalidShape):
-            deadzone_fraction(np.ones((2, 5)), q)
+            _layer_stats(np.ones((2, 5)), q)
 
 
 class TestBoundaryFraction:
@@ -84,23 +64,23 @@ class TestBoundaryFraction:
         q = quantize(w, "absmean", PT)
         q.thresholds[:] = 0.5
         for band in (0.01, 0.1, 0.5):
-            assert boundary_fraction(w, q, band) == 1.0
+            assert _layer_stats(w, q, band)[2] == 1.0
 
     def test_far_from_boundary(self):
         w = np.array([[10.0, -10.0, 0.001]])
         q = quantize(w, "absmean", PT)
         q.thresholds[:] = 1.0
-        assert boundary_fraction(w, q, 0.1) == 0.0
+        assert _layer_stats(w, q, 0.1)[2] == 0.0
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             w, q = quantized_pair(rng)
             band = float(rng.uniform(0.05, 0.5))
-            got = boundary_fraction(w, q, band)
+            got = _layer_stats(w, q, band)[2]
             ref = count_fraction_oracle(
                 w,
-                q.element_thresholds(),
+                q.layout.expand(q.thresholds),
                 lambda v, t: (1 - band) * t <= abs(v) <= (1 + band) * t,
             )
             assert got == ref
@@ -109,18 +89,16 @@ class TestBoundaryFraction:
         w = np.ones((1, 2))
         q = quantize(w, "absmean", PT)
         for band in (0.0, 1.0, -0.3):
-            with pytest.raises(InvalidParam):
-                boundary_fraction(w, q, band)
+            with pytest.raises(InvalidParam, match="band"):
+                _layer_stats(w, q, band)
 
     def test_invariant_under_joint_rescale(self):
         rng = np.random.default_rng(2)
         w, q = quantized_pair(rng)
-        base_b = boundary_fraction(w, q)
-        base_d = deadzone_fraction(w, q)
+        base = _layer_stats(w, q)[1:3]
         for factor in (0.5, 3.0, 100.0):
             q2 = quantize(w * factor, "absmean", q.granularity)
-            assert boundary_fraction(w * factor, q2) == base_b
-            assert deadzone_fraction(w * factor, q2) == base_d
+            assert _layer_stats(w * factor, q2)[1:3] == base
 
 
 class TestFlipRate:
@@ -176,6 +154,23 @@ class TestFlipRate:
         h = CodeHistory(window=np.int64(3))
         assert type(h.window) is int
 
+    def test_empty_snapshot_rejected(self):
+        # flip_rate would divide by a total of zero weights
+        h = CodeHistory(window=4)
+        with pytest.raises(InvalidShape):
+            h.push([])
+        assert len(h) == 0
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 3)])
+    def test_zero_size_codes_rejected(self, shape):
+        h = CodeHistory(window=4)
+        with pytest.raises(InvalidShape):
+            h.push([np.zeros(shape, dtype=np.int8)])
+        h.push([np.zeros((1, 1), dtype=np.int8)])
+        with pytest.raises(InvalidShape):
+            h.push([np.zeros(shape, dtype=np.int8)])
+        assert len(h) == 1
+
     def test_shape_drift_rejected(self):
         h = CodeHistory(window=4)
         h.push([np.zeros((2, 2), dtype=np.int8)])
@@ -207,7 +202,7 @@ class TestWeightHistogram:
         w = np.array([[0.5, -0.5, 0.5, -0.5]])
         q = quantize(w, "absmean", PT)
         q.thresholds[:] = 0.5
-        h = weight_histogram(w, q, bins=12)
+        h = _layer_stats(w, q, bins=12)[3]
         centers = (h.bin_edges[:-1] + h.bin_edges[1:]) / 2
         hot = centers[h.counts > 0]
         assert len(hot) == 2
@@ -217,14 +212,14 @@ class TestWeightHistogram:
         rng = np.random.default_rng(4)
         for _ in range(20):
             w, q = quantized_pair(rng)
-            h = weight_histogram(w, q)
+            h = _layer_stats(w, q)[3]
             assert h.counts.sum() == w.size
 
     def test_uniform_values_roughly_flat(self):
         rng = np.random.default_rng(5)
         w = rng.uniform(-1, 1, size=(100, 100))
         q = quantize(w, "absmean", PT)
-        h = weight_histogram(w, q, bins=10)
+        h = _layer_stats(w, q, bins=10)[3]
         assert h.counts.sum() == w.size
         inner = h.counts[1:-1]
         assert inner.min() > 0
@@ -233,7 +228,7 @@ class TestWeightHistogram:
         w = np.array([[100.0, -100.0, 0.0]])
         q = quantize(w, "absmean", PT)
         q.thresholds[:] = 1.0
-        h = weight_histogram(w, q, bins=6)
+        h = _layer_stats(w, q, bins=6)[3]
         assert h.counts[0] == 1 and h.counts[-1] == 1
         assert h.counts.sum() == 3
 
@@ -241,16 +236,15 @@ class TestWeightHistogram:
         w = np.array([[0.25, -0.75]])
         q = quantize(w, "absmean", PT)
         q.thresholds[:] = 0.0
-        with pytest.warns(DegenerateNormalization):
-            h = weight_histogram(w, q, bins=6)
+        h = _layer_stats(w, q, bins=6)[3]
         assert not h.normalized
         assert h.counts.sum() == 2
 
     def test_too_few_bins(self):
         w = np.ones((1, 2))
         q = quantize(w, "absmean", PT)
-        with pytest.raises(InvalidParam):
-            weight_histogram(w, q, bins=1)
+        with pytest.raises(InvalidParam, match="bins"):
+            _layer_stats(w, q, bins=1)
 
     @pytest.mark.parametrize(
         "bins",
@@ -261,15 +255,15 @@ class TestWeightHistogram:
         rng = np.random.default_rng(14)
         w, q = quantized_pair(rng)
         with pytest.raises(InvalidParam, match="bins"):
-            weight_histogram(w, q, bins=bins)
+            _layer_stats(w, q, bins=bins)
         with pytest.raises(InvalidParam, match="bins"):
             take_snapshot(0, 1.0, [(w, q)], bins=bins)
 
     def test_numpy_integer_bins_accepted(self):
         rng = np.random.default_rng(15)
         w, q = quantized_pair(rng)
-        h = weight_histogram(w, q, bins=np.int64(5))
-        assert h.counts.tolist() == weight_histogram(w, q, bins=5).counts.tolist()
+        h = _layer_stats(w, q, bins=np.int64(5))[3]
+        assert h.counts.tolist() == _layer_stats(w, q, bins=5)[3].counts.tolist()
 
     def test_matches_counting_oracle(self):
         import bisect
@@ -283,7 +277,7 @@ class TestWeightHistogram:
             # zeroed (group 0 never is, so the normalization is not degenerate)
             q.thresholds[:] = 2.0 ** rng.integers(-3, 4, q.thresholds.size)
             q.thresholds[1::4] = 0.0
-            thr = q.element_thresholds()
+            thr = q.layout.expand(q.thresholds)
             special = np.concatenate(
                 [
                     edges,
@@ -296,7 +290,7 @@ class TestWeightHistogram:
             w.flat[idx] = rng.permutation(special)[: idx.size] * thr.flat[idx]
             on_zero = idx[thr.flat[idx] == 0]
             w.flat[on_zero] = rng.choice([-1.5, 0.0, 2.5], on_zero.size)
-            h = weight_histogram(w, q, bins=bins)
+            h = _layer_stats(w, q, bins=bins)[3]
             assert h.bin_edges.tobytes() == edges.tobytes()
             ref = [0] * bins
             for r in range(w.shape[0]):
@@ -371,7 +365,7 @@ class TestDirectBinning:
         special = np.concatenate(
             [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), [0.0, -7.0, 7.0]]
         )
-        thr = q.element_thresholds()
+        thr = q.layout.expand(q.thresholds)
         idx = rng.choice(w.size, size=w.size // 2, replace=False)
         w.flat[idx] = rng.choice(special, idx.size) * thr.flat[idx]
         w.flat[rng.choice(w.size, size=w.size // 8, replace=False)] = 0.0
@@ -388,16 +382,6 @@ class TestDirectBinning:
 
 
 class TestSnapshotAndExport:
-    def make_reports(self, rng, n=3):
-        history = CodeHistory(window=4)
-        reports = []
-        for step in range(n):
-            w, q = quantized_pair(rng, rows=4, cols=9, kind="per-channel")
-            reports.append(
-                take_snapshot(step * 50, rng.uniform(0.1, 2.0), [(w, q)], history)
-            )
-        return reports
-
     def test_snapshot_aggregates_layers(self):
         rng = np.random.default_rng(7)
         w1, q1 = quantized_pair(rng, rows=2, cols=6)
@@ -405,7 +389,7 @@ class TestSnapshotAndExport:
         rep = take_snapshot(0, 1.0, [(w1, q1), (w2, q2)])
         total = w1.size + w2.size
         expected = (
-            deadzone_fraction(w1, q1) * w1.size + deadzone_fraction(w2, q2) * w2.size
+            _layer_stats(w1, q1)[1] * w1.size + _layer_stats(w2, q2)[1] * w2.size
         ) / total
         assert rep.deadzone_fraction == pytest.approx(expected, rel=1e-12)
         assert rep.histogram.counts.sum() == total
@@ -418,73 +402,11 @@ class TestSnapshotAndExport:
         assert rep.mean_flip_rate == 0.0
         assert len(history) == 1
 
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        reports = self.make_reports(rng)
-        base = tmp_path / "trap"
-        csv_path, json_path = export_report(reports, base)
-        loaded = load_report(base)
-        assert len(loaded) == len(reports)
-        for a, b in zip(reports, loaded):
-            assert a.step == b.step
-            assert a.loss == b.loss
-            assert a.deadzone_fraction == b.deadzone_fraction
-            assert a.boundary_fraction == b.boundary_fraction
-            assert a.mean_flip_rate == b.mean_flip_rate
-            assert np.array_equal(a.histogram.bin_edges, b.histogram.bin_edges)
-            assert np.array_equal(a.histogram.counts, b.histogram.counts)
-        # CSV: header plus one row per report, losslessly parseable
-        lines = open(csv_path, encoding="utf-8").read().strip().split("\n")
-        assert lines[0] == "step,loss,deadzone_fraction,boundary_fraction,mean_flip_rate"
-        assert len(lines) == len(reports) + 1
-        for line, rep in zip(lines[1:], reports):
-            fields = line.split(",")
-            assert int(fields[0]) == rep.step
-            assert float(fields[1]) == rep.loss
-
-    def test_one_report_one_row(self, tmp_path):
-        rng = np.random.default_rng(10)
-        reports = self.make_reports(rng, n=1)
-        csv_path, _ = export_report(reports, tmp_path / "one")
-        lines = open(csv_path, encoding="utf-8").read().strip().split("\n")
-        assert len(lines) == 2
-
-    def test_empty_sequence_rejected(self, tmp_path):
+    def test_empty_sequence_rejected(self):
+        history = CodeHistory(window=4)
         with pytest.raises(InvalidParam):
-            export_report([], tmp_path / "none")
-
-    def test_io_error_surfaces(self, tmp_path):
-        rng = np.random.default_rng(11)
-        reports = self.make_reports(rng, n=1)
-        with pytest.raises(IoError):
-            export_report(reports, tmp_path / "missing_dir" / "trap")
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '{"schema_version": 99, "reports": []}',
-            '{"schema_version": 1, "reports": [',
-            "\xff\xfe not json",
-            '{"schema_version": 1}',
-            '{"schema_version": 1, "reports": [{"step": 0}]}',
-            "[1]",
-        ],
-    )
-    def test_load_rejects_malformed_files(self, tmp_path, text):
-        rng = np.random.default_rng(13)
-        base = tmp_path / "trap"
-        _, json_path = export_report(self.make_reports(rng, n=1), base)
-        with open(json_path, "w", encoding="latin-1") as fh:
-            fh.write(text)
-        with pytest.raises(FormatError):
-            load_report(base)
-
-    def test_report_dict_roundtrip(self):
-        rng = np.random.default_rng(12)
-        rep = self.make_reports(rng, n=1)[0]
-        back = TrapReport.from_dict(rep.to_dict())
-        assert back.step == rep.step and back.loss == rep.loss
-        assert isinstance(back.histogram, Histogram)
+            take_snapshot(0, 1.0, [], history)
+        assert len(history) == 0
 
 
 def uneven_snapshots(seed):

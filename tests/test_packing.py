@@ -266,6 +266,27 @@ def test_layer_sections_must_fit_its_shape(rows, cols, group_size, sizes, sectio
 
 
 @pytest.mark.parametrize(
+    "section,value",
+    [
+        ("index_bytes", np.zeros(5, np.int16)),  # the right size, but twice the bytes
+        ("index_bytes", [0] * 5),
+        ("sign_bytes", np.zeros((2, 1), np.uint8)),
+        ("scales", np.ones(1)),
+        ("bias", np.zeros(1, np.float16)),
+        ("bias", np.zeros((1, 1), np.float32)),
+    ],
+    ids=["int16", "list", "2-D", "float64", "float16", "2-D-float32"],
+)
+def test_layer_sections_must_be_1d_arrays_of_their_dtype(section, value):
+    # sections of a 1x30 per-tensor layer: 10 triples, 5 index and 2 sign bytes
+    names = ("index_bytes", "sign_bytes", "scales", "bias")
+    sections = dict(zip(names, sections_of_sizes(5, 2, 1, 1)))
+    sections[section] = value
+    with pytest.raises(InvalidParam, match=section):
+        PackedLayer(1, 30, 0, **sections)
+
+
+@pytest.mark.parametrize(
     "rows,cols,group_size,field",
     [
         (0, 3, 0, "rows"),  # read_packed refuses a layer of no rows

@@ -287,7 +287,7 @@ class TestTequila:
             x, g = random_instance(rng, layer)
             layer.forward(x)
             cache = layer.cache
-            thr = cache.quantized.element_thresholds()
+            thr = cache.quantized.layout.expand(cache.quantized.thresholds)
             safe = cache.mask & (np.abs(layer.shadow_weights) < 0.9 * thr)
             if not safe.any():
                 continue

@@ -6,17 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from tqla import (
-    Granularity,
-    absmean_params,
-    deadzone_mask,
-    dequantize,
-    quantize,
-    tequila_bias,
-    ternarize,
-    twn_params,
-)
-from tqla.diagnostics import boundary_fraction
+from tqla import Granularity, deadzone_mask, dequantize, quantize, tequila_bias
+from tqla.diagnostics import take_snapshot
 from tqla.errors import InvalidParam, InvalidShape, InvalidThreshold, UnsupportedScheme
 from tqla.packing import pack_model
 from tqla.qat import QuantLinearLayer
@@ -73,75 +64,72 @@ class TestGranularity:
             GroupLayout(granularity, 2, 3)
 
 
+def per_tensor(w, scheme):
+    """(alpha, delta) of ``w``, of any shape, quantized as one per-tensor group."""
+    q = quantize(np.reshape(w, (1, -1)), scheme, PT)
+    return q.scales[0], q.thresholds[0]
+
+
 class TestAbsmeanParams:
     def test_hand_example(self):
-        assert absmean_params([0.4, -0.2, 0.1, -0.9]) == (0.4, 0.2)
+        assert per_tensor([0.4, -0.2, 0.1, -0.9], "absmean") == (0.4, 0.2)
 
     def test_zero_vector(self):
-        assert absmean_params([0.0, 0.0, 0.0, 0.0]) == (0.0, 0.0)
+        assert per_tensor([0.0, 0.0, 0.0, 0.0], "absmean") == (0.0, 0.0)
 
     def test_constant_vector(self):
         c = 0.37
-        alpha, delta = absmean_params([c] * 9)
+        alpha, delta = per_tensor([c] * 9, "absmean")
         assert alpha == pytest.approx(c, rel=1e-15)
         assert delta == pytest.approx(c / 2, rel=1e-15)
 
     def test_empty_raises(self):
         with pytest.raises(InvalidShape):
-            absmean_params([])
+            per_tensor([], "absmean")
 
 
-#: scheme -> (estimator, its scalar oracle)
-ESTIMATORS = {
-    "absmean": (absmean_params, oracles.absmean_params_scalar),
-    "twn": (twn_params, oracles.twn_params_scalar),
-}
+#: scheme -> the scalar oracle of its estimator
+ESTIMATORS = {"absmean": oracles.absmean_params_scalar, "twn": oracles.twn_params_scalar}
 
 
 @pytest.mark.parametrize("scheme", list(ESTIMATORS))
 class TestEstimatorsArePerTensorQuantize:
     @pytest.mark.parametrize("shape", [(), (7,), (3, 5), (2, 3, 4)])
     def test_any_shape_is_one_group(self, scheme, shape):
-        estimator, scalar = ESTIMATORS[scheme]
         w = np.random.default_rng(len(shape)).standard_normal(shape)
-        q = quantize(np.reshape(w, (1, -1)), scheme, PT)
-        alpha, delta = estimator(w)
-        assert type(alpha) is float and type(delta) is float
-        assert (alpha, delta) == (q.scales[0], q.thresholds[0])
-        assert (alpha, delta) == scalar(np.ravel(w).tolist())
+        assert per_tensor(w, scheme) == ESTIMATORS[scheme](np.ravel(w).tolist())
 
     @pytest.mark.parametrize("empty", [np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0, 4))])
     def test_empty_raises(self, scheme, empty):
         with pytest.raises(InvalidShape):
-            ESTIMATORS[scheme][0](empty)
+            per_tensor(empty, scheme)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_raises(self, scheme, bad):
-        estimator = ESTIMATORS[scheme][0]
         with pytest.raises(InvalidParam):
-            estimator(bad)
+            per_tensor(bad, scheme)
         with pytest.raises(InvalidParam):
-            estimator([[0.5, bad], [1.0, -2.0]])
+            per_tensor([[0.5, bad], [1.0, -2.0]], scheme)
 
 
 class TestTwnParams:
     def test_constant_vector(self):
         c = 1.3
-        alpha, delta = twn_params([c] * 5)
+        alpha, delta = per_tensor([c] * 5, "twn")
         assert alpha == pytest.approx(c, rel=1e-15)
         assert delta == pytest.approx(0.75 * c, rel=1e-15)
 
     def test_sparse_example(self):
         # mean |w| = 0.25, delta = 0.1875, only the 1.0 survives
-        assert twn_params([1.0, 0.0, 0.0, 0.0]) == (1.0, 0.1875)
+        assert per_tensor([1.0, 0.0, 0.0, 0.0], "twn") == (1.0, 0.1875)
 
     def test_zero_vector(self):
-        alpha, delta = twn_params([0.0, 0.0])
+        alpha, delta = per_tensor([0.0, 0.0], "twn")
         assert alpha == 0.0 and delta == 0.0
 
     def test_empty_raises(self):
         with pytest.raises(InvalidShape):
-            twn_params([])
+            per_tensor([], "twn")
 
     def test_alpha_beats_grid_search(self):
         # the closed-form alpha must be at least as good as a dense scan
@@ -149,27 +137,28 @@ class TestTwnParams:
         for _ in range(25):
             n = int(rng.integers(2, 65))
             w = list(rng.standard_normal(n) * rng.uniform(0.1, 3.0))
-            alpha, delta = twn_params(w)
+            alpha, delta = per_tensor(w, "twn")
             _, grid_err = oracles.twn_alpha_grid(w, delta)
             err = oracles.recon_error(w, alpha, delta)
             assert err <= grid_err * (1 + 1e-6)
 
 
+def ternary(values, delta):
+    """Codes of the top-down ternarizer for one threshold ``delta``."""
+    w = np.array(values)
+    return _ternary(w >= delta, np.abs(w) >= delta)[0].tolist()
+
+
 class TestTernarize:
     def test_hand_example(self):
-        out = ternarize([0.4, -0.2, 0.1, -0.9], 0.2)
-        assert out.tolist() == [1, -1, 0, -1]
+        assert ternary([0.4, -0.2, 0.1, -0.9], 0.2) == [1, -1, 0, -1]
 
     def test_boundary_inclusive(self):
-        assert ternarize([0.2, -0.2], 0.2).tolist() == [1, -1]
+        assert ternary([0.2, -0.2], 0.2) == [1, -1]
 
     def test_zero_delta_branch_order(self):
         # w == 0 hits the first branch when delta == 0
-        assert ternarize([0.0, -0.5], 0.0).tolist() == [1, -1]
-
-    def test_negative_delta_raises(self):
-        with pytest.raises(InvalidThreshold):
-            ternarize([0.1], -0.5)
+        assert ternary([0.0, -0.5], 0.0) == [1, -1]
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -184,8 +173,8 @@ class TestTernarize:
         st.integers(0, 2**32 - 1),
     )
     def test_matches_scalar_oracle_at_zero_delta(self, values, seed):
+        assert ternary(values, 0.0) == [oracles.ternarize_scalar(v, 0.0) for v in values]
         w = np.array(values)
-        assert ternarize(w, 0.0).tolist() == [oracles.ternarize_scalar(v, 0.0) for v in values]
         # per-element thresholds, as quantize passes them, with some exactly zero
         rng = np.random.default_rng(seed)
         thr = np.where(rng.random(w.size) < 0.5, 0.0, rng.uniform(0.0, 2.0, w.size))
@@ -283,11 +272,8 @@ class TestDequantize:
             if not (q.scales > 2 * q.thresholds).all():
                 continue
             found += 1
-            re = np.where(
-                dequantize(q) >= q.element_thresholds(),
-                1,
-                np.where(np.abs(dequantize(q)) < q.element_thresholds(), 0, -1),
-            )
+            thr = q.layout.expand(q.thresholds)
+            re = np.where(dequantize(q) >= thr, 1, np.where(np.abs(dequantize(q)) < thr, 0, -1))
             assert np.array_equal(re, q.codes)
         assert found > 20
 
@@ -628,7 +614,7 @@ def pinned_outputs(name):
 def vector_estimates():
     v = np.random.default_rng(10_000).standard_normal(10_000)
     v[:2500] = 0.0
-    return [np.array(absmean_params(v)), np.array(twn_params(v))]
+    return [np.array(per_tensor(v, scheme)) for scheme in ("absmean", "twn")]
 
 
 def test_every_pinned_case_has_a_digest():
@@ -656,7 +642,7 @@ REAL_PARAMETERS = {
     ),
     "tequila_bias": ("lambda", lambda w, q, m, v: tequila_bias(w, m, v)),
     "pack_model": ("lambda", lambda w, q, m, v: pack_model([(q, w, m)], v)),
-    "band": ("band", lambda w, q, m, v: boundary_fraction(w, q, band=v)),
+    "band": ("band", lambda w, q, m, v: take_snapshot(0, 1.0, [(w, q)], band=v)),
 }
 
 

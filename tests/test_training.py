@@ -116,6 +116,9 @@ def test_from_dict_rejects_unknown_keys():
     d["momentum"] = 0.9
     with pytest.raises(InvalidParam, match="momentum"):
         TrainConfig.from_dict(d)
+    d[1] = 2  # keys of mixed types still make a message
+    with pytest.raises(InvalidParam, match="momentum"):
+        TrainConfig.from_dict(d)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -170,6 +173,19 @@ def test_malformed_granularity_dict_rejected(value):
     d = tiny_config("synthetic-regression", "per-tensor", "absmean").to_dict()
     d["granularity"] = value
     with pytest.raises(InvalidParam, match="granularity"):
+        TrainConfig.from_dict(d)
+
+
+def test_unknown_granularity_keys_rejected():
+    # a misspelt group_size must not fall back to the default of 128
+    value = {"kind": "per-group", "gruop_size": 64}
+    with pytest.raises(InvalidParam, match="gruop_size"):
+        Granularity.from_dict(value)
+    with pytest.raises(InvalidParam, match="gruop_size"):
+        Granularity.from_dict({**value, 1: 2})
+    d = tiny_config("synthetic-regression", "per-tensor", "absmean").to_dict()
+    d["granularity"] = value
+    with pytest.raises(InvalidParam, match="gruop_size"):
         TrainConfig.from_dict(d)
 
 
