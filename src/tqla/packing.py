@@ -11,10 +11,19 @@ lexicographic order (-1 < 0 < +1), which puts the zero pattern at index 0:
    10:(+,0,+)  11:(+,+,-)  12:(+,+,0)  13:(+,+,+)
 
 Indices 14 and 15 are invalid. The reader accepts exactly what the writer
-produces: the zero pattern carries a clear sign bit, padding columns hold
-zero codes, and padding nibbles and sign bits after the last triple are
-clear, and lambda, scales and biases are finite; anything else raises
-``FormatError`` with its byte offset.
+produces, because both go through one definition of a valid layer.
+``PackedLayer`` and ``PackedModel`` hold every rule of the format: header
+fields are u32 counts, sections have their dtype and size, the zero pattern
+carries a clear sign bit, padding columns hold zero codes, padding nibbles
+and sign bits after the last triple are clear, and lambda, scales and
+biases are finite as float32. Anything else raises InvalidParam naming the
+field or section, and for a value that breaks a rule the byte within it; a
+section of the wrong size raises InvalidShape. ``pack_model`` and
+``read_packed`` build their results through these constructors, so neither
+can hand out what the other would refuse. ``read_packed`` itself only
+frames bytes: magic, version, truncation and trailing bytes; a fault a
+constructor finds is re-raised as ``FormatError`` at that byte of the file.
+Every framing fault is reported before any content fault.
 
 On-disk "TQLA" layout (all little-endian):
 
@@ -97,7 +106,7 @@ def _build_decode_table() -> np.ndarray:
     """The six codes of index byte b with sign bits s0, s1 at key b | (s0 + 2*s1) << 8.
 
     Each entry is one 6-byte item, so decoding is a single ``take``. Nibbles
-    14 and 15 decode to zeros; ``read_packed`` rejects them before they can.
+    14 and 15 decode to zeros; ``PackedLayer`` refuses them before they can.
     """
     signed = np.zeros((2, 16, 3), dtype=np.int8)
     signed[0, :N_PATTERNS] = PATTERNS
@@ -119,10 +128,14 @@ _SIGN_PAIRS = sum(((np.arange(256) >> 2 * j) & 3) << 8 * j for j in range(4)).as
 _TAIL_ZERO = (None,) + tuple(~PATTERNS[:, r:].any(axis=1) for r in (1, 2))
 
 
+def _triples_per_row(cols: int) -> int:
+    return -(-cols // 3)
+
+
 def _encode(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(index bytes, sign bytes) of a (rows, cols) int8 code matrix."""
     rows, cols = codes.shape
-    per_row = -(-cols // 3)
+    per_row = _triples_per_row(cols)
     n = rows * per_row
     # a zero triple pads an odd count to whole index bytes
     flat = np.zeros(3 * (n + n % 2), dtype=np.int8)
@@ -136,30 +149,99 @@ def _encode(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _section_sizes(rows: int, cols: int, group_size: int) -> tuple[int, int, int, int]:
     """Item counts of a layer's index, sign, scale and bias sections."""
-    n = rows * -(-cols // 3)
+    n = rows * _triples_per_row(cols)
     n_scales = 1 if group_size == 0 else rows * -(-cols // group_size)
     return (n + 1) // 2, (n + 7) // 8, n_scales, rows
 
 
+#: a layer's u32 header fields, in file order
+_HEADER_FIELDS = ("rows", "cols", "group_size")
+
 #: (name, dtype) of a layer's sections, in file order
 _SECTIONS = (
-    ("index_bytes", "uint8"),
-    ("sign_bytes", "uint8"),
-    ("scales", "float32"),
-    ("bias", "float32"),
+    ("index_bytes", np.dtype("u1")),
+    ("sign_bytes", np.dtype("u1")),
+    ("scales", np.dtype("<f4")),
+    ("bias", np.dtype("<f4")),
 )
 
 
-@dataclass
+class _Fault(InvalidParam):
+    """A broken format rule at ``byte`` of the header field or section ``field``.
+
+    ``read_packed`` re-raises it as FormatError at that byte of the file.
+    """
+
+    def __init__(self, message: str, field: str, byte: int = 0):
+        super().__init__(f"{message} at byte {byte} of {field}")
+        self.field, self.byte = field, byte
+
+
+_NOT_FINITE = "non-finite {what}: {what} must be finite as float32, got {got}"
+
+#: the least magnitude that rounds to Inf in float32, halfway from its largest value to 2**128
+_FLOAT32_INF = 2.0**128 - 2.0**103
+
+
+def _require_finite32(values: np.ndarray, field: str, what: str) -> None:
+    """Fault at the first of the float32 ``values`` not finite; each takes 4 bytes of ``field``."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise _Fault(_NOT_FINITE.format(what=what, got=values[k]), field, 4 * k)
+
+
+def _lambda(lam) -> float:
+    """``lam`` as a float; InvalidParam unless it is a real number finite as float32."""
+    lam = _real("lambda", lam)
+    if not abs(lam) < _FLOAT32_INF:  # also false for NaN
+        raise _Fault(_NOT_FINITE.format(what="lambda", got=lam), "lam")
+    return lam
+
+
+def _validate_codes(index_bytes, sign_bytes, rows, cols) -> None:
+    """Fault at the first packed code the writer cannot produce."""
+    per_row = _triples_per_row(cols)
+    n = rows * per_row
+    # triple k is the low (k even) or high (k odd) nibble of index byte k // 2;
+    # spread into the two bytes of a little-endian u16, the nibbles read in triple order
+    wide = index_bytes.astype(np.uint16)
+    nibbles = ((wide | wide << 4) & 0x0F0F).astype("<u2", copy=False).view(np.uint8)
+    idx = nibbles[:n]
+    if idx.max() >= N_PATTERNS:
+        k = int(np.argmax(idx >= N_PATTERNS))
+        raise _Fault(f"invalid pattern index {idx[k]}", "index_bytes", k // 2)
+    if n % 2 and nibbles[n]:
+        raise _Fault("nonzero padding nibble", "index_bytes", n // 2)
+    if cols % 3:
+        # the last triple of each row is padded with zero codes
+        ok = _TAIL_ZERO[cols % 3][idx[per_row - 1 :: per_row]]
+        if not ok.all():
+            k = int(np.argmin(ok)) * per_row + per_row - 1
+            raise _Fault("nonzero code in a padding column", "index_bytes", k // 2)
+    if n % 8 and sign_bytes[-1] >> (n % 8):
+        raise _Fault("set sign bit after the last triple", "sign_bytes", n // 8)
+    negative_zero = sign_bytes & np.packbits(idx == 0, bitorder="little")
+    if negative_zero.any():
+        k = int(np.argmax(negative_zero != 0))
+        raise _Fault("negative sign on the zero pattern", "sign_bytes", k)
+
+
+@dataclass(frozen=True)
 class PackedLayer:
     """One layer in deployment form: packed codes, scales, frozen bias.
 
-    The header fields are u32 counts, as ``read_packed`` reads them: ``rows``
-    and ``cols`` at least 1 and ``group_size`` at least 0; any other value
-    raises InvalidParam naming the field. The sections are 1-D numpy arrays
-    of the dtypes below, as ``write_packed`` writes their bytes; any other
-    value raises InvalidParam naming the section, and a section whose size
-    does not fit the shape raises InvalidShape naming it.
+    A layer holds only what a TQLA file can: the constructor checks every
+    rule of the format and ``read_packed`` frames bytes into this type, so
+    the two accept the same layers. The header fields are u32 counts:
+    ``rows`` and ``cols`` at least 1 and ``group_size`` at least 0. The
+    sections are 1-D numpy arrays of the dtypes below, whose size fits the
+    shape (else InvalidShape naming the section). The codes are ones the
+    writer produces: pattern indices below 14, clear padding nibbles, zero
+    codes in padding columns, clear sign bits after the last triple and on
+    the zero pattern. Scales and biases are finite. Any other value raises
+    InvalidParam naming the field or section, and for a value that breaks a
+    rule the byte within it.
     """
 
     rows: int
@@ -171,11 +253,11 @@ class PackedLayer:
     bias: np.ndarray  # float32, one per row
 
     def __post_init__(self):
-        for name, minimum in (("rows", 1), ("cols", 1), ("group_size", 0)):
-            value = _count(name, getattr(self, name), minimum)
-            if value >= 2**32:
-                raise InvalidParam(f"{name} must fit in a u32, got {value}")
-            setattr(self, name, value)
+        for name, minimum in zip(_HEADER_FIELDS, (1, 1, 0)):
+            value = _count(name, getattr(self, name), 0)
+            if not minimum <= value < 2**32:
+                raise _Fault(f"{name} must be a u32 count of at least {minimum}, got {value}", name)
+            object.__setattr__(self, name, value)
         sizes = _section_sizes(self.rows, self.cols, self.group_size)
         for (name, dtype), size in zip(_SECTIONS, sizes):
             section = getattr(self, name)
@@ -188,10 +270,13 @@ class PackedLayer:
                 raise InvalidShape(
                     f"{self.rows}x{self.cols} layer needs {size} {name}, got {section.size}"
                 )
+        _validate_codes(self.index_bytes, self.sign_bytes, self.rows, self.cols)
+        _require_finite32(self.scales, "scales", "scale")
+        _require_finite32(self.bias, "bias", "bias")
 
     @property
     def n_triples_per_row(self) -> int:
-        return -(-self.cols // 3)
+        return _triples_per_row(self.cols)
 
     @property
     def padded_cols(self) -> int:
@@ -208,12 +293,23 @@ class PackedLayer:
         return codes.view(np.int8)[: 3 * n].reshape(self.rows, self.padded_cols)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PackedModel:
-    """A stack of packed layers plus the reactivation strength they froze."""
+    """A stack of packed layers plus the reactivation strength they froze.
+
+    ``lam`` is a real number finite as float32, as the file stores it, and
+    ``layers`` a list of ``PackedLayer``; anything else raises InvalidParam.
+    """
 
     lam: float
     layers: list
+
+    def __post_init__(self):
+        object.__setattr__(self, "lam", _lambda(self.lam))
+        layers = self.layers
+        if not isinstance(layers, list) or not all(isinstance(x, PackedLayer) for x in layers):
+            got = [type(x).__name__ for x in layers] if isinstance(layers, list) else layers
+            raise InvalidParam(f"layers must be a list of PackedLayer, got {got!r}")
 
 
 def _granularity_to_group_size(granularity: Granularity, cols: int) -> int:
@@ -224,15 +320,10 @@ def _granularity_to_group_size(granularity: Granularity, cols: int) -> int:
     return granularity.group_size
 
 
-def _finite_float32(values, what: str) -> np.ndarray:
-    """``values`` cast to float32; raises InvalidParam if any is not finite there."""
-    values = np.asarray(values, dtype=np.float64)
+def _float32(values) -> np.ndarray:
+    """``values`` cast to float32; one that overflows there is left for PackedLayer to reject."""
     with np.errstate(over="ignore"):
-        cast = values.astype(np.float32)
-    finite = np.isfinite(cast)
-    if not finite.all():
-        raise InvalidParam(f"{what} must be finite as float32, got {values[~finite][0]}")
-    return cast
+        return np.asarray(values, dtype=np.float64).astype("<f4")
 
 
 def _pack_layer(
@@ -246,7 +337,7 @@ def _pack_layer(
     ``shadow`` scanned, to tell it from finite weights whose sum overflows.
     """
     rows, cols = q.codes.shape
-    per_row = -(-cols // 3)
+    per_row = _triples_per_row(cols)
     n_index, n_sign, _, _ = _section_sizes(rows, cols, 0)
     index_bytes = np.empty(n_index, dtype=np.uint8)
     sign_bytes = np.empty(n_sign, dtype=np.uint8)
@@ -269,8 +360,8 @@ def _pack_layer(
         group_size=_granularity_to_group_size(q.granularity, cols),
         index_bytes=index_bytes,
         sign_bytes=sign_bytes,
-        scales=_finite_float32(q.scales, "scale"),
-        bias=_finite_float32(lam * sums, "bias"),
+        scales=_float32(q.scales),
+        bias=_float32(lam * sums),
     )
 
 
@@ -279,21 +370,27 @@ def pack_model(layers, lam: float) -> PackedModel:
 
     The per-row bias is the deadzone sum of the final shadow weights scaled
     by ``lam``, frozen here for inference. Each shadow matrix is checked
-    once: finite, and of the same shape as its codes and mask. Codes are
-    padded to a multiple of three columns with zeros; packing is lossless
-    for codes and within float32 rounding for scales and biases. A lambda,
-    scale or bias that is not finite as float32 raises InvalidParam, since
-    the file stores float32.
+    once: finite, and of the same shape as its codes and mask; codes must be
+    integers in {-1, 0, +1}. Codes are padded to a multiple of three columns
+    with zeros; packing is lossless for codes and within float32 rounding
+    for scales and biases. ``lam`` is checked first, as ``PackedModel``
+    checks it; a scale or bias that is not finite as float32 is refused by
+    ``PackedLayer``, since the file stores float32. Both raise InvalidParam.
     """
-    lam = _real("lambda", lam)
-    _finite_float32(lam, "lambda")
+    lam = _lambda(lam)
     packed = []
-    for q, shadow, mask in layers:
+    for k, (q, shadow, mask) in enumerate(layers):
         shadow = _as_matrix(shadow, scan=False)
         mask = np.asarray(mask, dtype=bool)
-        if not shadow.shape == mask.shape == q.codes.shape:
+        codes = q.codes
+        if not shadow.shape == mask.shape == codes.shape:
             _require_finite(shadow)  # a non-finite weight is reported first
-            raise InvalidShape(f"shadow {shadow.shape}, mask {mask.shape}, codes {q.codes.shape}")
+            raise InvalidShape(f"shadow {shadow.shape}, mask {mask.shape}, codes {codes.shape}")
+        if codes.dtype.kind != "i" or codes.min() < -1 or codes.max() > 1:
+            raise InvalidParam(
+                f"layer {k} codes must be integers in {{-1, 0, +1}}, got {codes.dtype} "
+                f"from {codes.min()} to {codes.max()}"
+            )
         packed.append(_pack_layer(q, shadow, mask, lam))
     return PackedModel(lam=lam, layers=packed)
 
@@ -303,110 +400,61 @@ _LAYER_HEADER = struct.Struct("<III")
 
 
 def write_packed(model: PackedModel, path) -> None:
-    """Serialize to the TQLA binary layout; identical models give identical bytes."""
+    """Serialize to the TQLA binary layout; identical models give identical bytes.
+
+    A ``PackedModel`` holds only what the format allows, so ``read_packed``
+    accepts every file written here.
+    """
     blob = bytearray()
     blob += _HEADER.pack(MAGIC, FORMAT_VERSION, np.float32(model.lam), len(model.layers))
     for layer in model.layers:
-        blob += _LAYER_HEADER.pack(layer.rows, layer.cols, layer.group_size)
-        blob += layer.index_bytes.tobytes()
-        blob += layer.sign_bytes.tobytes()
-        blob += layer.scales.astype("<f4").tobytes()
-        blob += layer.bias.astype("<f4").tobytes()
+        blob += _LAYER_HEADER.pack(*(getattr(layer, name) for name in _HEADER_FIELDS))
+        for name, _ in _SECTIONS:
+            blob += getattr(layer, name).tobytes()
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
 
 
-def _take(blob: bytes, offset: int, count: int, what: str) -> tuple[bytes, int]:
+def _take(blob: bytes, offset: int, count: int, what: str) -> int:
+    """The offset after ``count`` bytes at ``offset``; FormatError if the file ends first."""
     if offset + count > len(blob):
         raise FormatError(f"file truncated while reading {what}", offset=offset)
-    return blob[offset : offset + count], offset + count
+    return offset + count
+
+
+def _build(cls, offsets: dict, **fields):
+    """``cls(**fields)``; a fault at byte b of field f raises FormatError at ``offsets[f] + b``."""
+    try:
+        return cls(**fields)
+    except _Fault as fault:
+        raise FormatError(str(fault), offset=offsets[fault.field] + fault.byte) from None
 
 
 def read_packed(path) -> PackedModel:
-    """Parse and validate a TQLA file; malformed input raises FormatError."""
+    """Frame a TQLA file into a ``PackedModel``; malformed input raises FormatError.
+
+    The reader checks the magic, the version, truncation and trailing bytes;
+    every other rule is the constructors', whose faults it raises at their
+    file offsets. All framing is checked before any layer is built.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    raw, offset = _take(blob, 0, _HEADER.size, "header")
-    magic, version, lam, n_layers = _HEADER.unpack(raw)
+    offset = _take(blob, 0, _HEADER.size, "header")
+    magic, version, lam, n_layers = _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}", offset=4)
-    if not np.isfinite(lam):
-        raise FormatError(f"non-finite lambda {lam}", offset=8)
-    layers = []
+    framed = []  # (constructor fields, file offset of each field) of each layer
     for _ in range(n_layers):
-        raw, offset = _take(blob, offset, _LAYER_HEADER.size, "layer header")
-        rows, cols, group_size = _LAYER_HEADER.unpack(raw)
-        if rows < 1 or cols < 1:
-            raise FormatError(
-                f"layer shape must be at least 1x1, got {rows}x{cols}",
-                offset=offset - _LAYER_HEADER.size,
-            )
-        n_index, n_sign, n_scales, _ = _section_sizes(rows, cols, group_size)
-        idx_offset = offset
-        raw, offset = _take(blob, offset, n_index, "packed indices")
-        index_bytes = np.frombuffer(raw, dtype=np.uint8)
-        sign_offset = offset
-        raw, offset = _take(blob, offset, n_sign, "packed signs")
-        sign_bytes = np.frombuffer(raw, dtype=np.uint8)
-        _validate_codes(index_bytes, sign_bytes, rows, cols, idx_offset, sign_offset)
-        scale_offset = offset
-        raw, offset = _take(blob, offset, 4 * n_scales, "scales")
-        scales = np.frombuffer(raw, dtype="<f4")
-        raw, offset = _take(blob, offset, 4 * rows, "bias")
-        bias = np.frombuffer(raw, dtype="<f4")
-        _check_finite(blob, scale_offset, n_scales, rows)
-        layers.append(
-            PackedLayer(
-                rows=rows,
-                cols=cols,
-                group_size=group_size,
-                index_bytes=index_bytes.copy(),
-                sign_bytes=sign_bytes.copy(),
-                scales=scales.astype(np.float32),
-                bias=bias.astype(np.float32),
-            )
-        )
+        start, offset = offset, _take(blob, offset, _LAYER_HEADER.size, "layer header")
+        fields = dict(zip(_HEADER_FIELDS, _LAYER_HEADER.unpack_from(blob, start)))
+        offsets = {name: start + 4 * k for k, name in enumerate(_HEADER_FIELDS)}
+        for (name, dtype), count in zip(_SECTIONS, _section_sizes(*fields.values())):
+            offsets[name], offset = offset, _take(blob, offset, count * dtype.itemsize, name)
+            fields[name] = np.frombuffer(blob, dtype, count, offsets[name]).copy()
+        framed.append((fields, offsets))
     if offset != len(blob):
         raise FormatError(f"{len(blob) - offset} trailing bytes", offset=offset)
-    return PackedModel(lam=float(lam), layers=layers)
-
-
-def _check_finite(blob: bytes, offset: int, n_scales: int, rows: int) -> None:
-    """Reject a non-finite scale or bias: adjacent float32s starting at ``offset``."""
-    finite = np.isfinite(np.frombuffer(blob, dtype="<f4", count=n_scales + rows, offset=offset))
-    if not finite.all():
-        k = int(np.argmin(finite))
-        what = "scale" if k < n_scales else "bias"
-        raise FormatError(f"non-finite {what}", offset=offset + 4 * k)
-
-
-def _validate_codes(index_bytes, sign_bytes, rows, cols, idx_offset, sign_offset) -> None:
-    """Reject any packed codes the writer cannot produce."""
-    per_row = -(-cols // 3)
-    n_triples = rows * per_row
-    nibbles = np.empty(index_bytes.size * 2, dtype=np.uint8)
-    nibbles[0::2] = index_bytes & 0x0F
-    nibbles[1::2] = index_bytes >> 4
-    idx = nibbles[:n_triples]
-    invalid = idx >= N_PATTERNS
-    if invalid.any():
-        k = int(np.argmax(invalid))
-        raise FormatError(f"invalid pattern index {int(idx[k])}", offset=idx_offset + k // 2)
-    if nibbles[n_triples:].any():
-        raise FormatError("nonzero padding nibble", offset=idx_offset + n_triples // 2)
-    if cols % 3:
-        # the last triple of each row is padded with zero codes
-        ok = _TAIL_ZERO[cols % 3][idx[per_row - 1 :: per_row]]
-        if not ok.all():
-            k = int(np.argmin(ok)) * per_row + per_row - 1
-            raise FormatError("nonzero code in a padding column", offset=idx_offset + k // 2)
-    if n_triples % 8 and sign_bytes[-1] >> (n_triples % 8):
-        raise FormatError(
-            "set sign bit after the last triple", offset=sign_offset + n_triples // 8
-        )
-    negative_zero = sign_bytes & np.packbits(idx == 0, bitorder="little")
-    if negative_zero.any():
-        k = int(np.argmax(negative_zero != 0))
-        raise FormatError("negative sign on the zero pattern", offset=sign_offset + k)
+    layers = [_build(PackedLayer, offsets, **fields) for fields, offsets in framed]
+    return _build(PackedModel, {"lam": 8}, lam=lam, layers=layers)  # lambda's place in the header

@@ -109,6 +109,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise InvalidParam(f"config must be a dict, got {d!r}")
         unknown = set(d) - set(_FIELDS)
         if unknown:
             raise InvalidParam(f"unknown config keys: {sorted(unknown, key=repr)}")
@@ -125,7 +127,10 @@ def _task(name, value):
 
 
 def _widths(name, value):
-    widths = tuple(_count(name, w, 1) for w in value)
+    try:
+        widths = tuple(_count(name, w, 1) for w in value)
+    except TypeError:  # not iterable
+        raise InvalidParam(f"{name} must be a sequence of layer sizes, got {value!r}") from None
     if len(widths) < 2:
         raise InvalidParam(f"{name} must be >= 2 positive sizes, got {value}")
     return widths

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import itertools
+import struct
 import tracemalloc
 import warnings
 
@@ -16,11 +18,12 @@ from tqla.packing import (
     PackedLayer,
     PackedModel,
     _encode,
+    _section_sizes,
     pack_model,
     read_packed,
     write_packed,
 )
-from tqla.quantizer import GroupLayout
+from tqla.quantizer import GroupLayout, QuantizedTensor
 
 HEADER_BYTES = 16
 LAYER_HEADER_BYTES = 12
@@ -116,12 +119,20 @@ DECODE_KEYS = np.array(
 
 
 def layer_of_keys(keys, rows, cols):
-    """A layer whose index byte j and sign pair j come from key ``keys[j % len(keys)]``."""
+    """A layer whose index byte j and sign pair j come from key ``keys[j % len(keys)]``.
+
+    The keys are written into an all-zero layer's sections in place: some of
+    them put a sign bit on a zero pattern or codes in padding columns, which
+    ``PackedLayer`` refuses to be built with, and the decoder must still read them.
+    """
     n = rows * -(-cols // 3)
     key = np.resize(keys, (n + 1) // 2)
     pair_bits = (key[:, None] >> np.array([8, 9])) & 1
     sign_bytes = np.packbits(pair_bits.reshape(-1), bitorder="little")
-    return code_layer(rows, cols, (key & 0xFF).astype(np.uint8), sign_bytes)
+    layer = code_layer(rows, cols, np.zeros(key.size, np.uint8), np.zeros_like(sign_bytes))
+    layer.index_bytes[:] = key & 0xFF
+    layer.sign_bytes[:] = sign_bytes
+    return layer
 
 
 def code_layer(rows, cols, index_bytes, sign_bytes):
@@ -411,6 +422,239 @@ def test_truncation_and_trailing_bytes(tmp_path):
     assert "truncated" in expect_format_error(path, len(blob) - 4)
     path.write_bytes(blob + b"\0")
     assert "trailing" in expect_format_error(path, len(blob))
+
+
+def test_framing_faults_come_before_content_faults(tmp_path):
+    path = one_layer_file(tmp_path, [1, -1, 0, 1])
+    blob = bytearray(path.read_bytes())
+    blob[HEADER_BYTES + LAYER_HEADER_BYTES] = 14  # an invalid pattern index
+    for framed, offset, message in [
+        (blob[:-1], len(blob) - 4, "truncated"),
+        (blob + b"\0", len(blob), "trailing"),
+        (blob, HEADER_BYTES + LAYER_HEADER_BYTES, "invalid pattern index 14"),
+    ]:
+        path.write_bytes(bytes(framed))
+        assert message in expect_format_error(path, offset)
+
+
+SECTION_DTYPES = {
+    "index_bytes": np.uint8,
+    "sign_bytes": np.uint8,
+    "scales": np.float32,
+    "bias": np.float32,
+}
+
+
+def one_layer(**changes):
+    """Fields of a 1x4 per-tensor layer of codes (1, -1, 0, 1), with ``changes`` made.
+
+    Its two triples (+,-,0) and (+,0,0) are patterns 6 and 9: one index byte,
+    one sign byte, one scale and one bias.
+    """
+    fields = {"rows": 1, "cols": 4, "group_size": 0, "index_bytes": [0x96], "sign_bytes": [0]}
+    fields.update({"scales": [1.0], "bias": [0.0]}, **changes)
+    for name, dtype in SECTION_DTYPES.items():
+        fields[name] = np.array(fields[name], dtype)
+    return fields
+
+
+def tqla_bytes(lam, stack):
+    """A TQLA file of ``lam`` and the layer fields in ``stack``, put together without any check."""
+    blob = struct.pack("<4sIfI", b"TQLA", FORMAT_VERSION, lam, len(stack))
+    for fields in stack:
+        blob += struct.pack("<III", fields["rows"], fields["cols"], fields["group_size"])
+        blob += b"".join(np.asarray(fields[name]).tobytes() for name in SECTION_DTYPES)
+    return blob
+
+
+#: Layers that the reader refuses and the writer once wrote, each by the
+#: changes that break ``one_layer`` and the message that refuses them
+REFUSED_LAYERS = {
+    "pattern index 14": (
+        {"index_bytes": [0x9E]},
+        "invalid pattern index 14 at byte 0 of index_bytes",
+    ),
+    "padding nibble": (
+        {"cols": 3, "index_bytes": [0x16]},
+        "nonzero padding nibble at byte 0 of index_bytes",
+    ),
+    "zero pattern sign": (
+        {"index_bytes": [0x90], "sign_bytes": [0b01]},
+        "negative sign on the zero pattern at byte 0 of sign_bytes",
+    ),
+    "padding column code": (
+        {"index_bytes": [0x36]},
+        "nonzero code in a padding column at byte 0 of index_bytes",
+    ),
+    "trailing sign bit": (
+        {"sign_bytes": [0b100]},
+        "set sign bit after the last triple at byte 0 of sign_bytes",
+    ),
+    "NaN scale": ({"scales": [np.nan]}, "non-finite scale: .* at byte 0 of scales"),
+    "Inf bias": ({"bias": [np.inf]}, "non-finite bias: .* at byte 0 of bias"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_LAYERS))
+def test_a_layer_the_reader_refuses_cannot_be_built(tmp_path, case):
+    changes, message = REFUSED_LAYERS[case]
+    PackedLayer(**one_layer())
+    path = tmp_path / "model.tqla"
+    with pytest.raises(InvalidParam, match=message):
+        write_packed(PackedModel(LAM, [PackedLayer(**one_layer(**changes))]), path)
+    assert not path.exists()
+    # the reader refuses the same bytes with the same message
+    path.write_bytes(tqla_bytes(LAM, [one_layer(**changes)]))
+    with pytest.raises(FormatError, match=message):
+        read_packed(path)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, 1e39, -1e39, "x", None, True], ids=repr)
+def test_model_lambda_must_be_a_real_finite_as_float32(tmp_path, lam):
+    path = tmp_path / "model.tqla"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParam, match="lambda"):
+            write_packed(PackedModel(lam, []), path)
+    assert not path.exists()
+
+
+def test_model_lambda_is_refused_exactly_where_float32_overflows(tmp_path):
+    largest = float(np.finfo(np.float32).max)
+    edge = 2.0**128 - 2.0**103  # halfway from the largest float32 to 2**128: rounds to Inf
+    path = tmp_path / "model.tqla"
+    for lam in (largest, np.nextafter(edge, 0.0), -np.nextafter(edge, 0.0)):
+        write_packed(PackedModel(lam, []), path)
+        assert read_packed(path).lam == np.copysign(largest, lam)
+    for lam in (edge, -edge):
+        with pytest.raises(InvalidParam, match="lambda"):
+            PackedModel(lam, [])
+
+
+def test_model_holds_a_list_of_packed_layers():
+    layer = PackedLayer(**one_layer())
+    for layers in [(layer,), [layer, one_layer()], None]:
+        with pytest.raises(InvalidParam, match="layers"):
+            PackedModel(LAM, layers)
+    model = PackedModel(np.float32(LAM), [layer])
+    assert type(model.lam) is float
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.lam = np.nan
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layer.rows = 0
+
+
+@pytest.mark.parametrize("field,k", [("rows", 0), ("cols", 1)])
+def test_header_count_faults_point_at_their_field(tmp_path, field, k):
+    # a 0-row or 0-column layer whose sections fit its sizes, so only the count is wrong
+    fields = one_layer(**{field: 0})
+    for name, size in zip(SECTION_DTYPES, _section_sizes(fields["rows"], fields["cols"], 0)):
+        fields[name] = fields[name][:size]
+    path = tmp_path / "model.tqla"
+    path.write_bytes(tqla_bytes(LAM, [fields]))
+    message = expect_format_error(path, HEADER_BYTES + 4 * k)
+    assert f"{field} must be a u32 count of at least 1, got 0" in message
+
+
+@pytest.mark.parametrize("codes", [[0, 0, 2], [0, 0, 5], [-2, 1, 0], [0.0, 1.0, -1.0]], ids=str)
+def test_pack_model_rejects_codes_that_are_not_ternary(codes):
+    # (0, 0, 2) used to pack as (0, +1, -1) and (0, 0, 5) as (+1, -1, -1); codes
+    # of a float dtype are refused whatever their values
+    w = np.array([[0.5, -1.0, 0.0]])
+    q = quantize(w, "absmean", Granularity("per-tensor"))
+    bad = QuantizedTensor(np.array([codes]), q.scales, q.thresholds, q.layout)
+    mask = deadzone_mask(w, q)
+    with pytest.raises(InvalidParam, match="layer 1 codes"):
+        pack_model([(q, w, mask), (bad, w, mask)], LAM)
+
+
+def writer_produces(index, signs, rows, cols):
+    """Whether packed codes decode and re-encode to the same bytes (scalar oracles)."""
+    try:
+        codes = unpack_codes_scalar(index, signs, rows, cols)
+    except IndexError:  # pattern index 14 or 15
+        return False
+    return pack_codes_scalar([row[:cols] for row in codes]) == (bytes(index), bytes(signs))
+
+
+@st.composite
+def layer_fields(draw):
+    """A small layer's fields: packed codes the writer produces or random bytes; random floats."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 10))
+    group_size = draw(st.sampled_from([0, cols, draw(st.integers(1, cols + 2))]))
+    sizes = dict(zip(SECTION_DTYPES, _section_sizes(rows, cols, group_size)))
+    codes = draw(st.lists(st.integers(-1, 1), min_size=rows * cols, max_size=rows * cols))
+    fields = dict(zip(SECTION_DTYPES, _encode(np.array(codes, np.int8).reshape(rows, cols))))
+    for name in ("index_bytes", "sign_bytes"):
+        if draw(st.booleans()):
+            raw = draw(st.binary(min_size=sizes[name], max_size=sizes[name]))
+            fields[name] = np.frombuffer(raw, np.uint8)
+    for name in ("scales", "bias"):
+        values = st.lists(st.floats(width=32), min_size=sizes[name], max_size=sizes[name])
+        fields[name] = np.array(draw(values), np.float32)
+    return dict(rows=rows, cols=cols, group_size=group_size, **fields)
+
+
+def follows_the_format(lam, stack):
+    """Whether ``lam`` and each layer's sections are what the writer produces."""
+    return np.isfinite(np.float32(lam)) and all(
+        writer_produces(f["index_bytes"], f["sign_bytes"], f["rows"], f["cols"])
+        and np.isfinite(f["scales"]).all()
+        and np.isfinite(f["bias"]).all()
+        for f in stack
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(width=32), st.lists(layer_fields(), max_size=3))
+def test_a_model_builds_exactly_when_it_reads_back(tmp_path_factory, lam, stack):
+    path = tmp_path_factory.mktemp("build") / "model.tqla"
+    try:
+        model = PackedModel(lam, [PackedLayer(**fields) for fields in stack])
+    except InvalidParam as error:
+        assert not follows_the_format(lam, stack)
+        # the reader refuses the same bytes with the same message
+        path.write_bytes(tqla_bytes(lam, stack))
+        with pytest.raises(FormatError) as info:
+            read_packed(path)
+        assert str(info.value).startswith(str(error))
+        return
+    assert follows_the_format(lam, stack)
+    write_packed(model, path)
+    assert path.read_bytes() == tqla_bytes(lam, stack)
+    back = read_packed(path)
+    assert back.lam == lam
+    assert len(back.layers) == len(stack)
+    for layer, fields in zip(back.layers, stack):
+        for name, value in fields.items():
+            assert np.asarray(getattr(layer, name)).tobytes() == np.asarray(value).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(width=32),
+    st.lists(layer_fields(), max_size=3),
+    st.sampled_from(["none", "byte", "truncate", "append"]),
+    st.data(),
+)
+def test_every_file_the_reader_accepts_is_rewritten_to_the_same_bytes(
+    tmp_path_factory, lam, stack, damage, data
+):
+    blob = bytearray(tqla_bytes(lam, stack))
+    if damage == "byte":
+        blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    elif damage == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1)) :]
+    elif damage == "append":
+        blob += data.draw(st.binary(min_size=1, max_size=8))
+    path = tmp_path_factory.mktemp("read") / "model.tqla"
+    path.write_bytes(bytes(blob))
+    try:
+        model = read_packed(path)
+    except FormatError:
+        return
+    write_packed(model, path)
+    assert path.read_bytes() == blob
 
 
 @pytest.mark.parametrize("cols", [9, 10, 11], ids=lambda c: f"cols%3={c % 3}")

@@ -121,6 +121,20 @@ def test_from_dict_rejects_unknown_keys():
         TrainConfig.from_dict(d)
 
 
+@pytest.mark.parametrize("value", [None, [("seed", 1)], "seed"], ids=repr)
+def test_from_dict_needs_a_dict(value):
+    with pytest.raises(InvalidParam, match="config must be a dict"):
+        TrainConfig.from_dict(value)
+
+
+@pytest.mark.parametrize("widths", [5, None, np.int64(4), np.array(4)], ids=repr)
+def test_widths_must_be_a_sequence(widths):
+    with pytest.raises(InvalidParam, match="widths"):
+        TrainConfig(widths=widths)
+    with pytest.raises(InvalidParam, match="widths"):
+        TrainConfig.from_dict({"widths": widths})
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_overflowing_updates_diverge(scheme):
     config = TrainConfig(
