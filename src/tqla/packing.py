@@ -20,10 +20,12 @@ biases are finite as float32. Anything else raises InvalidParam naming the
 field or section, and for a value that breaks a rule the byte within it; a
 section of the wrong size raises InvalidShape. ``pack_model`` and
 ``read_packed`` build their results through these constructors, so neither
-can hand out what the other would refuse. ``read_packed`` itself only
-frames bytes: magic, version, truncation and trailing bytes; a fault a
-constructor finds is re-raised as ``FormatError`` at that byte of the file.
-Every framing fault is reported before any content fault.
+can hand out what the other would refuse; a layer keeps read-only copies of
+its sections and a model its own list of layers, so neither changes once
+built. ``read_packed`` itself only frames bytes: magic, version, truncation
+and trailing bytes; a fault a constructor finds is re-raised as
+``FormatError`` at that byte of the file. Every framing fault is reported
+before any content fault.
 
 On-disk "TQLA" layout (all little-endian):
 
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InvalidParam, InvalidShape
+from .errors import FormatError, InvalidParam, InvalidShape, TqlaError
 from .quantizer import (
     PER_CHANNEL,
     PER_TENSOR,
@@ -63,6 +65,7 @@ from .quantizer import (
     QuantizedTensor,
     _as_matrix,
     _count,
+    _join,
     _real,
     _require_finite,
     _row_ranges,
@@ -241,7 +244,8 @@ class PackedLayer:
     codes in padding columns, clear sign bits after the last triple and on
     the zero pattern. Scales and biases are finite. Any other value raises
     InvalidParam naming the field or section, and for a value that breaks a
-    rule the byte within it.
+    rule the byte within it. The layer keeps a read-only copy of each
+    section, checked after copying, so a built layer stays valid.
     """
 
     rows: int
@@ -270,6 +274,9 @@ class PackedLayer:
                 raise InvalidShape(
                     f"{self.rows}x{self.cols} layer needs {size} {name}, got {section.size}"
                 )
+            section = section.copy()
+            section.setflags(write=False)
+            object.__setattr__(self, name, section)
         _validate_codes(self.index_bytes, self.sign_bytes, self.rows, self.cols)
         _require_finite32(self.scales, "scales", "scale")
         _require_finite32(self.bias, "bias", "bias")
@@ -299,6 +306,7 @@ class PackedModel:
 
     ``lam`` is a real number finite as float32, as the file stores it, and
     ``layers`` a list of ``PackedLayer``; anything else raises InvalidParam.
+    The model keeps its own copy of the list.
     """
 
     lam: float
@@ -310,6 +318,7 @@ class PackedModel:
         if not isinstance(layers, list) or not all(isinstance(x, PackedLayer) for x in layers):
             got = [type(x).__name__ for x in layers] if isinstance(layers, list) else layers
             raise InvalidParam(f"layers must be a list of PackedLayer, got {got!r}")
+        object.__setattr__(self, "layers", list(layers))
 
 
 def _granularity_to_group_size(granularity: Granularity, cols: int) -> int:
@@ -331,27 +340,22 @@ def _pack_layer(
 ) -> PackedLayer:
     """Encode ``q.codes`` and freeze ``lam`` times the masked row sums of ``shadow``.
 
-    Shards cut on multiples of 8 rows, so each one encodes whole index and
-    sign bytes. A non-finite shadow weight makes its row's masked sum
-    non-finite (NaN and Inf times a clear mask bit are NaN); only then is
-    ``shadow`` scanned, to tell it from finite weights whose sum overflows.
+    Each shard returns its row sums, index bytes and sign bytes, joined in
+    row order. Shards cut on multiples of 8 rows, so each one encodes whole
+    index and sign bytes and the joined bytes are those of one pass. A
+    non-finite shadow weight makes its row's masked sum non-finite (NaN and
+    Inf times a clear mask bit are NaN); only then is ``shadow`` scanned,
+    to tell it from finite weights whose sum overflows.
     """
     rows, cols = q.codes.shape
-    per_row = _triples_per_row(cols)
-    n_index, n_sign, _, _ = _section_sizes(rows, cols, 0)
-    index_bytes = np.empty(n_index, dtype=np.uint8)
-    sign_bytes = np.empty(n_sign, dtype=np.uint8)
-    sums = np.empty(rows)
 
     def shard(lo, hi):
         with np.errstate(invalid="ignore"):  # Inf times a clear mask bit
-            sums[lo:hi] = _sequential_sums(shadow[lo:hi], mask[lo:hi])
-        index, sign = _encode(q.codes[lo:hi])
-        start = lo * per_row  # triples before the shard, a multiple of 8
-        index_bytes[start // 2 : start // 2 + index.size] = index
-        sign_bytes[start // 8 : start // 8 + sign.size] = sign
+            sums = _sequential_sums(shadow[lo:hi], mask[lo:hi])
+        return (sums, *_encode(q.codes[lo:hi]))
 
-    _run_shards(shard, _row_ranges(rows, shadow.size, align=8))
+    ranges = _row_ranges(rows, shadow.size, align=8)
+    sums, index_bytes, sign_bytes = map(_join, zip(*_run_shards(shard, ranges)))
     if not np.isfinite(sums).all():
         _require_finite(shadow)
     return PackedLayer(
@@ -371,11 +375,13 @@ def pack_model(layers, lam: float) -> PackedModel:
     The per-row bias is the deadzone sum of the final shadow weights scaled
     by ``lam``, frozen here for inference. Each shadow matrix is checked
     once: finite, and of the same shape as its codes and mask; codes must be
-    integers in {-1, 0, +1}. Codes are padded to a multiple of three columns
-    with zeros; packing is lossless for codes and within float32 rounding
-    for scales and biases. ``lam`` is checked first, as ``PackedModel``
-    checks it; a scale or bias that is not finite as float32 is refused by
-    ``PackedLayer``, since the file stores float32. Both raise InvalidParam.
+    integers in {-1, 0, +1}. A non-finite shadow weight is reported before
+    any other fault of its layer. Codes are padded to a multiple of three
+    columns with zeros; packing is lossless for codes and within float32
+    rounding for scales and biases. ``lam`` is checked first, as
+    ``PackedModel`` checks it; a scale or bias that is not finite as float32
+    is refused by ``PackedLayer``, since the file stores float32. Both raise
+    InvalidParam.
     """
     lam = _lambda(lam)
     packed = []
@@ -383,14 +389,17 @@ def pack_model(layers, lam: float) -> PackedModel:
         shadow = _as_matrix(shadow, scan=False)
         mask = np.asarray(mask, dtype=bool)
         codes = q.codes
-        if not shadow.shape == mask.shape == codes.shape:
+        try:
+            if not shadow.shape == mask.shape == codes.shape:
+                raise InvalidShape(f"shadow {shadow.shape}, mask {mask.shape}, codes {codes.shape}")
+            if codes.dtype.kind != "i" or codes.min() < -1 or codes.max() > 1:
+                raise InvalidParam(
+                    f"layer {k} codes must be integers in {{-1, 0, +1}}, got {codes.dtype} "
+                    f"from {codes.min()} to {codes.max()}"
+                )
+        except TqlaError:
             _require_finite(shadow)  # a non-finite weight is reported first
-            raise InvalidShape(f"shadow {shadow.shape}, mask {mask.shape}, codes {codes.shape}")
-        if codes.dtype.kind != "i" or codes.min() < -1 or codes.max() > 1:
-            raise InvalidParam(
-                f"layer {k} codes must be integers in {{-1, 0, +1}}, got {codes.dtype} "
-                f"from {codes.min()} to {codes.max()}"
-            )
+            raise
         packed.append(_pack_layer(q, shadow, mask, lam))
     return PackedModel(lam=lam, layers=packed)
 
@@ -452,7 +461,7 @@ def read_packed(path) -> PackedModel:
         offsets = {name: start + 4 * k for k, name in enumerate(_HEADER_FIELDS)}
         for (name, dtype), count in zip(_SECTIONS, _section_sizes(*fields.values())):
             offsets[name], offset = offset, _take(blob, offset, count * dtype.itemsize, name)
-            fields[name] = np.frombuffer(blob, dtype, count, offsets[name]).copy()
+            fields[name] = np.frombuffer(blob, dtype, count, offsets[name])
         framed.append((fields, offsets))
     if offset != len(blob):
         raise FormatError(f"{len(blob) - offset} trailing bytes", offset=offset)

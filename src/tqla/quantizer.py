@@ -28,12 +28,15 @@ The three export calls, ``quantize``, ``deadzone_mask`` and
 ``packing.pack_model``, split a large matrix into row ranges ("shards"),
 one per usable CPU, and run them at once on a small thread pool while the
 calling thread waits. numpy releases the GIL inside its ufunc, ``take``
-and reduce loops, so the shards do run in parallel. The split is exact: a per-group or per-channel
-group lies within one row, so a shard's sums, thresholds, codes and mask
-depend only on its own rows and are bit for bit those of one pass over the
-matrix, and ``pack_model`` cuts on multiples of 8 rows so that each shard
-encodes whole index and sign bytes. A per-tensor group spans every row, so
-``quantize`` and ``deadzone_mask`` keep such a matrix on one shard.
+and reduce loops, so the shards do run in parallel. Each shard returns the
+arrays it computes and the caller joins them in row order; a single
+shard's arrays are used as they are. The split is exact: a per-group or
+per-channel group lies within one row, so a shard's sums, thresholds, codes
+and mask depend only on its own rows and are bit for bit those of one pass
+over the matrix, and ``pack_model`` cuts on multiples of 8 rows so that
+each shard encodes whole index and sign bytes. A per-tensor group spans
+every row, so ``quantize`` and ``deadzone_mask`` keep such a matrix on one
+shard.
 Matrices below ``_SHARD_MIN`` elements stay on one shard, run inline: for
 them the hand-over to the pool costs more than the second core gives.
 Workers call only the private kernels; every public entry point and each
@@ -51,7 +54,6 @@ from __future__ import annotations
 import numbers
 import os
 import threading
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
@@ -408,11 +410,11 @@ def _group_shards(layout: GroupLayout) -> list[tuple[slice, slice, GroupLayout]]
 def _run_shards(work, shards) -> list:
     """``[work(*shard) for shard in shards]``, all at once when there are several.
 
-    One shard runs inline. Several go to the pool as one task per shard,
-    each taking shards from a shared queue until it is empty, so that a
-    task that starts late (its CPU busy elsewhere) leaves its shard to
-    another. The calling thread waits meanwhile, which frees its CPU for a
-    pool thread. Each shard runs under the caller's numpy error state.
+    One shard runs inline. Several go to the pool, one task each, and wait
+    in its queue for a free thread; the calling thread waits for every one
+    of them, which frees its CPU for a pool thread. Each shard runs under
+    the caller's numpy error state. The results come in shard order; a
+    shard's exception is raised only once every shard has finished.
     """
     if len(shards) == 1:
         return [work(*shards[0])]
@@ -420,32 +422,24 @@ def _run_shards(work, shards) -> list:
     from concurrent.futures import ThreadPoolExecutor, wait
 
     state = np.geterr()
-    results = [None] * len(shards)
-    pending = deque(enumerate(shards))
 
-    def drain():
+    def run(shard):
         with np.errstate(**state):
-            while True:
-                try:
-                    i, shard = pending.popleft()
-                except IndexError:
-                    return
-                try:
-                    results[i] = work(*shard)
-                except BaseException:
-                    pending.clear()  # start no further shard
-                    raise
+            return work(*shard)
 
     global _pool
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(len(shards), thread_name_prefix="tqla-shard")
         pool = _pool
-    drains = [pool.submit(drain) for _ in shards]
-    wait(drains)
-    for drained in drains:
-        drained.result()
-    return results
+    futures = [pool.submit(run, shard) for shard in shards]
+    wait(futures)
+    return [future.result() for future in futures]
+
+
+def _join(arrays) -> np.ndarray:
+    """Shards' arrays joined in row order; a single shard's array as it is, not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _drop_pool() -> None:
@@ -458,7 +452,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _sides(w: np.ndarray, layout: GroupLayout, deltas, pos=None, live=None):
+def _sides(w: np.ndarray, layout: GroupLayout, deltas):
     """(``w >= delta``, ``|w| >= delta``) with each element's group threshold.
 
     Every delta is >= 0 or +inf; ``w`` is finite, or its caller rejects it
@@ -468,15 +462,14 @@ def _sides(w: np.ndarray, layout: GroupLayout, deltas, pos=None, live=None):
     its size. A smaller one is compared against one expansion of the
     thresholds and its ``|w|``: both stay in cache, where numpy's
     contiguous compares beat broadcasts over short group runs. Both give
-    the same bits. ``pos`` and ``live``, when given, are bool arrays of
-    ``w``'s shape for the two results.
+    the same bits.
     """
     if w.size > _SUM_BLOCK:
-        pos = layout.apply(np.greater_equal, w, deltas, out=pos)
-        live = layout.apply(np.less_equal, w, -deltas, out=live)
+        pos = layout.apply(np.greater_equal, w, deltas)
+        live = layout.apply(np.less_equal, w, -deltas)
         return pos, np.logical_or(live, pos, out=live)
     thr = layout.expand(deltas)
-    return np.greater_equal(w, thr, out=pos), np.greater_equal(np.abs(w), thr, out=live)
+    return np.greater_equal(w, thr), np.greater_equal(np.abs(w), thr)
 
 
 def _ternary(pos: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -528,16 +521,12 @@ def quantize(w, scheme: str, granularity: Granularity) -> QuantizedTensor:
     except TqlaError:
         _require_finite(w)  # a non-finite weight is reported first
         raise
-    codes = np.empty(w.shape, dtype=np.int8)
-    scales = np.empty(layout.n_groups)
-    thresholds = np.empty(layout.n_groups)
 
-    def shard(rows, groups, part):
-        q = _quantized_view(w[rows], scheme, part, codes=codes[rows])[0]
-        scales[groups] = q.scales
-        thresholds[groups] = q.thresholds
+    def shard(rows, _, part):
+        q = _quantized_view(w[rows], scheme, part)[0]
+        return q.codes, q.scales, q.thresholds
 
-    _run_shards(shard, _group_shards(layout))
+    codes, scales, thresholds = map(_join, zip(*_run_shards(shard, _group_shards(layout))))
     # each threshold is a finite multiple of its group's |w| sum, which is
     # NaN or Inf for a non-finite weight and Inf when finite weights overflow
     if not np.isfinite(thresholds).all():
@@ -545,19 +534,17 @@ def quantize(w, scheme: str, granularity: Granularity) -> QuantizedTensor:
     return QuantizedTensor(codes=codes, scales=scales, thresholds=thresholds, layout=layout)
 
 
-def _quantized_view(w: np.ndarray, scheme: str, layout: GroupLayout, params=None, codes=None):
+def _quantized_view(w: np.ndarray, scheme: str, layout: GroupLayout, params=None):
     """``quantize`` without validation, plus the deadzone mask it computes.
 
     ``params`` gives the per-group (alpha, delta) instead of the ``scheme``
     estimator. Returns ``(tensor, mask)``: the bool mask ``|w| < delta`` is
     the ternarizer's zero branch, so it comes from the same compares as the
     codes. Groups with alpha == 0 have their codes forced to zero. The
-    tensor owns ``layout`` and, when given, ``codes``: an int8 array of
-    ``w``'s shape that receives the codes.
+    tensor owns ``layout``.
     """
     alphas, deltas = _group_params(w, scheme, layout) if params is None else params
-    pos = None if codes is None else codes.view(bool)
-    codes, dead = _ternary(*_sides(w, layout, deltas, pos))
+    codes, dead = _ternary(*_sides(w, layout, deltas))
     degenerate = alphas == 0.0
     if degenerate.any():
         codes[layout.expand(degenerate)] = 0
@@ -588,18 +575,17 @@ def deadzone_mask(w, q: QuantizedTensor) -> np.ndarray:
     except TqlaError:
         _require_finite(w)  # a non-finite weight is reported first
         raise
-    mask = np.empty(w.shape, dtype=bool)
 
     def shard(rows, groups, part):
         if not np.isfinite(w[rows]).all():
-            return False
-        live = _sides(w[rows], part, thresholds[groups], live=mask[rows])[1]
-        np.logical_not(live, out=live)
-        return True
+            return None
+        live = _sides(w[rows], part, thresholds[groups])[1]
+        return np.logical_not(live, out=live)
 
-    if not all(_run_shards(shard, _group_shards(q.layout))):
+    masks = _run_shards(shard, _group_shards(q.layout))
+    if any(mask is None for mask in masks):
         _require_finite(w)
-    return mask
+    return _join(masks)
 
 
 def tequila_bias(w, mask, lam: float) -> np.ndarray:

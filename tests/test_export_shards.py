@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -132,6 +133,30 @@ def test_concurrent_callers_under_a_short_switch_interval(monkeypatch):
         if quantizer._pool is not None:
             quantizer._pool.shutdown()
     assert len(got) == 40 and all(g == expected for g in got)
+
+
+def test_a_failing_shard_raises_once_every_shard_has_finished(monkeypatch):
+    monkeypatch.setattr(quantizer, "_pool", None)
+    finished = []
+
+    def work(k, seconds):
+        if k == 1:
+            raise ValueError("shard 1 failed")
+        time.sleep(seconds)  # still running when shard 1 raises
+        finished.append(k)
+        return k
+
+    try:
+        with pytest.raises(ValueError, match="shard 1 failed"):
+            quantizer._run_shards(work, [(0, 0.05), (1, 0.0), (2, 0.3)])
+        assert sorted(finished) == [0, 2]
+        pool = quantizer._pool
+        # the same pool serves the next call, in shard order
+        assert quantizer._run_shards(lambda k: k * k, [(k,) for k in range(3)]) == [0, 1, 4]
+        assert quantizer._pool is pool
+    finally:
+        if quantizer._pool is not None:
+            quantizer._pool.shutdown()
 
 
 def test_row_ranges():
@@ -325,6 +350,11 @@ def test_pack_model_reports_non_finite_weights_first(monkeypatch, workers):
         pack_model([(q, bad, mask[:, :9])], LAM)
     with pytest.raises(InvalidShape):
         pack_model([(q, w, mask[:, :9])], LAM)
+    not_ternary = QuantizedTensor(np.full_like(q.codes, 2), q.scales, q.thresholds, q.layout)
+    with pytest.raises(InvalidParam, match=NON_FINITE):
+        pack_model([(not_ternary, bad, mask)], LAM)
+    with pytest.raises(InvalidParam, match="layer 0 codes must be integers"):
+        pack_model([(not_ternary, w, mask)], LAM)
 
 
 @SHARDS

@@ -121,17 +121,18 @@ DECODE_KEYS = np.array(
 def layer_of_keys(keys, rows, cols):
     """A layer whose index byte j and sign pair j come from key ``keys[j % len(keys)]``.
 
-    The keys are written into an all-zero layer's sections in place: some of
-    them put a sign bit on a zero pattern or codes in padding columns, which
-    ``PackedLayer`` refuses to be built with, and the decoder must still read them.
+    The keys replace a built all-zero layer's sections, past its checks: some
+    of them put a sign bit on a zero pattern or codes in padding columns,
+    which ``PackedLayer`` refuses to be built with, and the decoder must still
+    read them.
     """
     n = rows * -(-cols // 3)
     key = np.resize(keys, (n + 1) // 2)
     pair_bits = (key[:, None] >> np.array([8, 9])) & 1
     sign_bytes = np.packbits(pair_bits.reshape(-1), bitorder="little")
     layer = code_layer(rows, cols, np.zeros(key.size, np.uint8), np.zeros_like(sign_bytes))
-    layer.index_bytes[:] = key & 0xFF
-    layer.sign_bytes[:] = sign_bytes
+    object.__setattr__(layer, "index_bytes", (key & 0xFF).astype(np.uint8))
+    object.__setattr__(layer, "sign_bytes", sign_bytes)
     return layer
 
 
@@ -542,6 +543,31 @@ def test_model_holds_a_list_of_packed_layers():
         model.lam = np.nan
     with pytest.raises(dataclasses.FrozenInstanceError):
         layer.rows = 0
+
+
+def test_a_built_model_does_not_change(tmp_path):
+    # a set sign bit written into a built 1x3 all-zero layer used to reach
+    # the file, which the reader then refused
+    fields = one_layer(cols=3, index_bytes=[0])
+    layer = PackedLayer(**fields)
+    for name in SECTION_DTYPES:
+        fields[name][0] = 1  # the caller's arrays were copied
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(layer, name)[0] = 1
+    layers = [layer]
+    model = PackedModel(LAM, layers)
+    layers.append(PackedLayer(**one_layer()))
+    layers[0] = layers[1]
+    assert len(model.layers) == 1 and model.layers[0] is layer
+    path = tmp_path / "model.tqla"
+    write_packed(model, path)
+    (read,) = read_packed(path).layers
+    assert [getattr(read, name).tolist() for name in SECTION_DTYPES] == [[0], [0], [1.0], [0.0]]
+    assert not any(getattr(read, name).flags.writeable for name in SECTION_DTYPES)
+    w = np.array([[0.5, -1.0, 0.0]])
+    q = quantize(w, "absmean", Granularity("per-tensor"))
+    (packed,) = pack_model([(q, w, deadzone_mask(w, q))], LAM).layers
+    assert not any(getattr(packed, name).flags.writeable for name in SECTION_DTYPES)
 
 
 @pytest.mark.parametrize("field,k", [("rows", 0), ("cols", 1)])
