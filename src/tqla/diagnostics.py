@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateNormalization, InsufficientHistory, InvalidParam, InvalidShape
-from .quantizer import QuantizedTensor, _as_matrix, _count, _real_where
+from .quantizer import QuantizedTensor, _as_matrix, _count, _real_where, _require_ternary
 
 DEFAULT_BAND = 0.1
 DEFAULT_BINS = 120
@@ -80,7 +80,9 @@ class CodeHistory:
 
     Each push counts the flips between the new snapshot and the one before
     it, once; the window keeps the counts of its ``window - 1`` adjacent
-    pairs and only the latest codes.
+    pairs and only the latest codes. A snapshot is one non-empty array of
+    integer codes in {-1, 0, +1} per layer, of the shapes pushed before;
+    anything else raises and leaves the history as it was.
     """
 
     window: int = DEFAULT_HISTORY_WINDOW
@@ -92,9 +94,12 @@ class CodeHistory:
         self._flips = deque(maxlen=self.window - 1)
 
     def push(self, codes_per_layer):
-        snap = [np.asarray(c, dtype=np.int8).copy() for c in codes_per_layer]
+        snap = [np.asarray(c) for c in codes_per_layer]
         if not snap or any(c.size == 0 for c in snap):
             raise InvalidShape("a snapshot needs at least one code array, none of them empty")
+        for k, c in enumerate(snap):
+            _require_ternary(f"layer {k} codes", c)
+        snap = [c.astype(np.int8) for c in snap]
         prev = self._last
         if prev is not None:
             if len(prev) != len(snap) or any(a.shape != b.shape for a, b in zip(prev, snap)):

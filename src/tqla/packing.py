@@ -68,6 +68,7 @@ from .quantizer import (
     _join,
     _real,
     _require_finite,
+    _require_ternary,
     _row_ranges,
     _run_shards,
     _sequential_sums,
@@ -392,11 +393,7 @@ def pack_model(layers, lam: float) -> PackedModel:
         try:
             if not shadow.shape == mask.shape == codes.shape:
                 raise InvalidShape(f"shadow {shadow.shape}, mask {mask.shape}, codes {codes.shape}")
-            if codes.dtype.kind != "i" or codes.min() < -1 or codes.max() > 1:
-                raise InvalidParam(
-                    f"layer {k} codes must be integers in {{-1, 0, +1}}, got {codes.dtype} "
-                    f"from {codes.min()} to {codes.max()}"
-                )
+            _require_ternary(f"layer {k} codes", codes)
         except TqlaError:
             _require_finite(shadow)  # a non-finite weight is reported first
             raise
@@ -421,7 +418,7 @@ def write_packed(model: PackedModel, path) -> None:
         for name, _ in _SECTIONS:
             blob += getattr(layer, name).tobytes()
     with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+        fh.write(blob)
 
 
 def _take(blob: bytes, offset: int, count: int, what: str) -> int:

@@ -40,8 +40,8 @@ mask, and it records them in the layer's public ``cache`` (a
 ``ForwardCache``). The backward and the trap snapshot read that view
 instead of quantizing again; the backward broadcasts the group scales
 into ``e * alpha`` and ``w_q`` without expanding them, and
-clears ``cache``. The hot path does not re-check the shadow weights:
-``QuantLinearLayer.create`` validates them and ``optimizer_step`` only
+clears ``cache``. The hot path does not re-check the shadow weights: the
+``QuantLinearLayer`` constructor validates them and ``optimizer_step`` only
 commits finite values. An MLP reads each layer's recorded input ``cache.x``
 as its activation. The optimizer's moment decays and epsilon are fixed
 constants; only the learning rate is set per run.
@@ -60,6 +60,8 @@ from .quantizer import (
     GroupLayout,
     QuantizedTensor,
     _as_matrix,
+    _as_real,
+    _group_params,
     _quantized_view,
     _lam,
     _real_where,
@@ -183,8 +185,19 @@ class QuantLinearLayer:
 
     ``shadow_weights`` stay full precision; the ternary view is rebuilt from
     them at every forward, on the ``layout`` built once from the weights'
-    shape and ``granularity``. Scheme-specific learnable parameter slots are
-    populated only for the schemes that use them.
+    shape and ``granularity``.
+
+    The constructor is the one way to build a layer. In order, it checks the
+    scheme; takes a float64 copy of the weights, a non-empty, finite, real
+    matrix, so training never writes into the caller's array; checks ``lam``
+    (finite) and ``epsilon`` (finite, >= 0); and builds the layout, which
+    checks ``granularity``. An unknown scheme raises ``UnsupportedScheme``,
+    a bad shape ``InvalidShape`` and any other bad value ``InvalidParam``.
+    It then fills the slots of the schemes that use them: ``lsq`` and
+    ``dlt`` start ``learnable_alpha`` at the estimator's scales and freeze
+    its thresholds in ``frozen_thresholds``; ``seq`` and ``dlt`` start
+    ``learnable_b`` at zero. ``dataclasses.replace`` runs the constructor again, so its copy starts
+    alpha from the current weights and b at zero, not at the learnt values.
     """
 
     shadow_weights: np.ndarray
@@ -199,26 +212,17 @@ class QuantLinearLayer:
     cache: ForwardCache | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.layout = GroupLayout(self.granularity, *self.shadow_weights.shape)
-
-    @classmethod
-    def create(cls, weights, scheme, granularity, *, lam=DEFAULT_LAMBDA, epsilon=DEFAULT_EPSILON):
-        _scheme("scheme", scheme)
-        w = _as_matrix(weights).copy()
-        lam = _lam("lambda", lam)
-        epsilon = _epsilon("epsilon", epsilon)
-        layer = cls(
-            shadow_weights=w, scheme=scheme, granularity=granularity, lam=lam, epsilon=epsilon
-        )
-        entry = SCHEME_TABLE[scheme]
+        _scheme("scheme", self.scheme)
+        w = self.shadow_weights = _as_matrix(self.shadow_weights).copy()
+        self.lam = _lam("lambda", self.lam)
+        self.epsilon = _epsilon("epsilon", self.epsilon)
+        layout = self.layout = GroupLayout(self.granularity, *w.shape)
+        entry = SCHEME_TABLE[self.scheme]
         if "alpha" in entry.learnable:
             # alpha becomes learnable; the threshold keeps its initial estimate
-            q0 = _quantized_view(w, entry.estimator, layer.layout)[0]
-            layer.learnable_alpha = q0.scales.copy()
-            layer.frozen_thresholds = q0.thresholds.copy()
+            self.learnable_alpha, self.frozen_thresholds = _group_params(w, entry.estimator, layout)
         if "b" in entry.learnable:
-            layer.learnable_b = np.zeros(layer.layout.n_groups)
-        return layer
+            self.learnable_b = np.zeros(layout.n_groups)
 
     @property
     def rows(self) -> int:
@@ -295,7 +299,7 @@ def _as_batch(a, batch: int | None, width: int, what: str) -> np.ndarray:
 
     ``batch=None`` accepts any number of rows.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = _as_real(a, what)
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if a.ndim != 2 or a.shape[1] != width or batch not in (None, a.shape[0]):

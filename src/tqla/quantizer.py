@@ -242,7 +242,7 @@ def _granularity(name: str, value) -> Granularity:
 
 def _as_matrix(w, scan=True) -> np.ndarray:
     """``w`` as a non-empty float64 matrix; with ``scan``, also checked finite."""
-    w = np.asarray(w, dtype=np.float64)
+    w = _as_real(w, "weight matrix")
     if w.ndim == 1:
         w = w.reshape(1, -1)
     if w.ndim != 2 or w.size == 0:
@@ -252,9 +252,24 @@ def _as_matrix(w, scan=True) -> np.ndarray:
     return w
 
 
+def _as_real(a, what: str) -> np.ndarray:
+    """``a`` as float64; InvalidParam for a complex ``a``, whose imaginary part a cast drops."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise InvalidParam(f"{what} must be real, got {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
 def _require_finite(w: np.ndarray) -> None:
     if not np.isfinite(w).all():
         raise InvalidParam("weight matrix contains NaN or Inf")
+
+
+def _require_ternary(name: str, codes: np.ndarray) -> None:
+    """InvalidParam naming ``name`` unless the non-empty ``codes`` are integers in {-1, 0, +1}."""
+    if codes.dtype.kind != "i" or codes.min() < -1 or codes.max() > 1:
+        span = f" from {codes.min()} to {codes.max()}" if codes.dtype.kind in "biuf" else ""
+        raise InvalidParam(f"{name} must be integers in {{-1, 0, +1}}, got {codes.dtype}{span}")
 
 
 def _count(name: str, value, minimum: int) -> int:
@@ -577,15 +592,11 @@ def deadzone_mask(w, q: QuantizedTensor) -> np.ndarray:
         raise
 
     def shard(rows, groups, part):
-        if not np.isfinite(w[rows]).all():
-            return None
+        _require_finite(w[rows])
         live = _sides(w[rows], part, thresholds[groups])[1]
         return np.logical_not(live, out=live)
 
-    masks = _run_shards(shard, _group_shards(q.layout))
-    if any(mask is None for mask in masks):
-        _require_finite(w)
-    return _join(masks)
+    return _join(_run_shards(shard, _group_shards(q.layout)))
 
 
 def tequila_bias(w, mask, lam: float) -> np.ndarray:

@@ -203,14 +203,6 @@ class QuantMlp:
     def __init__(self, layers):
         self.layers = layers
 
-    @classmethod
-    def create(cls, weight_list, scheme, granularity, *, lam, epsilon):
-        layers = [
-            QuantLinearLayer.create(w, scheme, granularity, lam=lam, epsilon=epsilon)
-            for w in weight_list
-        ]
-        return cls(layers)
-
     def forward(self, x):
         h = self.layers[0].forward(x)
         for layer in self.layers[1:]:
@@ -333,12 +325,13 @@ def train_toy(config: TrainConfig) -> TrainReport:
     data_rng = np.random.default_rng([config.seed, _STREAM_DATA])
 
     task = _TASKS[config.task](config, teacher_rng, data_rng)
-    student = QuantMlp.create(
-        _init_weights(student_rng, task.widths),
-        config.scheme,
-        config.granularity,
-        lam=config.lam,
-        epsilon=config.epsilon,
+    student = QuantMlp(
+        [
+            QuantLinearLayer(
+                w, config.scheme, config.granularity, lam=config.lam, epsilon=config.epsilon
+            )
+            for w in _init_weights(student_rng, task.widths)
+        ]
     )
     state = OptimizerState(learning_rate=config.learning_rate)
     params = student.params()

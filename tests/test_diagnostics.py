@@ -177,6 +177,27 @@ class TestFlipRate:
         with pytest.raises(InvalidShape):
             h.push([np.zeros((2, 3), dtype=np.int8)])
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ([0.7, -1.9], [0.2, -1.2]),  # a cast to int8 reads both as [0, -1]
+            (np.array([300], np.int16), np.array([44], np.int16)),  # both wrap to 44
+            ([True, False], [False, True]),
+            (["1", "0"], ["0", "1"]),
+        ],
+        ids=["float", "int16-wrap", "bool", "str"],
+    )
+    def test_non_ternary_codes_rejected(self, first, second):
+        h = CodeHistory(window=4)
+        for codes in (first, second):
+            with pytest.raises(InvalidParam, match="layer 0 codes must be integers"):
+                h.push([codes])
+        assert len(h) == 0
+        h.push([np.array([1, 0])])
+        with pytest.raises(InvalidParam, match="layer 1 codes"):
+            h.push([np.array([1, 0]), second])
+        assert len(h) == 1
+
     @pytest.mark.parametrize("window", [2, 3, 5])
     def test_matches_recount_oracle_through_eviction(self, window):
         # two layers whose codes change a random share of positions per push;

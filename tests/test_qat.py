@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from tqla import Granularity, dequantize, tequila_bias
+from tqla import Granularity, dequantize, quantize, tequila_bias
 from tqla.errors import CacheError, GradientError, InvalidParam, InvalidShape, UnsupportedScheme
 from tqla.qat import SCHEMES, OptimizerState, QuantLinearLayer, optimizer_step
 
@@ -15,7 +15,7 @@ PT = Granularity("per-tensor")
 def make_layer(rng, scheme, rows=4, cols=8, granularity=None, **kw):
     g = granularity or Granularity("per-group", int(rng.integers(1, cols + 3)))
     w = rng.standard_normal((rows, cols)) * float(rng.uniform(0.2, 2.0))
-    return QuantLinearLayer.create(w, scheme, g, **kw)
+    return QuantLinearLayer(w, scheme, g, **kw)
 
 
 def random_instance(rng, layer, batch=None):
@@ -38,7 +38,7 @@ class TestForwardTernary:
         np.testing.assert_array_equal(y[0], expected)
 
     def test_zero_weights(self):
-        layer = QuantLinearLayer.create(np.zeros((3, 4)), "absmean", PT)
+        layer = QuantLinearLayer(np.zeros((3, 4)), "absmean", PT)
         y = layer.forward(np.ones((2, 4)))
         assert not y.any()
 
@@ -76,7 +76,7 @@ class TestBackwardSte:
 
     def test_single_element_outside_deadzone(self):
         # one live weight, x = 2, g = 0.5, alpha = 0.4 -> 0.4
-        layer = QuantLinearLayer.create(np.array([[0.4]]), "absmean", PT)
+        layer = QuantLinearLayer(np.array([[0.4]]), "absmean", PT)
         layer.forward(np.array([[2.0]]))
         # alpha = 0.4, delta = 0.2, |w| >= delta: outside deadzone
         grad = layer.backward(np.array([[0.5]]))[1]["w"]
@@ -84,7 +84,7 @@ class TestBackwardSte:
 
     def test_single_element_inside_deadzone(self):
         # same upstream but the weight sits inside the deadzone: no alpha factor
-        layer = QuantLinearLayer.create(np.array([[0.1, 0.9]]), "absmean", PT)
+        layer = QuantLinearLayer(np.array([[0.1, 0.9]]), "absmean", PT)
         layer.forward(np.array([[2.0, 0.0]]))
         assert layer.cache.mask[0, 0]
         grad = layer.backward(np.array([[0.5]]))[1]["w"]
@@ -127,8 +127,8 @@ class TestMinima:
         for _ in range(20):
             w = rng.standard_normal((4, 8))
             g = Granularity("per-group", int(rng.integers(1, 10)))
-            a = QuantLinearLayer.create(w, "absmean", g)
-            b = QuantLinearLayer.create(w, "minima", g, epsilon=0.0)
+            a = QuantLinearLayer(w, "absmean", g)
+            b = QuantLinearLayer(w, "minima", g, epsilon=0.0)
             x, up = random_instance(rng, a)
             ya = a.forward(x)
             yb = b.forward(x)
@@ -140,7 +140,7 @@ class TestMinima:
     def test_dead_weights_with_matching_input_signs(self):
         # dead weights whose inputs share their sign each contribute +eps
         w = np.array([[0.01, 0.01, 0.01, 0.01, 10.0, -10.0]])
-        layer = QuantLinearLayer.create(w, "minima", PT, epsilon=1e-3)
+        layer = QuantLinearLayer(w, "minima", PT, epsilon=1e-3)
         x = np.array([[1.0, 2.0, 3.0, 4.0, 0.0, 0.0]])
         y = layer.forward(x)
         mask = layer.cache.mask
@@ -169,7 +169,7 @@ class TestMinima:
     def test_backward_dead_element_hand_value(self):
         # dead element, x = -3.0, g = 0.5, eps = 1e-3 -> -5e-4
         w = np.array([[0.01, 1.0]])
-        layer = QuantLinearLayer.create(w, "minima", PT, epsilon=1e-3)
+        layer = QuantLinearLayer(w, "minima", PT, epsilon=1e-3)
         x = np.array([[-3.0, 0.0]])
         layer.forward(x)
         assert layer.cache.mask[0, 0]
@@ -214,8 +214,8 @@ class TestTequila:
         for _ in range(20):
             w = rng.standard_normal((4, 8))
             g = Granularity("per-group", int(rng.integers(1, 10)))
-            a = QuantLinearLayer.create(w, "absmean", g)
-            b = QuantLinearLayer.create(w, "tequila", g, lam=0.0)
+            a = QuantLinearLayer(w, "absmean", g)
+            b = QuantLinearLayer(w, "tequila", g, lam=0.0)
             x, up = random_instance(rng, a)
             assert np.array_equal(a.forward(x), b.forward(x))
             assert np.array_equal(a.backward(up)[1]["w"], b.backward(up)[1]["w"])
@@ -251,7 +251,7 @@ class TestTequila:
     def test_backward_dead_element_hand_value(self):
         # dead element, x = 2.0, lam = 1e-3, g = 0.5 -> 0.5 * (2.0 + 0.001)
         w = np.array([[0.01, 1.0]])
-        layer = QuantLinearLayer.create(w, "tequila", PT, lam=1e-3)
+        layer = QuantLinearLayer(w, "tequila", PT, lam=1e-3)
         layer.forward(np.array([[2.0, 0.0]]))
         assert layer.cache.mask[0, 0]
         grad = layer.backward(np.array([[0.5]]))[1]["w"]
@@ -319,8 +319,8 @@ class TestLearnableSchemes:
             for _ in range(15):
                 w = rng.standard_normal((4, 8))
                 g = Granularity("per-group", int(rng.integers(1, 10)))
-                plain = QuantLinearLayer.create(w, "absmean", g)
-                learn = QuantLinearLayer.create(w, scheme, g)
+                plain = QuantLinearLayer(w, "absmean", g)
+                learn = QuantLinearLayer(w, scheme, g)
                 x, up = random_instance(rng, plain)
                 assert np.array_equal(plain.forward(x), learn.forward(x))
                 grad_plain = plain.backward(up)[1]["w"]
@@ -368,14 +368,14 @@ class TestLearnableSchemes:
     def test_dlt_grad_b_hand_value(self):
         # x = ones, batch 1, g = 0.5, group width 4 -> grad_b = 2.0
         w = np.array([[0.5, -0.5, 0.5, -0.5]])
-        layer = QuantLinearLayer.create(w, "dlt", Granularity("per-group", 4))
+        layer = QuantLinearLayer(w, "dlt", Granularity("per-group", 4))
         layer.forward(np.ones((1, 4)))
         grad_b = layer.backward(np.array([[0.5]]))[1]["b"]
         assert grad_b.tolist() == [2.0]
 
     def test_lsq_zero_codes_zero_grad_alpha(self):
         w = np.zeros((2, 4))
-        layer = QuantLinearLayer.create(w, "lsq", PT)
+        layer = QuantLinearLayer(w, "lsq", PT)
         layer.forward(np.ones((1, 4)))
         assert not layer.cache.quantized.codes.any()
         grad_alpha = layer.backward(np.ones((1, 2)))[1]["alpha"]
@@ -450,7 +450,73 @@ class TestLearnableSchemes:
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(UnsupportedScheme):
-            QuantLinearLayer.create(np.ones((2, 2)), "binary", PT)
+            QuantLinearLayer(np.ones((2, 2)), "binary", PT)
+
+
+class TestConstructor:
+    """A layer built by its constructor alone is checked, owns its weights and trains."""
+
+    @pytest.mark.parametrize("scheme", ["lsq", "dlt", "seq"])
+    def test_learnable_slots_set_up_and_trained(self, scheme):
+        rng = np.random.default_rng(30)
+        w = rng.standard_normal((4, 8))
+        g = Granularity("per-group", 3)
+        layer = QuantLinearLayer(w, scheme, g)
+        q = quantize(w, "absmean", g)
+        if scheme in ("lsq", "dlt"):
+            np.testing.assert_array_equal(layer.learnable_alpha, q.scales)
+            np.testing.assert_array_equal(layer.frozen_thresholds, q.thresholds)
+        else:
+            assert layer.learnable_alpha is None and layer.frozen_thresholds is None
+        if scheme in ("seq", "dlt"):
+            np.testing.assert_array_equal(layer.learnable_b, np.zeros(12))
+        else:
+            assert layer.learnable_b is None
+        before = {k: v.copy() for k, v in layer.params().items()}
+        x, g_up = random_instance(rng, layer, batch=3)
+        layer.forward(x)
+        _, grads = layer.backward(g_up)
+        optimizer_step(layer.params(), grads, OptimizerState(learning_rate=1e-2))
+        for key, value in layer.params().items():
+            assert np.isfinite(value).all() and not np.array_equal(value, before[key]), key
+
+    @pytest.mark.parametrize(
+        "weights, scheme, kw, match",
+        [
+            ([[0.5, np.nan]], "absmean", {}, "NaN or Inf"),
+            ([[0.5, -np.inf]], "tequila", {}, "NaN or Inf"),
+            ([[0.5, 1.0]], "tequila", {"lam": np.nan}, "lambda"),
+            ([[0.5, 1.0]], "minima", {"epsilon": np.nan}, "epsilon"),
+        ],
+        ids=["nan-weight", "inf-weight", "nan-lambda", "nan-epsilon"],
+    )
+    def test_bad_values_raise_at_construction(self, weights, scheme, kw, match):
+        # an unknown scheme is TestLearnableSchemes::test_unknown_scheme_rejected
+        with pytest.raises(InvalidParam, match=match):
+            QuantLinearLayer(np.array(weights), scheme, PT, **kw)
+
+    def test_training_leaves_the_callers_weights(self):
+        rng = np.random.default_rng(31)
+        w = rng.standard_normal((4, 8))
+        kept = w.copy()
+        layer = QuantLinearLayer(w, "tequila", PT)
+        x, g = random_instance(rng, layer)
+        layer.forward(x)
+        optimizer_step(layer.params(), layer.backward(g)[1], OptimizerState(learning_rate=1e-2))
+        np.testing.assert_array_equal(w, kept)
+        assert not np.array_equal(layer.shadow_weights, kept)
+
+    def test_complex_input_rejected(self):
+        # a cast to float64 would drop the imaginary part with only a warning
+        w = np.random.default_rng(32).standard_normal((3, 6))
+        with pytest.raises(InvalidParam, match="weight matrix must be real"):
+            quantize(w + 1j, "absmean", Granularity())
+        with pytest.raises(InvalidParam, match="weight matrix must be real"):
+            QuantLinearLayer(w + 1j, "absmean", PT)
+        layer = QuantLinearLayer(w, "absmean", PT)
+        with pytest.raises(InvalidParam, match="input must be real"):
+            layer.forward(np.ones((2, 6)) * (1 + 2j))
+        assert layer.cache is None
 
 
 class TestLayerApi:
@@ -661,7 +727,7 @@ def layer_step_outputs(scheme, gran_name):
     w = rng.standard_normal((11, 17)) * 0.3
     w[::4, :8] = 0.0
     w[5] = 0.0
-    layer = QuantLinearLayer.create(w, scheme, PIN_GRANULARITIES[gran_name], lam=0.05)
+    layer = QuantLinearLayer(w, scheme, PIN_GRANULARITIES[gran_name], lam=0.05)
     if layer.learnable_alpha is not None:
         layer.learnable_alpha[1::3] = 0.0
     if layer.learnable_b is not None:

@@ -59,7 +59,7 @@ class TestGranularity:
         with pytest.raises(InvalidParam, match="granularity"):
             quantize(w, "absmean", granularity)
         with pytest.raises(InvalidParam, match="granularity"):
-            QuantLinearLayer.create(w, "absmean", granularity)
+            QuantLinearLayer(w, "absmean", granularity)
         with pytest.raises(InvalidParam, match="granularity"):
             GroupLayout(granularity, 2, 3)
 
@@ -634,11 +634,11 @@ def test_vector_estimates_pinned():
 REAL_PARAMETERS = {
     "create-lambda": (
         "lambda",
-        lambda w, q, m, v: QuantLinearLayer.create(w, "tequila", PC, lam=v),
+        lambda w, q, m, v: QuantLinearLayer(w, "tequila", PC, lam=v),
     ),
     "create-epsilon": (
         "epsilon",
-        lambda w, q, m, v: QuantLinearLayer.create(w, "minima", PC, epsilon=v),
+        lambda w, q, m, v: QuantLinearLayer(w, "minima", PC, epsilon=v),
     ),
     "tequila_bias": ("lambda", lambda w, q, m, v: tequila_bias(w, m, v)),
     "pack_model": ("lambda", lambda w, q, m, v: pack_model([(q, w, m)], v)),

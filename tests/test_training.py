@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from tqla.errors import CacheError, InvalidParam, UnsupportedScheme
-from tqla.qat import SCHEMES
+from tqla.qat import SCHEMES, QuantLinearLayer
 from tqla.quantizer import Granularity
 from tqla.training import TASKS, QuantMlp, TrainConfig, train_toy
 
@@ -215,7 +215,8 @@ def test_unknown_scheme_rejected():
 def test_mlp_backward_needs_a_recorded_forward():
     rng = np.random.default_rng(7)
     weights = [rng.standard_normal((4, 3)), rng.standard_normal((2, 4))]
-    mlp = QuantMlp.create(weights, "tequila", Granularity("per-tensor"), lam=0.1, epsilon=0.0)
+    pt = Granularity("per-tensor")
+    mlp = QuantMlp([QuantLinearLayer(w, "tequila", pt, lam=0.1, epsilon=0.0) for w in weights])
     g = np.ones((5, 2))
     with pytest.raises(CacheError):
         mlp.backward(g)
