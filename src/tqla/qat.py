@@ -45,15 +45,27 @@ clears ``cache``. The hot path does not re-check the shadow weights: the
 commits finite values. An MLP reads each layer's recorded input ``cache.x``
 as its activation. The optimizer's moment decays and epsilon are fixed
 constants; only the learning rate is set per run.
+
+``optimizer_step`` stages its update on blocks of at most
+``quantizer._SUM_BLOCK`` elements, so that each block stays in cache
+across the dozen element-wise passes of one update; a parameter that fits
+in one block is passed whole. A step of ``quantizer._SHARD_MIN`` elements
+or more shares its blocks out over the usable CPUs on the export's thread
+pool, and a smaller one runs inline. Each ufunc is exact per element, so
+the bits are those of one full-size pass. The calling thread allocates
+the staged moments and values and every worker's block-sized scratch;
+the workers allocate nothing full-size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
+from . import quantizer
 from .errors import CacheError, GradientError, InvalidShape, UnsupportedScheme
 from .quantizer import (
     Granularity,
@@ -65,6 +77,8 @@ from .quantizer import (
     _quantized_view,
     _lam,
     _real_where,
+    _row_ranges,
+    _run_shards,
     _tequila_bias,
     dequantize,
 )
@@ -321,16 +335,70 @@ class OptimizerState:
         self.learning_rate = _learning_rate("learning_rate", self.learning_rate)
 
 
+def _adam_blocks(lr: float, bc1: float, bc2: float, blocks, scratch) -> list:
+    """Stage the update of each of ``blocks``; returns the keys of those that failed.
+
+    A block is ``(key, g, m0, v0, p, m, v, new_p)``: same-shaped runs of a
+    parameter's gradient, stored moments (the scalar 0.0 on its first step)
+    and value, and of the staged moments and new value it writes.
+    ``scratch`` maps each block shape to a float64 and a bool buffer of
+    that shape (on 128x128 steps, reshaping a flat buffer for every block
+    cost about 1% of the step). The ufuncs are those of one full-size pass, in its order;
+    each is exact per element, so the blocking changes no bit. ``new_p``
+    holds the decayed old moments until the new value is formed. A block
+    fails when its second moment or new value is not finite; a non-finite
+    ``m`` makes the new value non-finite too.
+    """
+    failed = []
+    for key, g, m0, v0, p, m, v, new_p in blocks:
+        # m = beta1 * m0 + (1 - beta1) * g and v = beta2 * v0 + (1 - beta2) * g**2
+        np.multiply(g, 1.0 - _BETA1, out=m)
+        np.multiply(m0, _BETA1, out=new_p)
+        np.add(m, new_p, out=m)
+        np.multiply(g, g, out=v)
+        np.multiply(v, 1.0 - _BETA2, out=v)
+        np.multiply(v0, _BETA2, out=new_p)
+        np.add(v, new_p, out=v)
+        # new_p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        d, ok = scratch[v.shape]
+        np.divide(v, bc2, out=d)
+        np.sqrt(d, out=d)
+        np.add(d, _EPS, out=d)
+        np.divide(m, bc1, out=new_p)
+        np.multiply(new_p, lr, out=new_p)
+        np.divide(new_p, d, out=new_p)
+        np.subtract(p, new_p, out=new_p)
+        # NaN propagates through the maximum, and where v is -inf or negative
+        # the new value is NaN, so v's largest element tells whether v is finite
+        if not (
+            np.maximum.reduce(v, axis=None, initial=0.0) < np.inf
+            and np.isfinite(new_p, out=ok).all()
+        ):
+            failed.append(key)
+    return failed
+
+
 def optimizer_step(params: dict, grads: dict, state: OptimizerState) -> dict:
     """One adaptive-moment update, in place on the parameter arrays.
 
     Every parameter needs a finite gradient of its own shape, checked before
-    anything else. Each moment is then advanced once: for every parameter
-    the new first and second moments and the new value are staged, and the
-    second moment and the value are checked. Only when all are finite is
-    the step committed, by rebinding the moments in ``state`` and copying
-    each value into its parameter array; otherwise ``GradientError`` leaves
-    parameters, moments and the step count untouched.
+    anything else, and stored moments, if it has any, of its shape. Each
+    moment is then advanced once: for every parameter the new first and
+    second moments and the new value are staged, and the second moment and
+    the value are checked. Only when all are finite is the step committed,
+    by rebinding the moments in ``state`` and copying each value into its
+    parameter array; otherwise ``GradientError`` names the first failed
+    parameter in ``params`` order and leaves parameters, moments and the
+    step count untouched.
+
+    The staging runs on blocks of at most ``quantizer._SUM_BLOCK`` elements,
+    which stay in cache across their dozen ufunc passes; a parameter of one
+    block is its own block, not a view of it. A step of ``_SHARD_MIN``
+    elements or more splits its block list as an export splits rows, one
+    run of blocks per usable CPU, on the export's thread pool; a smaller
+    step runs inline. The bits are those of one full-size pass. The staged
+    arrays and each run's scratch buffers are allocated here, in the
+    calling thread: the workers allocate nothing full-size.
     """
     for key in params:
         if key not in grads:
@@ -347,28 +415,39 @@ def optimizer_step(params: dict, grads: dict, state: OptimizerState) -> dict:
     t = state.step_count + 1
     bc1 = 1.0 - _BETA1**t
     bc2 = 1.0 - _BETA2**t
+    size = quantizer._SUM_BLOCK
     staged = {}
+    blocks = []
+    shapes = set()
+    total = 0
     for key, p in params.items():
-        g = np.asarray(grads[key], dtype=np.float64)
-        # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g**2,
-        # from zero moments on a parameter's first step
-        m = (1.0 - _BETA1) * g
-        m += state.m.get(key, 0.0) * _BETA1
-        v = g * g
-        v *= 1.0 - _BETA2
-        v += state.v.get(key, 0.0) * _BETA2
-        # new_p = p - lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        den = v / bc2
-        np.sqrt(den, out=den)
-        den += _EPS
-        new_p = m / bc1
-        new_p *= state.learning_rate
-        new_p /= den
-        np.subtract(p, new_p, out=new_p)
-        # a non-finite m makes new_p non-finite too
-        if not (np.isfinite(v).all() and np.isfinite(new_p).all()):
-            raise GradientError(f"non-finite update for parameter {key!r}")
-        staged[key] = m, v, new_p
+        shape = p.shape
+        m0, v0 = state.m.get(key, 0.0), state.v.get(key, 0.0)  # zero moments on a first step
+        if (key in state.m and m0.shape != shape) or (key in state.v and v0.shape != shape):
+            raise InvalidShape(
+                f"stored moment shapes {np.shape(m0)}, {np.shape(v0)} != parameter shape {shape}"
+                f" for {key!r}"
+            )
+        m, v, new_p = staged[key] = np.empty(shape), np.empty(shape), np.empty(shape)
+        block = (key, np.asarray(grads[key], dtype=np.float64), m0, v0, p, m, v, new_p)
+        n = m.size
+        total += n
+        if n <= size:
+            blocks.append(block)
+            shapes.add(shape)
+            continue
+        flat = [np.reshape(a, -1) if np.ndim(a) else a for a in block[1:]]
+        for lo in range(0, n, size):
+            blocks.append((key, *(a[lo : lo + size] if np.ndim(a) else a for a in flat)))
+        shapes.update(((size,), (n - lo,)))
+    shards = [
+        (blocks[lo:hi], {s: (np.empty(s), np.empty(s, dtype=bool)) for s in shapes})
+        for lo, hi in _row_ranges(len(blocks), total)
+    ]
+    work = partial(_adam_blocks, state.learning_rate, bc1, bc2)
+    for failed in _run_shards(work, shards):  # in params order
+        if failed:
+            raise GradientError(f"non-finite update for parameter {failed[0]!r}")
     state.step_count = t
     for key, (m, v, new_p) in staged.items():
         state.m[key] = m

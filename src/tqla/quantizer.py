@@ -27,10 +27,12 @@ stays in cache.
 The three export calls, ``quantize``, ``deadzone_mask`` and
 ``packing.pack_model``, split a large matrix into row ranges ("shards"),
 one per usable CPU, and run them at once on a small thread pool while the
-calling thread waits. numpy releases the GIL inside its ufunc, ``take``
-and reduce loops, so the shards do run in parallel. Each shard returns the
-arrays it computes and the caller joins them in row order; a single
-shard's arrays are used as they are. The split is exact: a per-group or
+calling thread waits. A fourth caller, ``qat.optimizer_step``, splits the
+list of its parameters' element blocks the same way (see ``qat``). numpy
+releases the GIL inside its ufunc, ``take`` and reduce loops, so the
+shards do run in parallel. Each export shard returns the arrays it
+computes and the caller joins them in row order; a single shard's arrays
+are used as they are. The split is exact: a per-group or
 per-channel group lies within one row, so a shard's sums, thresholds, codes
 and mask depend only on its own rows and are bit for bit those of one pass
 over the matrix, and ``pack_model`` cuts on multiples of 8 rows so that
@@ -303,7 +305,8 @@ def _real_where(rule: str, holds):
 _lam = _real_where("finite", np.isfinite)
 
 
-#: Elements (512 KiB of float64) copied per block by ``_sequential_sums``.
+#: Elements (512 KiB of float64) copied per block by ``_sequential_sums``; also
+#: the block size of ``qat.optimizer_step``.
 _SUM_BLOCK = 1 << 16
 
 

@@ -33,7 +33,7 @@ from .diagnostics import (
     _band,
     take_snapshot,
 )
-from .errors import GradientError, InvalidParam
+from .errors import GradientError, InvalidParam, InvalidShape
 from .qat import (
     DEFAULT_EPSILON,
     DEFAULT_LAMBDA,
@@ -198,9 +198,23 @@ def _mlp_forward_plain(weights, x):
 
 
 class QuantMlp:
-    """A stack of quantized linear layers with tanh between them."""
+    """A stack of quantized linear layers with tanh between them.
+
+    The constructor takes a non-empty list of layers whose widths chain:
+    each layer's ``cols`` equal the ``rows`` of the layer before it. An
+    empty list raises ``InvalidParam``; a break in the chain raises
+    ``InvalidShape`` naming both layers.
+    """
 
     def __init__(self, layers):
+        if not layers:
+            raise InvalidParam("an MLP needs at least one layer")
+        for i in range(1, len(layers)):
+            below, layer = layers[i - 1], layers[i]
+            if layer.cols != below.rows:
+                raise InvalidShape(
+                    f"layer {i} takes {layer.cols} inputs but layer {i - 1} gives {below.rows}"
+                )
         self.layers = layers
 
     def forward(self, x):

@@ -385,6 +385,20 @@ def rel_err(a, b):
     return float(np.max(np.abs(a - b))) / scale
 
 
+
+def adam_step_scalar(p, g, m0, v0, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """(new value, m, v) of one element after adaptive-moment step ``t``.
+
+    Each operation is one IEEE double operation in the order
+    ``optimizer_step`` applies them, so the results match it bit for bit;
+    a parameter's first step passes ``m0 = v0 = 0.0``.
+    """
+    m = (1.0 - b1) * g + m0 * b1
+    v = g * g * (1.0 - b2) + v0 * b2
+    den = math.sqrt(v / (1.0 - b2**t)) + eps
+    return p - m / (1.0 - b1**t) * lr / den, m, v
+
+
 #: The canonical triple table of the TQLA format, as listed in ``tqla.packing``.
 TQLA_PATTERNS = [
     (0, 0, 0), (0, 0, 1), (0, 1, -1), (0, 1, 0), (0, 1, 1),

@@ -1,11 +1,14 @@
 import hashlib
 import itertools
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from tqla import Granularity, dequantize, quantize, tequila_bias
+from tqla import Granularity, dequantize, quantize, quantizer, tequila_bias
 from tqla.errors import CacheError, GradientError, InvalidParam, InvalidShape, UnsupportedScheme
 from tqla.qat import SCHEMES, OptimizerState, QuantLinearLayer, optimizer_step
 
@@ -668,6 +671,135 @@ class TestOptimizer:
         after = (p["w"], p["b"], state.m["w"], state.v["b"])
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
         assert state.step_count == 1
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3)])
+    def test_stored_moment_of_another_shape_rejected_without_mutation(self, shape):
+        # moments stored for a (1,) "w" must neither broadcast over a (4,)
+        # "w" nor fail inside numpy on a (2, 3) one
+        state = OptimizerState()
+        optimizer_step({"w": np.array([1.0])}, {"w": np.array([0.1])}, state)
+        m, v = state.m["w"].copy(), state.v["w"].copy()
+        p = {"w": np.ones(shape)}
+        with pytest.raises(InvalidShape, match="'w'"):
+            optimizer_step(p, {"w": np.full(shape, 0.1)}, state)
+        assert np.array_equal(p["w"], np.ones(shape)) and state.step_count == 1
+        assert np.array_equal(state.m["w"], m) and np.array_equal(state.v["w"], v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_blocks_and_shards_change_no_bit(self, data):
+        block = data.draw(st.integers(1, 6), label="block")
+        shapes = data.draw(
+            st.lists(
+                st.one_of(
+                    st.integers(1, 20).map(lambda n: (n,)),
+                    st.tuples(st.integers(1, 4), st.integers(1, 7)),
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+            label="shapes",
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        params = {f"p{i}": rng.standard_normal(shape) for i, shape in enumerate(shapes)}
+        steps = []
+        for _ in range(data.draw(st.integers(1, 3), label="steps")):
+            grads = {}
+            for key, p in params.items():
+                g = rng.standard_normal(p.shape) * data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+                g[rng.random(p.shape) < 0.3] = 0.0
+                g[rng.random(p.shape) < 0.3] = -0.0  # signed zero gradients
+                grads[key] = g
+            steps.append(grads)
+        expected = scalar_steps(params, steps)
+        for workers in (1, 2, 3):
+            assert stepped_bytes(params, steps, workers, block) == expected
+
+    def test_shards_share_no_buffer(self):
+        # more workers than cores, with blocks large enough that numpy's
+        # loops release the GIL: a buffer two shards shared would mix values
+        rng = np.random.default_rng(31)
+        params = {f"p{i}": rng.standard_normal(30_000 + i) for i in range(3)}
+        steps = [{k: rng.standard_normal(p.shape) for k, p in params.items()} for _ in range(3)]
+        expected = stepped_bytes(params, steps, workers=1, block=1 << 62)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert stepped_bytes(params, steps, workers=6, block=1 << 12) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("failing,named", [(("w",), "w"), (("a", "w"), "a")])
+    def test_non_finite_update_in_a_later_shard_aborts_without_mutation(self, failing, named):
+        # blocks of 4: "a" is blocks 0-2 and "w" blocks 3-5, so two workers
+        # get one parameter each; the overflow sits in each one's short last block
+        params = {"a": np.zeros(10), "w": np.zeros(10)}
+        state = OptimizerState(learning_rate=1e308)
+        grads = {"a": np.full(10, 0.1), "w": np.full(10, 0.1)}
+        with pytest.MonkeyPatch.context() as mp:
+            sharding(mp, workers=2, block=4)
+            assert quantizer._row_ranges(6, 20) == [(0, 3), (3, 6)]
+            optimizer_step(params, {k: np.zeros(10) for k in params}, state)
+            for key in failing:
+                params[key][-1] = -1.7e308
+            before = stepped_state(params, state)
+            with np.errstate(all="ignore"), pytest.raises(GradientError, match=f"'{named}'"):
+                optimizer_step(params, grads, state)
+        assert stepped_state(params, state) == before and state.step_count == 1
+
+    def test_overflow_in_shards_raises_no_warning(self):
+        # each shard runs under the caller's np.errstate, so the ignored
+        # overflow in the second shard warns nowhere
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            sharding(mp, workers=2, block=1 << 16)
+            warnings.simplefilter("error")
+            self.test_overflowing_update_aborts_without_mutation()
+
+
+def sharding(mp, workers, block):
+    """Cut parameters into blocks of ``block`` elements; split every step over ``workers``."""
+    mp.setattr(quantizer, "_SUM_BLOCK", block)
+    mp.setattr(quantizer, "_SHARD_MIN", 1 if workers > 1 else 1 << 62)
+    mp.setattr(quantizer, "_usable_cpus", lambda: workers)
+
+
+def stepped_state(params, state):
+    """Bytes of every parameter and moment, and the step count."""
+    arrays = [a for key in params for a in (params[key], state.m[key], state.v[key])]
+    return [state.step_count] + [a.tobytes() for a in arrays]
+
+
+#: Learning rate of the blocked and sharded optimizer runs.
+STEP_LR = 1e-2
+
+
+def scalar_steps(params, steps):
+    """``stepped_state`` after ``steps`` from copies of ``params``, element by element."""
+    params = {key: p.copy() for key, p in params.items()}
+    state = OptimizerState(STEP_LR)
+    for t, grads in enumerate(steps, start=1):
+        for key, p in params.items():
+            m0 = state.m.get(key, np.zeros(p.shape))
+            v0 = state.v.get(key, np.zeros(p.shape))
+            out = [
+                oracles.adam_step_scalar(*map(float, args), t, STEP_LR)
+                for args in zip(p.flat, grads[key].flat, m0.flat, v0.flat)
+            ]
+            p[...], state.m[key], state.v[key] = (np.reshape(a, p.shape) for a in zip(*out))
+    state.step_count = len(steps)
+    return stepped_state(params, state)
+
+
+def stepped_bytes(params, steps, workers, block):
+    """``stepped_state`` after ``steps`` from copies of ``params``, sharded as given."""
+    params = {key: p.copy() for key, p in params.items()}
+    state = OptimizerState(STEP_LR)
+    with pytest.MonkeyPatch.context() as mp:
+        sharding(mp, workers, block)
+        for grads in steps:
+            optimizer_step(params, grads, state)
+    return stepped_state(params, state)
 
 
 # Byte pins for the layer step and the optimizer, recorded before the forward,

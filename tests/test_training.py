@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from tqla.errors import CacheError, InvalidParam, UnsupportedScheme
+from tqla.errors import CacheError, InvalidParam, InvalidShape, UnsupportedScheme
 from tqla.qat import SCHEMES, QuantLinearLayer
 from tqla.quantizer import Granularity
 from tqla.training import TASKS, QuantMlp, TrainConfig, train_toy
@@ -224,6 +224,21 @@ def test_mlp_backward_needs_a_recorded_forward():
     assert set(mlp.backward(g)) == {"layer0.w", "layer1.w"}
     with pytest.raises(CacheError):
         mlp.backward(g)
+
+
+
+def test_mlp_needs_a_layer():
+    with pytest.raises(InvalidParam, match="at least one layer"):
+        QuantMlp([])
+
+
+def test_mlp_widths_must_chain():
+    rng = np.random.default_rng(8)
+    pt = Granularity("per-tensor")
+    layers = [QuantLinearLayer(rng.standard_normal(s), "absmean", pt) for s in [(5, 2), (5, 5), (3, 4)]]
+    QuantMlp(layers[:2])
+    with pytest.raises(InvalidShape, match="layer 2 takes 4 inputs but layer 1 gives 5"):
+        QuantMlp(layers)
 
 
 #: Config dict key of each ``TrainConfig`` attribute whose name differs.
