@@ -3,8 +3,23 @@
 Quantifies how weights behave around the quantization deadzone during
 training: occupancy of the deadzone, mass accumulated near its boundary,
 and how often ternary codes flip between snapshots. A snapshot makes one
-pass per layer: the pair is validated once, the group thresholds are
-broadcast over the weights, and every metric is read from that pass.
+pass over each layer's weights, with the group thresholds broadcast over
+them, and reads every metric from that pass.
+
+The pass runs on blocks. The calling thread validates every pair, picks
+each layer's normalization, cuts each layer into blocks of whole rows of
+at most ``quantizer._SUM_BLOCK`` elements (a layer that fits in one block
+is its own block, on its own layout), builds the ``GroupLayout`` of each
+distinct block shape and allocates one block-sized scratch set per shard.
+The kernel, ``_block_counts``, counts each block's deadzone and
+near-boundary weights and bins it, writing every element-wise result into
+its shard's scratch, so a block stays in cache across its passes. It is
+the only code that runs off the calling thread: a snapshot of
+``quantizer._SHARD_MIN`` elements or more splits its block list over the
+usable CPUs on the export's thread pool (see ``quantizer``), and a smaller
+one runs inline. The calling thread then adds up each layer's integer
+counts, forms the fractions and pushes the codes into the history. Every
+count is an integer sum, so the blocks and shards change no bit of a report.
 
 Histograms bin w / threshold over [-3, 3] with ``np.linspace(-3, 3, bins + 1)``
 edges. Every bin is half-open, ``[lo, hi)``, except the last, which is closed.
@@ -18,11 +33,22 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from . import quantizer
 from .errors import DegenerateNormalization, InsufficientHistory, InvalidParam, InvalidShape
-from .quantizer import QuantizedTensor, _as_matrix, _count, _real_where, _require_ternary
+from .quantizer import (
+    PER_TENSOR,
+    GroupLayout,
+    _as_matrix,
+    _count,
+    _real_where,
+    _require_ternary,
+    _row_ranges,
+    _run_shards,
+)
 
 DEFAULT_BAND = 0.1
 DEFAULT_BINS = 120
@@ -112,68 +138,143 @@ class CodeHistory:
         return 0 if self._last is None else len(self._flips) + 1
 
 
-def _normalized_values(w: np.ndarray, thr: np.ndarray) -> np.ndarray:
-    """w / threshold with zero-threshold elements mapped to 0 or +-inf."""
-    out = np.zeros_like(w)
-    nonzero = thr > 0
-    np.divide(w, thr, out=out, where=nonzero)
-    zero_thr = ~nonzero & (w != 0)
-    out[zero_thr] = np.sign(w[zero_thr]) * np.inf
-    return out
+def _edge_tables(bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(edges, lower, upper) of ``bins`` bins over [-R, R], R = ``HISTOGRAM_RANGE``.
 
-
-def _bin_counts(values: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.histogram(values, bins, range=(-R, R))`` for values already in
-    [-R, R], with R = ``HISTOGRAM_RANGE``.
-
-    The index guess ``(x + R) * bins / 2R`` is at most one bin off, and only
-    next to an edge; one compare against the bin's lower edge and one against
-    its upper edge correct it. The ``+inf`` ending the lower-edge table sends
-    a guess of ``bins`` (x = R) down one; the ``+inf`` ending the upper-edge
-    table keeps the last bin closed.
+    ``edges`` is ``np.linspace(-R, R, bins + 1)``; ``lower`` holds each bin's
+    lower edge and ends in ``+inf``, ``upper`` each bin's upper edge but the
+    last, and ends in ``+inf``.
     """
     edges = np.linspace(-HISTOGRAM_RANGE, HISTOGRAM_RANGE, bins + 1)
-    lower = np.append(edges[:-1], np.inf)
-    upper = np.append(edges[1:-1], np.inf)
-    x = values.reshape(-1)
-    guess = x + HISTOGRAM_RANGE
-    guess *= bins / (2.0 * HISTOGRAM_RANGE)
-    idx = guess.astype(np.intp)
-    idx -= x < lower.take(idx)
-    idx += x >= upper.take(idx)
-    return np.bincount(idx, minlength=bins), edges
+    return edges, np.append(edges[:-1], np.inf), np.append(edges[1:-1], np.inf)
+
+
+def _bin_counts(x, lower, upper, guess, idx, flag) -> np.ndarray:
+    """``np.histogram(x, bins, range=(-R, R))[0]`` for a flat ``x`` already in [-R, R].
+
+    ``lower`` and ``upper`` are the tables of ``_edge_tables(bins)``;
+    ``guess`` (float64), ``idx`` (intp) and ``flag`` (bool) are scratch of
+    ``x``'s size. The index guess ``(x + R) * bins / 2R`` is at most one bin
+    off, and only next to an edge; one compare against the bin's lower edge
+    and one against its upper edge correct it. The ``+inf`` ending ``lower``
+    sends a guess of ``bins`` (x = R) down one; the ``+inf`` ending ``upper``
+    keeps the last bin closed. Every index stays in both tables, so ``take``
+    runs in its unbuffered ``clip`` mode.
+    """
+    bins = len(upper)
+    np.add(x, HISTOGRAM_RANGE, out=guess)
+    np.multiply(guess, bins / (2.0 * HISTOGRAM_RANGE), out=guess)
+    np.copyto(idx, guess, casting="unsafe")  # truncates as astype(np.intp) does
+    np.less(x, lower.take(idx, out=guess, mode="clip"), out=flag)
+    np.subtract(idx, flag, out=idx)
+    np.greater_equal(x, upper.take(idx, out=guess, mode="clip"), out=flag)
+    np.add(idx, flag, out=idx)
+    return np.bincount(idx, minlength=bins)
+
+
+def _block_counts(lower, upper, blocks, scratch) -> list:
+    """(dead, near, bin counts) of each of ``blocks``; the snapshot's kernel.
+
+    A block is ``(w, layout, thr, near_lo, near_hi, div, mixed)``: whole
+    rows of one layer's weights, the ``GroupLayout`` of their shape, and the
+    per-group thresholds, band bounds and divisors of those rows. ``div``
+    is None when the layer bins its raw weights; ``mixed`` is set when some
+    of the layer's divisors are zero. Every element-wise result goes into
+    ``scratch``, two float64, two bool and one intp buffer of at least the
+    largest block's size; only each block's bin counts are allocated here.
+    """
+    values, guess, flag, flag2, idx = scratch
+    out = []
+    for w, layout, thr, near_lo, near_hi, div, mixed in blocks:
+        n = w.size
+        a, hit, hit2 = (buf[:n].reshape(w.shape) for buf in (values, flag, flag2))
+        np.abs(w, out=a)
+        dead = np.count_nonzero(layout.apply(np.less, a, thr, out=hit))
+        layout.apply(np.greater_equal, a, near_lo, out=hit)
+        layout.apply(np.less_equal, a, near_hi, out=hit2)
+        near = np.count_nonzero(np.logical_and(hit, hit2, out=hit))
+        # the values overwrite |w|
+        if div is None:
+            np.copyto(a, w)
+        elif not mixed:
+            layout.apply(np.divide, w, div, out=a)
+        else:
+            # a zero divisor sends a nonzero weight to its signed infinity and
+            # a zero weight to NaN, which is set to 0 with every other zero weight
+            with np.errstate(divide="ignore", invalid="ignore"):
+                layout.apply(np.divide, w, div, out=a)
+            np.copyto(a, 0.0, where=np.equal(w, 0.0, out=hit))
+        np.clip(a, -HISTOGRAM_RANGE, HISTOGRAM_RANGE, out=a)
+        counts = _bin_counts(values[:n], lower, upper, guess[:n], idx[:n], flag[:n])
+        out.append((dead, near, counts))
+    return out
 
 
 _band = _real_where("in (0, 1)", lambda v: 0.0 < v < 1.0)
 
 
-def _layer_stats(w, q: QuantizedTensor, band=DEFAULT_BAND, bins=DEFAULT_BINS):
-    """(size, deadzone fraction, boundary fraction, histogram) of one layer.
+def _layer_stats(pairs, band, bins) -> list:
+    """(size, deadzone fraction, boundary fraction, histogram) of each layer of ``pairs``.
 
-    The pair is validated once for all three; the thresholds are broadcast over the weights.
+    Runs in the calling thread but for ``_block_counts`` (see the module
+    docstring). A layer divides its weights by its group thresholds; where
+    some thresholds are zero (or not positive), nonzero weights there go
+    to the end bins; where all are zero, the raw weights are binned.
     """
     band = _band("band", band)
     bins = _count("bins", bins, 2)
-    w = _as_matrix(w)
-    if w.shape != q.codes.shape:
-        raise InvalidShape(f"weights {w.shape} do not match codes {q.codes.shape}")
-    apply, thr = q.layout.apply, q.thresholds
-    a = np.abs(w)
-    dead = np.count_nonzero(apply(np.less, a, thr))
-    # the per-group products give the bits of multiplying each element's threshold
-    near = apply(np.greater_equal, a, (1.0 - band) * thr)
-    near &= apply(np.less_equal, a, (1.0 + band) * thr)
-    normalized = not (thr == 0).all()
-    if (thr > 0).all():
-        values = apply(np.divide, w, thr)
-    elif normalized:
-        values = _normalized_values(w, q.layout.expand(thr))
-    else:
-        values = w.copy()  # w may be the caller's array; it is clipped in place
-    np.clip(values, -HISTOGRAM_RANGE, HISTOGRAM_RANGE, out=values)
-    counts, edges = _bin_counts(values, bins)
-    hist = Histogram(bin_edges=edges, counts=counts, normalized=normalized)
-    return w.size, dead / w.size, np.count_nonzero(near) / w.size, hist
+    edges, lower, upper = _edge_tables(bins)
+    layers, blocks, owners = [], [], []
+    layouts = {}
+    largest = total = 0
+    for k, (w, q) in enumerate(pairs):
+        w = _as_matrix(w)
+        layout = q.layout
+        if w.shape != q.codes.shape:
+            raise InvalidShape(f"weights {w.shape} do not match codes {q.codes.shape}")
+        if w.shape != (layout.rows, layout.cols):
+            raise InvalidShape(f"weights {w.shape} do not match layout {layout.rows, layout.cols}")
+        thr = layout._table(q.thresholds).reshape(-1)
+        normalized = not (thr == 0).all()
+        positive = (thr > 0).all()
+        div = thr if positive else np.where(thr > 0, thr, 0.0) if normalized else None
+        tables = (thr, (1.0 - band) * thr, (1.0 + band) * thr, div)
+        mixed = normalized and not positive
+        rows, cols = w.shape
+        step = max(1, quantizer._SUM_BLOCK // cols)
+        if rows <= step:  # one block: the layer itself, on its own layout
+            blocks.append((w, layout, *tables, mixed))
+            owners.append(k)
+        else:
+            per_row = 0 if layout.granularity.kind == PER_TENSOR else layout.groups_per_row
+            for lo in range(0, rows, step):
+                hi = min(lo + step, rows)
+                key = (layout.granularity, hi - lo, cols)
+                if key not in layouts:
+                    layouts[key] = GroupLayout(*key)
+                groups = slice(lo * per_row, hi * per_row) if per_row else slice(None)
+                part = (None if t is None else t[groups] for t in tables)
+                blocks.append((w[lo:hi], layouts[key], *part, mixed))
+                owners.append(k)
+        largest = max(largest, min(rows, step) * cols)
+        total += w.size
+        layers.append((w.size, normalized))
+    buffers = (np.float64, np.float64, bool, bool, np.intp)
+    shards = [
+        (blocks[lo:hi], tuple(np.empty(largest, dtype=t) for t in buffers))
+        for lo, hi in _row_ranges(len(blocks), total)
+    ]
+    dead, near, counts = [0] * len(layers), [0] * len(layers), [None] * len(layers)
+    work = partial(_block_counts, lower, upper)
+    results = (r for shard in _run_shards(work, shards) for r in shard)
+    for k, (d, b, c) in zip(owners, results):
+        dead[k] += d
+        near[k] += b
+        counts[k] = c if counts[k] is None else np.add(counts[k], c, out=counts[k])
+    return [
+        (n, dead[k] / n, near[k] / n, Histogram(edges, counts[k], normalized))
+        for k, (n, normalized) in enumerate(layers)
+    ]
 
 
 def flip_rate(history: CodeHistory) -> float:
@@ -202,7 +303,7 @@ def take_snapshot(
     pairs = list(pairs)
     if not pairs:
         raise InvalidParam("need at least one (weights, quantized) pair")
-    sizes, dead, near, hists = zip(*(_layer_stats(w, q, band, bins) for w, q in pairs))
+    sizes, dead, near, hists = zip(*_layer_stats(pairs, band, bins))
     total = sum(sizes)
     normalized = [h.normalized for h in hists]
     if any(normalized) and not all(normalized):

@@ -193,7 +193,7 @@ class ForwardCache:
     learnable_b: np.ndarray | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantLinearLayer:
     """A linear layer trained with quantization-aware updates.
 
@@ -212,6 +212,12 @@ class QuantLinearLayer:
     its thresholds in ``frozen_thresholds``; ``seq`` and ``dlt`` start
     ``learnable_b`` at zero. ``dataclasses.replace`` runs the constructor again, so its copy starts
     alpha from the current weights and b at zero, not at the learnt values.
+
+    A built layer is frozen, as ``PackedLayer`` is: assigning any field
+    raises ``dataclasses.FrozenInstanceError``, so the checked values stay
+    the ones every forward reads. Only the constructor and ``forward`` and
+    ``backward``, which set ``cache``, bind fields; ``optimizer_step`` trains
+    the layer by writing into its parameter arrays in place.
     """
 
     shadow_weights: np.ndarray
@@ -227,16 +233,20 @@ class QuantLinearLayer:
 
     def __post_init__(self):
         _scheme("scheme", self.scheme)
-        w = self.shadow_weights = _as_matrix(self.shadow_weights).copy()
-        self.lam = _lam("lambda", self.lam)
-        self.epsilon = _epsilon("epsilon", self.epsilon)
-        layout = self.layout = GroupLayout(self.granularity, *w.shape)
+        w = _as_matrix(self.shadow_weights).copy()
+        object.__setattr__(self, "shadow_weights", w)
+        object.__setattr__(self, "lam", _lam("lambda", self.lam))
+        object.__setattr__(self, "epsilon", _epsilon("epsilon", self.epsilon))
+        layout = GroupLayout(self.granularity, *w.shape)
+        object.__setattr__(self, "layout", layout)
         entry = SCHEME_TABLE[self.scheme]
         if "alpha" in entry.learnable:
             # alpha becomes learnable; the threshold keeps its initial estimate
-            self.learnable_alpha, self.frozen_thresholds = _group_params(w, entry.estimator, layout)
+            alpha, thresholds = _group_params(w, entry.estimator, layout)
+            object.__setattr__(self, "learnable_alpha", alpha)
+            object.__setattr__(self, "frozen_thresholds", thresholds)
         if "b" in entry.learnable:
-            self.learnable_b = np.zeros(layout.n_groups)
+            object.__setattr__(self, "learnable_b", np.zeros(layout.n_groups))
 
     @property
     def rows(self) -> int:
@@ -278,7 +288,7 @@ class QuantLinearLayer:
             y = y + x @ entry.coupling(q, mask, b).T
         if entry.extra is not None:
             y = y + entry.extra(self, x, mask)
-        self.cache = ForwardCache(x=x, quantized=q, mask=mask, learnable_b=b)
+        object.__setattr__(self, "cache", ForwardCache(x=x, quantized=q, mask=mask, learnable_b=b))
         return y
 
     def backward(self, g) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -292,7 +302,7 @@ class QuantLinearLayer:
         if cache is None:
             raise CacheError("backward called without a recorded forward")
         g = _as_batch(g, len(cache.x), self.rows, "upstream gradient")
-        self.cache = None
+        object.__setattr__(self, "cache", None)
         entry = self._entry()
         x, q, mask = cache.x, cache.quantized, cache.mask
         e = g.T @ x

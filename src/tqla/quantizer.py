@@ -27,8 +27,10 @@ stays in cache.
 The three export calls, ``quantize``, ``deadzone_mask`` and
 ``packing.pack_model``, split a large matrix into row ranges ("shards"),
 one per usable CPU, and run them at once on a small thread pool while the
-calling thread waits. A fourth caller, ``qat.optimizer_step``, splits the
-list of its parameters' element blocks the same way (see ``qat``). numpy
+calling thread waits. Two more callers split a list of element blocks
+the same way: ``qat.optimizer_step`` its parameters' blocks (see ``qat``)
+and ``diagnostics.take_snapshot`` its layers' row blocks (see
+``diagnostics``). numpy
 releases the GIL inside its ufunc, ``take`` and reduce loops, so the
 shards do run in parallel. Each export shard returns the arrays it
 computes and the caller joins them in row order; a single shard's arrays
@@ -306,7 +308,7 @@ _lam = _real_where("finite", np.isfinite)
 
 
 #: Elements (512 KiB of float64) copied per block by ``_sequential_sums``; also
-#: the block size of ``qat.optimizer_step``.
+#: the block size of ``qat.optimizer_step`` and ``diagnostics.take_snapshot``.
 _SUM_BLOCK = 1 << 16
 
 

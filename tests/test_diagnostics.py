@@ -8,10 +8,26 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from tqla import Granularity, quantize
-from tqla.diagnostics import CodeHistory, _bin_counts, _layer_stats, flip_rate, take_snapshot
+from tqla.diagnostics import (
+    DEFAULT_BAND,
+    DEFAULT_BINS,
+    CodeHistory,
+    _bin_counts,
+    _edge_tables,
+    _layer_stats,
+    flip_rate,
+    take_snapshot,
+)
 from tqla.errors import DegenerateNormalization, InsufficientHistory, InvalidParam, InvalidShape
+from tqla.quantizer import GroupLayout, QuantizedTensor
 
 PT = Granularity("per-tensor")
+
+
+def layer_stats(w, q, band=DEFAULT_BAND, bins=DEFAULT_BINS):
+    """(size, deadzone fraction, boundary fraction, histogram) of the one layer (w, q)."""
+    (stats,) = _layer_stats([(w, q)], band, bins)
+    return stats
 
 
 def quantized_pair(rng, rows=5, cols=17, kind="per-group", group_size=None):
@@ -34,19 +50,19 @@ def count_fraction_oracle(w, thresholds_elem, predicate):
 class TestDeadzoneFraction:
     def test_all_zero_weights(self):
         q = quantize(np.ones((2, 4)), "absmean", PT)
-        assert _layer_stats(np.zeros((2, 4)), q)[1] == 1.0
+        assert layer_stats(np.zeros((2, 4)), q)[1] == 1.0
 
     def test_zero_threshold(self):
         w = np.ones((2, 4))
         q = quantize(w, "absmean", PT)
         q.thresholds[:] = 0.0
-        assert _layer_stats(w, q)[1] == 0.0
+        assert layer_stats(w, q)[1] == 0.0
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
             w, q = quantized_pair(rng)
-            got = _layer_stats(w, q)[1]
+            got = layer_stats(w, q)[1]
             ref = count_fraction_oracle(
                 w, q.layout.expand(q.thresholds), lambda v, t: abs(v) < t
             )
@@ -55,7 +71,11 @@ class TestDeadzoneFraction:
     def test_shape_mismatch(self):
         q = quantize(np.ones((2, 4)), "absmean", PT)
         with pytest.raises(InvalidShape):
-            _layer_stats(np.ones((2, 5)), q)
+            layer_stats(np.ones((2, 5)), q)
+        # codes of the weights' shape, but a layout of another
+        other = QuantizedTensor(q.codes, q.scales, q.thresholds, GroupLayout(PT, 4, 2))
+        with pytest.raises(InvalidShape):
+            layer_stats(np.ones((2, 4)), other)
 
 
 class TestBoundaryFraction:
@@ -64,20 +84,20 @@ class TestBoundaryFraction:
         q = quantize(w, "absmean", PT)
         q.thresholds[:] = 0.5
         for band in (0.01, 0.1, 0.5):
-            assert _layer_stats(w, q, band)[2] == 1.0
+            assert layer_stats(w, q, band)[2] == 1.0
 
     def test_far_from_boundary(self):
         w = np.array([[10.0, -10.0, 0.001]])
         q = quantize(w, "absmean", PT)
         q.thresholds[:] = 1.0
-        assert _layer_stats(w, q, 0.1)[2] == 0.0
+        assert layer_stats(w, q, 0.1)[2] == 0.0
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             w, q = quantized_pair(rng)
             band = float(rng.uniform(0.05, 0.5))
-            got = _layer_stats(w, q, band)[2]
+            got = layer_stats(w, q, band)[2]
             ref = count_fraction_oracle(
                 w,
                 q.layout.expand(q.thresholds),
@@ -90,15 +110,15 @@ class TestBoundaryFraction:
         q = quantize(w, "absmean", PT)
         for band in (0.0, 1.0, -0.3):
             with pytest.raises(InvalidParam, match="band"):
-                _layer_stats(w, q, band)
+                layer_stats(w, q, band)
 
     def test_invariant_under_joint_rescale(self):
         rng = np.random.default_rng(2)
         w, q = quantized_pair(rng)
-        base = _layer_stats(w, q)[1:3]
+        base = layer_stats(w, q)[1:3]
         for factor in (0.5, 3.0, 100.0):
             q2 = quantize(w * factor, "absmean", q.granularity)
-            assert _layer_stats(w * factor, q2)[1:3] == base
+            assert layer_stats(w * factor, q2)[1:3] == base
 
 
 class TestFlipRate:
@@ -223,7 +243,7 @@ class TestWeightHistogram:
         w = np.array([[0.5, -0.5, 0.5, -0.5]])
         q = quantize(w, "absmean", PT)
         q.thresholds[:] = 0.5
-        h = _layer_stats(w, q, bins=12)[3]
+        h = layer_stats(w, q, bins=12)[3]
         centers = (h.bin_edges[:-1] + h.bin_edges[1:]) / 2
         hot = centers[h.counts > 0]
         assert len(hot) == 2
@@ -233,14 +253,14 @@ class TestWeightHistogram:
         rng = np.random.default_rng(4)
         for _ in range(20):
             w, q = quantized_pair(rng)
-            h = _layer_stats(w, q)[3]
+            h = layer_stats(w, q)[3]
             assert h.counts.sum() == w.size
 
     def test_uniform_values_roughly_flat(self):
         rng = np.random.default_rng(5)
         w = rng.uniform(-1, 1, size=(100, 100))
         q = quantize(w, "absmean", PT)
-        h = _layer_stats(w, q, bins=10)[3]
+        h = layer_stats(w, q, bins=10)[3]
         assert h.counts.sum() == w.size
         inner = h.counts[1:-1]
         assert inner.min() > 0
@@ -249,7 +269,7 @@ class TestWeightHistogram:
         w = np.array([[100.0, -100.0, 0.0]])
         q = quantize(w, "absmean", PT)
         q.thresholds[:] = 1.0
-        h = _layer_stats(w, q, bins=6)[3]
+        h = layer_stats(w, q, bins=6)[3]
         assert h.counts[0] == 1 and h.counts[-1] == 1
         assert h.counts.sum() == 3
 
@@ -257,7 +277,7 @@ class TestWeightHistogram:
         w = np.array([[0.25, -0.75]])
         q = quantize(w, "absmean", PT)
         q.thresholds[:] = 0.0
-        h = _layer_stats(w, q, bins=6)[3]
+        h = layer_stats(w, q, bins=6)[3]
         assert not h.normalized
         assert h.counts.sum() == 2
 
@@ -265,7 +285,7 @@ class TestWeightHistogram:
         w = np.ones((1, 2))
         q = quantize(w, "absmean", PT)
         with pytest.raises(InvalidParam, match="bins"):
-            _layer_stats(w, q, bins=1)
+            layer_stats(w, q, bins=1)
 
     @pytest.mark.parametrize(
         "bins",
@@ -276,15 +296,15 @@ class TestWeightHistogram:
         rng = np.random.default_rng(14)
         w, q = quantized_pair(rng)
         with pytest.raises(InvalidParam, match="bins"):
-            _layer_stats(w, q, bins=bins)
+            layer_stats(w, q, bins=bins)
         with pytest.raises(InvalidParam, match="bins"):
             take_snapshot(0, 1.0, [(w, q)], bins=bins)
 
     def test_numpy_integer_bins_accepted(self):
         rng = np.random.default_rng(15)
         w, q = quantized_pair(rng)
-        h = _layer_stats(w, q, bins=np.int64(5))[3]
-        assert h.counts.tolist() == _layer_stats(w, q, bins=5)[3].counts.tolist()
+        h = layer_stats(w, q, bins=np.int64(5))[3]
+        assert h.counts.tolist() == layer_stats(w, q, bins=5)[3].counts.tolist()
 
     def test_matches_counting_oracle(self):
         import bisect
@@ -311,7 +331,7 @@ class TestWeightHistogram:
             w.flat[idx] = rng.permutation(special)[: idx.size] * thr.flat[idx]
             on_zero = idx[thr.flat[idx] == 0]
             w.flat[on_zero] = rng.choice([-1.5, 0.0, 2.5], on_zero.size)
-            h = _layer_stats(w, q, bins=bins)[3]
+            h = layer_stats(w, q, bins=bins)[3]
             assert h.bin_edges.tobytes() == edges.tobytes()
             ref = [0] * bins
             for r in range(w.shape[0]):
@@ -344,7 +364,9 @@ def clipped_values_and_bins(draw):
 
 
 def assert_same_histogram(values, bins):
-    counts, edges = _bin_counts(values, bins)
+    edges, lower, upper = _edge_tables(bins)
+    scratch = [np.empty(values.size, dtype=t) for t in (np.float64, np.intp, bool)]
+    counts = _bin_counts(values, lower, upper, *scratch)
     ref_counts, ref_edges = np.histogram(values, bins, range=(-3.0, 3.0))
     assert counts.dtype == ref_counts.dtype
     assert counts.tolist() == ref_counts.tolist()
@@ -392,7 +414,7 @@ class TestDirectBinning:
         w.flat[rng.choice(w.size, size=w.size // 8, replace=False)] = 0.0
         w.flat[rng.choice(w.size, size=w.size // 8, replace=False)] = 7.0
         before = w.copy()
-        size, dead, near, hist = _layer_stats(w, q, band, bins)
+        size, dead, near, hist = layer_stats(w, q, band, bins)
         ref = oracles.layer_stats_reference(w, q, band, bins)
         assert (size, dead, near) == ref[:3]
         assert hist.counts.dtype == ref[3].dtype
@@ -410,7 +432,7 @@ class TestSnapshotAndExport:
         rep = take_snapshot(0, 1.0, [(w1, q1), (w2, q2)])
         total = w1.size + w2.size
         expected = (
-            _layer_stats(w1, q1)[1] * w1.size + _layer_stats(w2, q2)[1] * w2.size
+            layer_stats(w1, q1)[1] * w1.size + layer_stats(w2, q2)[1] * w2.size
         ) / total
         assert rep.deadzone_fraction == pytest.approx(expected, rel=1e-12)
         assert rep.histogram.counts.sum() == total

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import sys
@@ -520,6 +521,30 @@ class TestConstructor:
         with pytest.raises(InvalidParam, match="input must be real"):
             layer.forward(np.ones((2, 6)) * (1 + 2j))
         assert layer.cache is None
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("scheme", "binary"),
+            ("scheme", "absmean"),
+            ("granularity", Granularity("per-group", 2)),
+            ("lam", float("nan")),
+            ("lam", 0.5),
+            ("epsilon", -1.0),
+            ("shadow_weights", np.zeros((2, 3))),
+            ("cache", None),
+        ],
+    )
+    def test_fields_cannot_be_rebound(self, name, value):
+        # a rebound field would skip the constructor's checks: NaN lam gave a
+        # NaN forward and an unknown scheme a bare KeyError
+        rng = np.random.default_rng(33)
+        layer = QuantLinearLayer(rng.standard_normal((2, 3)), "tequila", PT, lam=0.05)
+        x = rng.standard_normal((4, 3))
+        expected = layer.forward(x)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(layer, name, value)
+        assert layer.forward(x).tobytes() == expected.tobytes()
 
 
 class TestLayerApi:
