@@ -46,6 +46,28 @@ commits finite values. An MLP reads each layer's recorded input ``cache.x``
 as its activation. The optimizer's moment decays and epsilon are fixed
 constants; only the learning rate is set per run.
 
+Each direction runs all of its full-size element-wise passes in one row
+kernel. ``_forward_rows`` forms the group sums, the compares and the
+ternarizer, the dequantization to ``w_q`` and the entry's operand:
+tequila's row sums, minima's ``sign(w) * dead`` or the coupling C.
+``_backward_rows`` forms ``e * alpha``, the dead-branch select, the alpha
+and b group sums, and ``w_q`` and C again. A per-group or per-channel group
+lies within one row, so every pass is exact per row. A layer of
+``_LAYER_SHARD_MIN`` elements or more runs its kernels on row shards, one
+per usable CPU, on the export's thread pool (see ``quantizer``); it builds
+their layouts once, with its own. A smaller or per-tensor layer runs the
+same kernels inline, on one shard. The calling thread allocates every
+full-size output and each shard writes its own rows. Until a shard's rows
+of ``w_q`` take their values they are its scratch: the buffers of the
+forward's sequential sums, and the products the backward sums over groups
+or selects through. Beyond per-group and per-row arrays a worker then
+allocates only for a small shard (the compares of at most
+``quantizer._SUM_BLOCK`` elements, masked sums whose two buffers do not
+fit) and for twn's kept-weight mask. Every matrix product (``x @ w_q.T``,
+``x @ C.T``, ``sign(x) @ D.T``, ``g.T @ x``, ``g.T @ sign(x)``, ``g @ w_q``
+and ``g @ C``) stays in the calling thread on the full arrays: a product
+split by rows does not give the bits of the whole one.
+
 ``optimizer_step`` stages its update on blocks of at most
 ``quantizer._SUM_BLOCK`` elements, so that each block stays in cache
 across the dozen element-wise passes of one update; a parameter that fits
@@ -73,14 +95,15 @@ from .quantizer import (
     QuantizedTensor,
     _as_matrix,
     _as_real,
+    _dequantize_into,
     _group_params,
-    _quantized_view,
+    _group_shards,
     _lam,
     _real_where,
     _row_ranges,
     _run_shards,
     _tequila_bias,
-    dequantize,
+    _ternarize,
 )
 
 DEFAULT_LAMBDA = 1e-3
@@ -88,49 +111,83 @@ DEFAULT_EPSILON = 1e-3
 DEFAULT_LEARNING_RATE = 1e-4
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # optimizer_step's moment decays and epsilon
 
+#: Elements (160 Ki, a 405x405 layer) from which a layer's forward and
+#: backward run on row shards. In-process on 2 cores (one BLAS thread, batch
+#: 32, per-group 128), a sharded absmean, dlt, minima or tequila step read
+#: 1.23-1.54 of the inline one at 256x256, 1.01-1.10 at 384x384 (tequila
+#: 0.97), 0.87-0.94 at 416x416 and 0.85-0.96 at 512x512.
+_LAYER_SHARD_MIN = 5 << 15
+
 
 # Entry callables reach quantizer functions through this module's globals
 # (never a stored reference), so rebinding those names reaches every scheme.
+# A ``fill`` runs in the row kernels and writes rows of the scheme's operand
+# S: (layer, w, dead, alpha, b, layout, out, scratch) for the weights ``w``
+# of those rows, their mask, group scales and b, their ``layout``, S's rows
+# ``out`` and a ``_sequential_sums`` scratch (None in the backward).
 
 
-def _minima_term(layer, x, mask):
-    return layer.epsilon * (np.sign(x) @ (np.sign(layer.shadow_weights) * mask).T)
+def _minima_fill(layer, w, dead, alpha, b, layout, out, scratch):
+    np.sign(w, out=out)
+    np.multiply(out, dead, out=out)
 
 
-def _tequila_term(layer, x, mask):
-    return _tequila_bias(layer.shadow_weights, mask, layer.lam)
+def _minima_term(layer, x, d):
+    return layer.epsilon * (np.sign(x) @ d.T)
+
+
+def _tequila_fill(layer, w, dead, alpha, b, layout, out, scratch):
+    out[...] = _tequila_bias(w, dead, layer.lam, scratch)
+
+
+def _tequila_term(layer, x, bias):
+    return bias
+
+
+def _dlt_fill(layer, w, dead, alpha, b, layout, out, scratch):
+    layout.expand(b, out=out)
+
+
+def _seq_fill(layer, w, dead, alpha, b, layout, out, scratch):
+    layout.apply(np.multiply, dead, alpha * b, out=out)
+
+
+def _coupling_term(layer, x, c):
+    return x @ c.T
+
+
+# A dead-branch gradient runs in the calling thread, where it forms its
+# products, and returns the row kernels' part: a function of a row slice
+# that gives the dead weights' gradient on those rows, as an array that
+# broadcasts to them. It may form that array in place in the rows of ``e``
+# or of its own product; the kernel reads neither again.
 
 
 def _dead_ste(layer, e, g, x):
-    return e
+    return lambda rows: e[rows]
 
 
 def _dead_minima(layer, e, g, x):
-    return layer.epsilon * (g.T @ np.sign(x))
+    m = g.T @ np.sign(x)
+    return lambda rows: np.multiply(layer.epsilon, m[rows], out=m[rows])
 
 
 def _dead_tequila(layer, e, g, x):
-    return e + layer.lam * g.sum(axis=0)[:, None]
+    row = layer.lam * g.sum(axis=0)[:, None]
+    return lambda rows: np.add(e[rows], row[rows], out=e[rows])
 
 
 def _dead_nomix(layer, e, g, x):
-    return layer.lam * g.sum(axis=0)[:, None]
+    row = layer.lam * g.sum(axis=0)[:, None]
+    return lambda rows: row[rows]
 
 
-def _dlt_coupling(q, mask, b):
-    return q.layout.expand(b)
+def _dlt_grad_b(e, dead, alpha, layout, scratch):
+    return layout.reduce_sum(e)
 
 
-def _seq_coupling(q, mask, b):
-    return q.layout.expand(q.scales) * q.layout.expand(b) * mask
-
-
-def _dlt_grad_b(e, q, mask):
-    return q.layout.reduce_sum(e)
-
-
-def _seq_grad_b(e, q, mask):
-    return q.scales * q.layout.reduce_sum(e * mask)
+def _seq_grad_b(e, dead, alpha, layout, scratch):
+    return alpha * layout.reduce_sum(np.multiply(e, dead, out=scratch))
 
 
 @dataclass(frozen=True)
@@ -141,25 +198,47 @@ class Scheme:
     estimator: str
     #: learnable slots besides the shadow weights: "alpha" and/or "b"
     learnable: tuple = ()
-    #: (layer, x, mask) -> term added to y
+    #: writes rows of the operand S the forward's row kernel builds (see above)
+    fill: Callable | None = None
+    #: S holds one value per row rather than one per weight
+    per_row: bool = False
+    #: (layer, x, S) -> term added to y
     extra: Callable | None = None
-    #: (layer, e, g, x) -> weight gradient at dead positions
+    #: S is a coupling C: the forward adds x @ C.T and the backward g @ C
+    coupling: bool = False
+    #: (layer, e, g, x) -> the row kernels' dead-branch gradient (see above)
     dead_grad: Callable = _dead_ste
-    #: (e, quantized, mask) -> gradient of b
+    #: (e, dead, alpha, layout, scratch) -> gradient of b for the rows of ``e``
     grad_b: Callable | None = None
-    #: (quantized, mask, b) -> C; forward adds x @ C.T, backward adds g @ C
-    coupling: Callable | None = None
 
 
 SCHEME_TABLE = {
     "absmean": Scheme("absmean"),
     "twn": Scheme("twn"),
     "lsq": Scheme("absmean", learnable=("alpha",)),
-    "seq": Scheme("absmean", learnable=("b",), grad_b=_seq_grad_b, coupling=_seq_coupling),
-    "dlt": Scheme("absmean", learnable=("alpha", "b"), grad_b=_dlt_grad_b, coupling=_dlt_coupling),
-    "minima": Scheme("absmean", extra=_minima_term, dead_grad=_dead_minima),
-    "tequila": Scheme("absmean", extra=_tequila_term, dead_grad=_dead_tequila),
-    "tequila-nomix": Scheme("absmean", extra=_tequila_term, dead_grad=_dead_nomix),
+    "seq": Scheme(
+        "absmean",
+        learnable=("b",),
+        fill=_seq_fill,
+        extra=_coupling_term,
+        coupling=True,
+        grad_b=_seq_grad_b,
+    ),
+    "dlt": Scheme(
+        "absmean",
+        learnable=("alpha", "b"),
+        fill=_dlt_fill,
+        extra=_coupling_term,
+        coupling=True,
+        grad_b=_dlt_grad_b,
+    ),
+    "minima": Scheme("absmean", fill=_minima_fill, extra=_minima_term, dead_grad=_dead_minima),
+    "tequila": Scheme(
+        "absmean", fill=_tequila_fill, per_row=True, extra=_tequila_term, dead_grad=_dead_tequila
+    ),
+    "tequila-nomix": Scheme(
+        "absmean", fill=_tequila_fill, per_row=True, extra=_tequila_term, dead_grad=_dead_nomix
+    ),
 }
 
 SCHEMES = tuple(SCHEME_TABLE)
@@ -205,7 +284,8 @@ class QuantLinearLayer:
     scheme; takes a float64 copy of the weights, a non-empty, finite, real
     matrix, so training never writes into the caller's array; checks ``lam``
     (finite) and ``epsilon`` (finite, >= 0); and builds the layout, which
-    checks ``granularity``. An unknown scheme raises ``UnsupportedScheme``,
+    checks ``granularity``, and the row shards its steps run on (see the
+    module docstring). An unknown scheme raises ``UnsupportedScheme``,
     a bad shape ``InvalidShape`` and any other bad value ``InvalidParam``.
     It then fills the slots of the schemes that use them: ``lsq`` and
     ``dlt`` start ``learnable_alpha`` at the estimator's scales and freeze
@@ -239,6 +319,7 @@ class QuantLinearLayer:
         object.__setattr__(self, "epsilon", _epsilon("epsilon", self.epsilon))
         layout = GroupLayout(self.granularity, *w.shape)
         object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "_shards", _group_shards(layout, least=_LAYER_SHARD_MIN))
         entry = SCHEME_TABLE[self.scheme]
         if "alpha" in entry.learnable:
             # alpha becomes learnable; the threshold keeps its initial estimate
@@ -278,16 +359,20 @@ class QuantLinearLayer:
         """
         entry = self._entry()
         x = _as_batch(x, None, self.cols, "input")
-        params = None
+        shape = self.shadow_weights.shape
         if "alpha" in entry.learnable:
-            params = (self.learnable_alpha.copy(), self.frozen_thresholds.copy())
-        q, mask = _quantized_view(self.shadow_weights, entry.estimator, self.layout, params)
+            scales, thresholds = self.learnable_alpha.copy(), self.frozen_thresholds.copy()
+        else:
+            scales, thresholds = np.empty(self.layout.n_groups), np.empty(self.layout.n_groups)
+        q = QuantizedTensor(np.empty(shape, dtype=np.int8), scales, thresholds, self.layout)
+        mask = np.empty(shape, dtype=bool)
         b = None if self.learnable_b is None else self.learnable_b.copy()
-        y = x @ dequantize(q).T
-        if entry.coupling is not None:
-            y = y + x @ entry.coupling(q, mask, b).T
+        w_q = np.empty(shape)
+        side = None if entry.fill is None else np.empty(self.rows if entry.per_row else shape)
+        _run_shards(partial(_forward_rows, self, entry, q, mask, b, w_q, side), self._shards)
+        y = x @ w_q.T
         if entry.extra is not None:
-            y = y + entry.extra(self, x, mask)
+            y = y + entry.extra(self, x, side)
         object.__setattr__(self, "cache", ForwardCache(x=x, quantized=q, mask=mask, learnable_b=b))
         return y
 
@@ -304,18 +389,82 @@ class QuantLinearLayer:
         g = _as_batch(g, len(cache.x), self.rows, "upstream gradient")
         object.__setattr__(self, "cache", None)
         entry = self._entry()
-        x, q, mask = cache.x, cache.quantized, cache.mask
+        x = cache.x
+        shape = self.shadow_weights.shape
         e = g.T @ x
-        live = q.layout.apply(np.multiply, e, q.scales)
-        grads = {"w": np.where(mask, entry.dead_grad(self, e, g, x), live)}
-        if "alpha" in entry.learnable:
-            grads["alpha"] = q.layout.reduce_sum(e * q.codes)
-        if "b" in entry.learnable:
-            grads["b"] = entry.grad_b(e, q, mask)
-        grad_x = g @ dequantize(q)
-        if entry.coupling is not None:
-            grad_x = grad_x + g @ entry.coupling(q, mask, cache.learnable_b)
+        grads = {"w": np.empty(shape)}
+        for key in entry.learnable:
+            grads[key] = np.empty(self.layout.n_groups)
+        w_q = np.empty(shape)
+        side = np.empty(shape) if entry.coupling else None
+        dead_grad = entry.dead_grad(self, e, g, x)
+        work = partial(_backward_rows, self, entry, cache, e, dead_grad, grads, w_q, side)
+        _run_shards(work, self._shards)
+        grad_x = g @ w_q
+        if entry.coupling:
+            grad_x = grad_x + g @ side
         return grad_x, grads
+
+
+def _forward_rows(layer, entry, q, mask, b, w_q, side, rows, groups, part):
+    """The forward's element-wise passes over one shard of ``layer``.
+
+    The shard holds the weights ``rows`` and the groups ``groups`` and has
+    the layout ``part``. Writes those rows of the codes and the deadzone
+    ``mask`` and, for a static estimator, those groups' scales and
+    thresholds in ``q``; the rows of ``w_q``; and the rows of the entry's
+    operand ``side``. Until they take their values, the rows of ``w_q``
+    hold the buffers of the sequential sums.
+    """
+    w, codes, dead = layer.shadow_weights[rows], q.codes[rows], mask[rows]
+    scratch = w_q[rows].reshape(-1)
+    if "alpha" in entry.learnable:
+        alpha, delta = q.scales[groups], q.thresholds[groups]
+    else:
+        alpha, delta = _group_params(w, entry.estimator, part, scratch)
+        q.scales[groups], q.thresholds[groups] = alpha, delta
+    _ternarize(w, part, alpha, delta, codes, dead)
+    if entry.fill is not None:
+        b = None if b is None else b[groups]
+        entry.fill(layer, w, dead, alpha, b, part, side[rows], scratch)
+    _dequantize_into(codes, alpha, part, w_q[rows])
+
+
+def _backward_rows(layer, entry, cache, e, dead_grad, grads, w_q, side, rows, groups, part):
+    """The backward's element-wise passes over one shard (as ``_forward_rows``).
+
+    Writes those rows of the weight gradient, of ``w_q`` and of the
+    coupling ``side``, and those groups' gradients of alpha and b.
+    """
+    q, dead = cache.quantized, cache.mask[rows]
+    codes, alpha, er = q.codes[rows], q.scales[groups], e[rows]
+    grad_w, wq = grads["w"][rows], w_q[rows]
+    part.apply(np.multiply, er, alpha, out=grad_w)
+    # these rows of w_q are scratch until they are formed
+    if "alpha" in grads:
+        grads["alpha"][groups] = part.reduce_sum(np.multiply(er, codes, out=wq))
+    if "b" in grads:
+        grads["b"][groups] = entry.grad_b(er, dead, alpha, part, wq)
+    _select(dead, dead_grad(rows), grad_w, wq)
+    _dequantize_into(codes, alpha, part, wq)
+    if entry.coupling:
+        b = cache.learnable_b[groups]
+        entry.fill(layer, layer.shadow_weights[rows], dead, alpha, b, part, side[rows], None)
+
+
+def _select(mask, values, out, scratch) -> None:
+    """``out[...] = np.where(mask, values, out)``, bit for bit, through int64 views.
+
+    ``values`` broadcasts to the float64 ``out``; ``scratch`` is a float64
+    array of ``out``'s shape. Each element of ``out`` takes its own bits
+    xor those of the two values where ``mask`` is set, and xor zero
+    elsewhere: three branch-free passes, which beat ``np.where``'s
+    branching one where the mask is irregular, as a deadzone is.
+    """
+    o, t = out.view(np.int64), scratch.view(np.int64)
+    np.bitwise_xor(o, values.view(np.int64), out=t)
+    np.multiply(t, mask, out=t)
+    np.bitwise_xor(o, t, out=o)
 
 
 def _as_batch(a, batch: int | None, width: int, what: str) -> np.ndarray:

@@ -27,9 +27,10 @@ stays in cache.
 The three export calls, ``quantize``, ``deadzone_mask`` and
 ``packing.pack_model``, split a large matrix into row ranges ("shards"),
 one per usable CPU, and run them at once on a small thread pool while the
-calling thread waits. Two more callers split a list of element blocks
-the same way: ``qat.optimizer_step`` its parameters' blocks (see ``qat``)
-and ``diagnostics.take_snapshot`` its layers' row blocks (see
+calling thread waits. Three more callers split their work the same way:
+``qat.optimizer_step`` its parameters' blocks, a wide
+``qat.QuantLinearLayer`` the rows of its forward and backward (see
+``qat``), and ``diagnostics.take_snapshot`` its layers' row blocks (see
 ``diagnostics``). numpy
 releases the GIL inside its ufunc, ``take`` and reduce loops, so the
 shards do run in parallel. Each export shard returns the arrays it
@@ -41,8 +42,9 @@ over the matrix, and ``pack_model`` cuts on multiples of 8 rows so that
 each shard encodes whole index and sign bytes. A per-tensor group spans
 every row, so ``quantize`` and ``deadzone_mask`` keep such a matrix on one
 shard.
-Matrices below ``_SHARD_MIN`` elements stay on one shard, run inline: for
-them the hand-over to the pool costs more than the second core gives.
+Matrices below ``_SHARD_MIN`` elements (a layer step has a threshold of its
+own) stay on one shard, run inline: for them the hand-over to the pool
+costs more than the second core gives.
 Workers call only the private kernels; every public entry point and each
 shard's ``GroupLayout`` run in the calling thread.
 
@@ -161,9 +163,18 @@ class GroupLayout:
         cut = self._cut
         return v[:, :cut].reshape(self._runs), (v[:, None, cut:] if cut < self.view[1] else None)
 
-    def expand(self, per_group: np.ndarray) -> np.ndarray:
-        """Broadcast one value per group to a full (rows, cols) matrix."""
-        return np.repeat(self._table(per_group), self.lens, axis=1).reshape(self.rows, self.cols)
+    def expand(self, per_group: np.ndarray, out=None) -> np.ndarray:
+        """Broadcast one value per group to a full (rows, cols) matrix, or into ``out``."""
+        if out is None:
+            expanded = np.repeat(self._table(per_group), self.lens, axis=1)
+            return expanded.reshape(self.rows, self.cols)
+        table = self._table(per_group)[:, :, None]
+        runs, tail = self._views(out)
+        full = self._runs[1]
+        np.copyto(runs, table[:, :full])
+        if tail is not None:
+            np.copyto(tail, table[:, full:])
+        return out
 
     def apply(self, op: np.ufunc, elem: np.ndarray, per_group, out=None) -> np.ndarray:
         """``op(elem, self.expand(per_group), out=out)`` for a binary ufunc, without the expansion.
@@ -199,14 +210,16 @@ class GroupLayout:
         """Sum a (rows, cols) matrix over each group; returns (n_groups,)."""
         return self._reduce(lambda runs: runs.sum(axis=-1), elem)
 
-    def _seq_group_sums(self, elem, mask=None, magnitude=False) -> np.ndarray:
+    def _seq_group_sums(self, elem, mask=None, magnitude=False, scratch=None) -> np.ndarray:
         """Left-to-right sequential group sums, matching a scalar loop exactly.
 
         The summed terms are those of ``_sequential_sums``: ``elem``, or
         ``|elem|`` with ``magnitude``, where the bool ``mask`` is set.
+        ``scratch`` is passed on to it.
         """
         arrays = (elem,) if mask is None else (elem, mask)
-        return self._reduce(partial(_sequential_sums, magnitude=magnitude), *arrays)
+        sums = partial(_sequential_sums, magnitude=magnitude, scratch=scratch)
+        return self._reduce(sums, *arrays)
 
 
 @dataclass
@@ -312,7 +325,7 @@ _lam = _real_where("finite", np.isfinite)
 _SUM_BLOCK = 1 << 16
 
 
-def _sequential_sums(a: np.ndarray, mask=None, magnitude=False) -> np.ndarray:
+def _sequential_sums(a: np.ndarray, mask=None, magnitude=False, scratch=None) -> np.ndarray:
     """Strict left-to-right sums along the last axis, bit for bit.
 
     The summed terms are ``a``, or ``|a|`` with ``magnitude``, where the bool
@@ -327,7 +340,10 @@ def _sequential_sums(a: np.ndarray, mask=None, magnitude=False) -> np.ndarray:
     multiplied by its mask into a second block-sized buffer, and ``np.abs``
     runs in place after the copy), and ``np.add.reduce`` over the buffer
     then adds its rows one after another, each output a left-to-right sum.
-    Two guards keep the result exact:
+    The buffers are slices of the 1-D float64 ``scratch`` when it is given
+    and holds them, so that a thread pool's worker need allocate none; a
+    buffer never holds more elements than ``a``. Two guards keep the result
+    exact:
 
     - A block holding a single run reduces as a 1-D array, which numpy sums
       pairwise; such a run (a row wider than half a block, or a short last
@@ -348,8 +364,11 @@ def _sequential_sums(a: np.ndarray, mask=None, magnitude=False) -> np.ndarray:
     size = min(step, a.shape[0]) * per_index
     if per_index == n:  # every block of one index is a single run, summed in chunks
         size = min(size, _SUM_BLOCK)
-    buf = np.empty(size, dtype=a.dtype)
-    masked = None if mask is None else np.empty(size, dtype=a.dtype)
+    need = size if mask is None else 2 * size
+    if scratch is None or scratch.size < need:
+        scratch = np.empty(need, dtype=a.dtype)
+    buf = scratch[:size]
+    masked = None if mask is None else scratch[size : 2 * size]
 
     def terms(part):
         """Block ``part(a)``'s terms, selected by ``part(mask)``, in ``buf``, axes reversed."""
@@ -398,33 +417,35 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _row_ranges(rows: int, size: int, align: int = 1) -> list[tuple[int, int]]:
+def _row_ranges(rows: int, size: int, align: int = 1, least=None) -> list[tuple[int, int]]:
     """Half-open row ranges, one per usable CPU, of a matrix of ``size`` elements.
 
     Every range but the last holds a multiple of ``align`` rows. A matrix
-    below ``_SHARD_MIN`` elements, or a process with one usable CPU, gets
-    the single range ``(0, rows)``.
+    below ``least`` elements (``_SHARD_MIN`` when not given), or a process
+    with one usable CPU, gets the single range ``(0, rows)``.
     """
-    if size < _SHARD_MIN:
+    if size < (_SHARD_MIN if least is None else least):
         return [(0, rows)]
     step = -(-rows // _usable_cpus())
     step += -step % align
     return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
-def _group_shards(layout: GroupLayout) -> list[tuple[slice, slice, GroupLayout]]:
+def _group_shards(layout: GroupLayout, least=None) -> list[tuple[slice, slice, GroupLayout]]:
     """(row slice, group-id slice, layout) of each shard of a matrix with ``layout``.
 
     Ranges run over the layout's view rows, so a per-tensor matrix is one
-    shard; a single shard keeps ``layout`` itself. The shards' layouts are
-    built here, in the calling thread.
+    shard; a single shard keeps ``layout`` itself. ``least`` is passed on to
+    ``_row_ranges``. The shards' layouts are built here, in the calling
+    thread, one per distinct shard height.
     """
-    ranges = _row_ranges(layout.view[0], layout.rows * layout.cols)
+    ranges = _row_ranges(layout.view[0], layout.rows * layout.cols, least=least)
     if len(ranges) == 1:
         return [(slice(None), slice(None), layout)]
     g = layout.groups_per_row
-    parts = [GroupLayout(layout.granularity, hi - lo, layout.cols) for lo, hi in ranges]
-    return [(slice(lo, hi), slice(lo * g, hi * g), p) for (lo, hi), p in zip(ranges, parts)]
+    heights = {hi - lo for lo, hi in ranges}
+    parts = {n: GroupLayout(layout.granularity, n, layout.cols) for n in heights}
+    return [(slice(lo, hi), slice(lo * g, hi * g), parts[hi - lo]) for lo, hi in ranges]
 
 
 def _run_shards(work, shards) -> list:
@@ -472,7 +493,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _sides(w: np.ndarray, layout: GroupLayout, deltas):
+def _sides(w: np.ndarray, layout: GroupLayout, deltas, out=(None, None)):
     """(``w >= delta``, ``|w| >= delta``) with each element's group threshold.
 
     Every delta is >= 0 or +inf; ``w`` is finite, or its caller rejects it
@@ -482,14 +503,15 @@ def _sides(w: np.ndarray, layout: GroupLayout, deltas):
     its size. A smaller one is compared against one expansion of the
     thresholds and its ``|w|``: both stay in cache, where numpy's
     contiguous compares beat broadcasts over short group runs. Both give
-    the same bits.
+    the same bits. ``out`` may give the two bool arrays to write.
     """
+    pos, live = out
     if w.size > _SUM_BLOCK:
-        pos = layout.apply(np.greater_equal, w, deltas)
-        live = layout.apply(np.less_equal, w, -deltas)
+        pos = layout.apply(np.greater_equal, w, deltas, out=pos)
+        live = layout.apply(np.less_equal, w, -deltas, out=live)
         return pos, np.logical_or(live, pos, out=live)
     thr = layout.expand(deltas)
-    return np.greater_equal(w, thr), np.greater_equal(np.abs(w), thr)
+    return np.greater_equal(w, thr, out=pos), np.greater_equal(np.abs(w), thr, out=live)
 
 
 def _ternary(pos: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -499,16 +521,19 @@ def _ternary(pos: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     ``pos``, -1 where ``live`` but not ``pos``, 0 (the deadzone) elsewhere.
     So at delta == 0 a zero weight takes the first branch (+1).
     """
-    neg = np.logical_xor(live, pos)  # pos implies live
     codes = pos.view(np.int8)
-    np.subtract(codes, neg.view(np.int8), out=codes)
+    np.add(codes, codes, out=codes)  # pos implies live: code = 2 * pos - live
+    np.subtract(codes, live.view(np.int8), out=codes)
     return codes, np.logical_not(live, out=live)
 
 
-def _group_params(w: np.ndarray, scheme: str, layout: GroupLayout):
-    """Per-group (alpha, delta) arrays for a static scheme."""
+def _group_params(w: np.ndarray, scheme: str, layout: GroupLayout, scratch=None):
+    """Per-group (alpha, delta) arrays for a static scheme.
+
+    ``scratch`` is passed on to ``_sequential_sums``.
+    """
     counts = np.tile(layout.lens.astype(np.float64), layout.view[0])
-    means = layout._seq_group_sums(w, magnitude=True) / counts
+    means = layout._seq_group_sums(w, magnitude=True, scratch=scratch) / counts
     if scheme == "absmean":
         return means, means / 2.0
     # twn: threshold first, then alpha is the mean of |w| over the kept elements
@@ -516,7 +541,7 @@ def _group_params(w: np.ndarray, scheme: str, layout: GroupLayout):
     # fixed delta; a group that keeps none gets alpha = 0 (degenerate)
     deltas = 0.75 * means
     keep = _sides(w, layout, deltas)[1]
-    kept_totals = layout._seq_group_sums(w, keep, magnitude=True)
+    kept_totals = layout._seq_group_sums(w, keep, magnitude=True, scratch=scratch)
     kept_counts = layout.reduce_sum(keep)
     alphas = np.divide(
         kept_totals, kept_counts, out=np.zeros_like(kept_totals), where=kept_counts > 0
@@ -543,8 +568,10 @@ def quantize(w, scheme: str, granularity: Granularity) -> QuantizedTensor:
         raise
 
     def shard(rows, _, part):
-        q = _quantized_view(w[rows], scheme, part)[0]
-        return q.codes, q.scales, q.thresholds
+        alphas, deltas = _group_params(w[rows], scheme, part)
+        codes = np.empty((part.rows, part.cols), dtype=np.int8)
+        _ternarize(w[rows], part, alphas, deltas, codes, np.empty(codes.shape, dtype=bool))
+        return codes, alphas, deltas
 
     codes, scales, thresholds = map(_join, zip(*_run_shards(shard, _group_shards(layout))))
     # each threshold is a finite multiple of its group's |w| sum, which is
@@ -554,27 +581,28 @@ def quantize(w, scheme: str, granularity: Granularity) -> QuantizedTensor:
     return QuantizedTensor(codes=codes, scales=scales, thresholds=thresholds, layout=layout)
 
 
-def _quantized_view(w: np.ndarray, scheme: str, layout: GroupLayout, params=None):
-    """``quantize`` without validation, plus the deadzone mask it computes.
+def _ternarize(w: np.ndarray, layout: GroupLayout, alphas, deltas, codes, dead) -> None:
+    """Write the int8 ``codes`` and bool deadzone mask ``dead`` of ``w``, without validation.
 
-    ``params`` gives the per-group (alpha, delta) instead of the ``scheme``
-    estimator. Returns ``(tensor, mask)``: the bool mask ``|w| < delta`` is
+    ``codes`` and ``dead`` have ``w``'s shape. The mask ``|w| < delta`` is
     the ternarizer's zero branch, so it comes from the same compares as the
-    codes. Groups with alpha == 0 have their codes forced to zero. The
-    tensor owns ``layout``.
+    codes. Groups with alpha == 0 have their codes forced to zero.
     """
-    alphas, deltas = _group_params(w, scheme, layout) if params is None else params
-    codes, dead = _ternary(*_sides(w, layout, deltas))
+    _ternary(*_sides(w, layout, deltas, out=(codes.view(bool), dead)))
     degenerate = alphas == 0.0
     if degenerate.any():
         codes[layout.expand(degenerate)] = 0
-    return QuantizedTensor(codes=codes, scales=alphas, thresholds=deltas, layout=layout), dead
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
     """Reconstruct the quantized weights: element = code * group scale."""
-    w_q = q.codes.astype(np.float64)
-    return q.layout.apply(np.multiply, w_q, q.scales, out=w_q)
+    return _dequantize_into(q.codes, q.scales, q.layout, np.empty(q.codes.shape))
+
+
+def _dequantize_into(codes, scales, layout: GroupLayout, out: np.ndarray) -> np.ndarray:
+    """``dequantize`` of ``codes`` with the group ``scales`` of ``layout``, written into ``out``."""
+    np.copyto(out, codes)
+    return layout.apply(np.multiply, out, scales, out=out)
 
 
 def deadzone_mask(w, q: QuantizedTensor) -> np.ndarray:
@@ -613,10 +641,10 @@ def tequila_bias(w, mask, lam: float) -> np.ndarray:
     return _tequila_bias(w, mask, _lam("lambda", lam))
 
 
-def _tequila_bias(w: np.ndarray, dead: np.ndarray, lam: float) -> np.ndarray:
+def _tequila_bias(w: np.ndarray, dead: np.ndarray, lam: float, scratch=None) -> np.ndarray:
     """``tequila_bias`` without validation; ``w`` must be finite.
 
     The sums are those of ``np.where(dead, w, 0.0)``, the selected weights
-    formed block by block inside ``_sequential_sums``.
+    formed block by block inside ``_sequential_sums``, with ``scratch``.
     """
-    return lam * _sequential_sums(w, dead)
+    return lam * _sequential_sums(w, dead, scratch=scratch)

@@ -399,6 +399,143 @@ def adam_step_scalar(p, g, m0, v0, t, lr, b1=0.9, b2=0.999, eps=1e-8):
     return p - m / (1.0 - b1**t) * lr / den, m, v
 
 
+def _layer_forward_scalar(layer, x, scheme, kind, group_size, lam, eps):
+    """(y, view) of one layer: its quantized view and output for inputs ``x``.
+
+    ``layer`` is a dict as ``mlp_step_scalar`` takes it; ``view`` holds the
+    codes, scales and deadzone mask the backward reads.
+    """
+    w = layer["w"]
+    rows, cols = len(w), len(w[0])
+    if "delta" in layer:  # learnable alpha, frozen thresholds
+        alpha, delta = layer["alpha"], layer["delta"]
+        codes = [
+            [
+                0
+                if alpha[group_of(r, c, rows, cols, kind, group_size)] == 0.0
+                else ternarize_scalar(w[r][c], delta[group_of(r, c, rows, cols, kind, group_size)])
+                for c in range(cols)
+            ]
+            for r in range(rows)
+        ]
+    else:
+        estimator = "twn" if scheme == "twn" else "absmean"
+        codes, alpha, delta = quantize_scalar(w, estimator, kind, group_size)
+    mask = deadzone_mask_scalar(w, delta, kind, group_size)
+    if scheme == "seq":
+        y = forward_seq_scalar(x, codes, alpha, layer["b"], mask, kind, group_size)
+    elif scheme == "dlt":
+        y = forward_dlt_scalar(x, codes, alpha, layer["b"], kind, group_size)
+    elif scheme == "minima":
+        y = forward_minima_scalar(x, w, codes, alpha, mask, eps, kind, group_size)
+    elif scheme in ("tequila", "tequila-nomix"):
+        y = forward_tequila_scalar(x, w, codes, alpha, mask, lam, kind, group_size)
+    else:
+        y = forward_ternary_scalar(x, codes, alpha, kind, group_size)
+    return y, {"codes": codes, "alpha": alpha, "mask": mask}
+
+
+def _layer_backward_scalar(layer, view, x, g, scheme, kind, group_size, lam, eps):
+    """(grad wrt ``x``, grads per parameter) of one layer for upstream ``g``."""
+    w = layer["w"]
+    rows, cols = len(w), len(w[0])
+    codes, alpha, mask = view["codes"], view["alpha"], view["mask"]
+    if scheme == "minima":
+        grads = {"w": backward_minima_scalar(g, x, mask, alpha, eps, kind, group_size)}
+    elif scheme in ("tequila", "tequila-nomix"):
+        mixed = scheme == "tequila"
+        grads = {"w": backward_tequila_scalar(g, x, mask, alpha, lam, kind, group_size, mixed)}
+    else:
+        live = [[not dead for dead in row] for row in mask]
+        grads = {"w": backward_ste_scalar(g, x, live, alpha, kind, group_size)}
+    if "delta" in layer:
+        grads["alpha"] = grad_alpha_scalar(g, x, codes, kind, group_size)
+    if scheme == "dlt":
+        grads["b"] = grad_b_dlt_scalar(g, x, rows, kind, group_size)
+    elif scheme == "seq":
+        grads["b"] = grad_b_seq_scalar(g, x, mask, alpha, kind, group_size)
+    # the input sees w_q, plus the coupling: alpha * b at seq's dead weights, b for dlt
+    grad_x = [[0.0] * cols for _ in range(len(g))]
+    for n in range(len(g)):
+        for j in range(cols):
+            acc = 0.0
+            for r in range(rows):
+                k = group_of(r, j, rows, cols, kind, group_size)
+                weight = codes[r][j] * alpha[k]
+                if scheme == "dlt":
+                    weight += layer["b"][k]
+                elif scheme == "seq" and mask[r][j]:
+                    weight += alpha[k] * layer["b"][k]
+                acc += g[n][r] * weight
+            grad_x[n][j] = acc
+    return grad_x, grads
+
+
+def _task_loss_scalar(task, y, target):
+    """(loss, gradient wrt ``y``) of the regression or character task."""
+    batch, width = len(y), len(y[0])
+    if task == "synthetic-regression":
+        total = 0.0
+        grad = [[0.0] * width for _ in range(batch)]
+        for n in range(batch):
+            for r in range(width):
+                d = y[n][r] - target[n][r]
+                total += d * d
+                grad[n][r] = 2.0 * d / (batch * width)
+        return total / (batch * width), grad
+    # cross-entropy of a softmax over each row, against the class index in ``target``
+    total = 0.0
+    grad = []
+    for n in range(batch):
+        top = max(y[n])
+        exps = [math.exp(v - top) for v in y[n]]
+        norm = sum(exps)
+        total -= y[n][target[n]] - top - math.log(norm)
+        row = [e / norm / batch for e in exps]
+        row[target[n]] -= 1.0 / batch
+        grad.append(row)
+    return total / batch, grad
+
+
+def mlp_step_scalar(layers, x, target, task, t, lr, scheme, kind, group_size, lam, eps):
+    """One training step of a tanh MLP of quantized layers, in Python loops.
+
+    ``layers`` holds one dict per layer, first layer first: "w" (rows x cols
+    nested lists), "alpha" and the frozen "delta" for the schemes that learn
+    alpha, "b" for those that learn b, and the moments "m" and "v", dicts of
+    the same shapes per parameter. The forward quantizes every layer, feeds
+    tanh of each output to the next, and takes the ``task`` loss of the last
+    output against ``target`` (rows of values for regression, class indices
+    for the character task). The backward chains the layer backwards through
+    tanh (``g * (1 - a * a)``), and one adaptive-moment step ``t`` at rate
+    ``lr`` updates every parameter and its moments in place. Returns
+    (loss, last layer output).
+    """
+    acts = [x]
+    views = []
+    for k, layer in enumerate(layers):
+        y, view = _layer_forward_scalar(layer, acts[-1], scheme, kind, group_size, lam, eps)
+        views.append(view)
+        acts.append(y if k == len(layers) - 1 else [[math.tanh(v) for v in row] for row in y])
+    loss, g = _task_loss_scalar(task, acts[-1], target)
+    grads = [None] * len(layers)
+    for k in range(len(layers) - 1, -1, -1):
+        a = acts[k]
+        grad_x, grads[k] = _layer_backward_scalar(
+            layers[k], views[k], a, g, scheme, kind, group_size, lam, eps
+        )
+        g = [[gx * (1.0 - av * av) for gx, av in zip(grow, arow)] for grow, arow in zip(grad_x, a)]
+    for layer, layer_grads in zip(layers, grads):
+        for name, grad in layer_grads.items():
+            runs = [(layer[name], grad, layer["m"][name], layer["v"][name])]
+            if isinstance(layer[name][0], list):  # the weights: one run per row
+                runs = list(zip(*runs[0]))
+            for p, gp, m, v in runs:
+                for j in range(len(p)):
+                    p[j], m[j], v[j] = adam_step_scalar(p[j], gp[j], m[j], v[j], t, lr)
+    return loss, acts[-1]
+
+
 #: The canonical triple table of the TQLA format, as listed in ``tqla.packing``.
 TQLA_PATTERNS = [
     (0, 0, 0), (0, 0, 1), (0, 1, -1), (0, 1, 0), (0, 1, 1),

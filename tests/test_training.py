@@ -14,8 +14,10 @@ import json
 import numpy as np
 import pytest
 
+import oracles
+from tqla import qat, quantizer, training
 from tqla.errors import CacheError, InvalidParam, InvalidShape, UnsupportedScheme
-from tqla.qat import SCHEMES, QuantLinearLayer
+from tqla.qat import SCHEMES, OptimizerState, QuantLinearLayer, optimizer_step
 from tqla.quantizer import Granularity
 from tqla.training import TASKS, QuantMlp, TrainConfig, train_toy
 
@@ -225,6 +227,82 @@ def test_mlp_backward_needs_a_recorded_forward():
     with pytest.raises(CacheError):
         mlp.backward(g)
 
+
+
+#: Widths of the oracle runs: 7 and 5 columns leave a short last group of 2,
+#: and none of 7, 5 and 4 is a multiple of 3.
+ORACLE_WIDTHS = (7, 5, 4, 3)
+ORACLE_GRANULARITIES = {
+    "per-group-2": Granularity("per-group", 2),
+    "per-channel": Granularity("per-channel"),
+    "per-tensor": Granularity("per-tensor"),
+}
+ORACLE_LR = 1e-2
+ORACLE_LAM = ORACLE_EPS = 0.05
+
+
+def oracle_layer(w, scheme, kind, group_size):
+    """A layer with weights ``w`` as ``oracles.mlp_step_scalar`` takes it, slots at their start."""
+    layer = {"w": w.tolist()}
+    if scheme in ("lsq", "dlt"):
+        _, layer["alpha"], layer["delta"] = oracles.quantize_scalar(
+            layer["w"], "absmean", kind, group_size
+        )
+    if scheme in ("seq", "dlt"):
+        layer["b"] = [0.0] * oracles.n_groups_of(*w.shape, kind, group_size)
+    params = [name for name in ("w", "alpha", "b") if name in layer]
+    for moment in ("m", "v"):
+        layer[moment] = {name: np.zeros(np.shape(layer[name])).tolist() for name in params}
+    return layer
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["inline", "sharded"])
+@pytest.mark.parametrize("task", TASKS)
+@pytest.mark.parametrize("gran_name", list(ORACLE_GRANULARITIES))
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_three_steps_match_the_scalar_oracle(scheme, gran_name, task, sharded, monkeypatch):
+    granularity = ORACLE_GRANULARITIES[gran_name]
+    kind, size = granularity.kind, granularity.group_size
+    if sharded:  # layer steps, optimizer steps and their blocks split over two workers
+        monkeypatch.setattr(qat, "_LAYER_SHARD_MIN", 1)
+        monkeypatch.setattr(quantizer, "_SHARD_MIN", 1)
+        monkeypatch.setattr(quantizer, "_SUM_BLOCK", 3)
+        monkeypatch.setattr(quantizer, "_usable_cpus", lambda: 2)
+    rng = np.random.default_rng([SCHEMES.index(scheme), len(gran_name), TASKS.index(task)])
+    shapes = list(zip(ORACLE_WIDTHS[1:], ORACLE_WIDTHS))
+    weights = [rng.standard_normal(shape) / np.sqrt(shape[1]) for shape in shapes]
+    x = rng.standard_normal((4, ORACLE_WIDTHS[0]))
+    if task == "char-lm":
+        target = rng.integers(0, ORACLE_WIDTHS[-1], 4)
+    else:
+        target = rng.standard_normal((4, ORACLE_WIDTHS[-1]))
+    mlp = QuantMlp(
+        [
+            QuantLinearLayer(w, scheme, granularity, lam=ORACLE_LAM, epsilon=ORACLE_EPS)
+            for w in weights
+        ]
+    )
+    loss_of = object.__new__(training._TASKS[task])  # its loss methods read no field
+    params = mlp.params()
+    state = OptimizerState(learning_rate=ORACLE_LR)
+    layers = [oracle_layer(w, scheme, kind, size) for w in weights]
+    for t in (1, 2, 3):
+        y = mlp.forward(x)
+        loss = loss_of.loss(y, target)
+        optimizer_step(params, mlp.backward(loss_of.loss_grad(y, target)), state)
+        expected_loss, expected_y = oracles.mlp_step_scalar(
+            layers, x.tolist(), target.tolist(), task, t, ORACLE_LR, scheme, kind, size,
+            ORACLE_LAM, ORACLE_EPS,
+        )
+        # the absolute bound covers values that are zero but for rounding, such
+        # as dlt's per-tensor b under the char-lm loss, whose gradient rows sum to 0
+        np.testing.assert_allclose(y, expected_y, rtol=1e-9, atol=1e-9, err_msg=f"step {t}")
+        assert loss == pytest.approx(expected_loss, rel=1e-9), t
+        for k, layer in enumerate(mlp.layers):
+            for name, value in layer.params().items():
+                np.testing.assert_allclose(
+                    value, layers[k][name], rtol=1e-9, atol=1e-9, err_msg=f"step {t} layer{k}.{name}"
+                )
 
 
 def test_mlp_needs_a_layer():
