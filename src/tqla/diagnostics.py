@@ -16,10 +16,11 @@ near-boundary weights and bins it, writing every element-wise result into
 its shard's scratch, so a block stays in cache across its passes. It is
 the only code that runs off the calling thread: a snapshot of
 ``quantizer._SHARD_MIN`` elements or more splits its block list over the
-usable CPUs on the export's thread pool (see ``quantizer``), and a smaller
-one runs inline. The calling thread then adds up each layer's integer
-counts, forms the fractions and pushes the codes into the history. Every
-count is an integer sum, so the blocks and shards change no bit of a report.
+usable CPUs, the calling thread counting the first shard and the export's
+thread pool the others (see ``quantizer``), and a smaller one runs inline.
+The calling thread then adds up each layer's integer counts, forms the
+fractions and pushes the codes into the history. Every count is an
+integer sum, so the blocks and shards change no bit of a report.
 
 Histograms bin w / threshold over [-3, 3] with ``np.linspace(-3, 3, bins + 1)``
 edges. Every bin is half-open, ``[lo, hi)``, except the last, which is closed.

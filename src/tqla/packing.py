@@ -65,7 +65,6 @@ from .quantizer import (
     QuantizedTensor,
     _as_matrix,
     _count,
-    _join,
     _real,
     _require_finite,
     _require_ternary,
@@ -136,19 +135,30 @@ def _triples_per_row(cols: int) -> int:
     return -(-cols // 3)
 
 
-def _encode(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(index bytes, sign bytes) of a (rows, cols) int8 code matrix."""
+def _encode(codes: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """(index bytes, sign bytes) of a (rows, cols) int8 code matrix.
+
+    They are written into ``out``, a pair of uint8 arrays of their sizes,
+    when it is given, and returned.
+    """
     rows, cols = codes.shape
     per_row = _triples_per_row(cols)
     n = rows * per_row
+    if out is None:
+        out = tuple(np.empty(k, dtype=np.uint8) for k in _section_sizes(rows, cols, 0)[:2])
+    index_bytes, sign_bytes = out
     # a zero triple pads an odd count to whole index bytes
     flat = np.zeros(3 * (n + n % 2), dtype=np.int8)
     flat[: 3 * n].reshape(rows, 3 * per_row)[:, :cols] = codes
     t = flat.reshape(-1, 3)
     keys = 9 * t[:, 0] + 3 * t[:, 1] + t[:, 2] + _ZERO_KEY  # the key above, in int8
-    index_bytes = _PAIR_TO_BYTE[27 * keys[0::2].astype(np.intp) + keys[1::2]]
-    sign_bytes = np.packbits(keys[:n] < _ZERO_KEY, bitorder="little")
-    return index_bytes, sign_bytes
+    pairs = keys[0::2].astype(np.intp)
+    pairs *= 27
+    pairs += keys[1::2]
+    # every pair key is in range; "clip" lets take write into out without a buffer
+    _PAIR_TO_BYTE.take(pairs, out=index_bytes, mode="clip")
+    sign_bytes[...] = np.packbits(keys[:n] < _ZERO_KEY, bitorder="little")  # packbits has no out
+    return out
 
 
 def _section_sizes(rows: int, cols: int, group_size: int) -> tuple[int, int, int, int]:
@@ -330,43 +340,46 @@ def _granularity_to_group_size(granularity: Granularity, cols: int) -> int:
     return granularity.group_size
 
 
-def _float32(values) -> np.ndarray:
-    """``values`` cast to float32; one that overflows there is left for PackedLayer to reject."""
-    with np.errstate(over="ignore"):
-        return np.asarray(values, dtype=np.float64).astype("<f4")
-
-
 def _pack_layer(
     q: QuantizedTensor, shadow: np.ndarray, mask: np.ndarray, lam: float
 ) -> PackedLayer:
     """Encode ``q.codes`` and freeze ``lam`` times the masked row sums of ``shadow``.
 
-    Each shard returns its row sums, index bytes and sign bytes, joined in
-    row order. Shards cut on multiples of 8 rows, so each one encodes whole
-    index and sign bytes and the joined bytes are those of one pass. A
-    non-finite shadow weight makes its row's masked sum non-finite (NaN and
-    Inf times a clear mask bit are NaN); only then is ``shadow`` scanned,
-    to tell it from finite weights whose sum overflows.
+    The row sums, index bytes and sign bytes are allocated here and each
+    shard writes its own part of them. Shards cut on multiples of 8 rows,
+    so each one encodes whole index and sign bytes and the bytes are those
+    of one pass. A non-finite shadow weight makes its row's masked sum
+    non-finite (NaN and Inf times a clear mask bit are NaN); only then is
+    ``shadow`` scanned, to tell it from finite weights whose sum overflows.
     """
     rows, cols = q.codes.shape
+    per_row = _triples_per_row(cols)
+    n_index, n_sign, _, _ = _section_sizes(rows, cols, 0)
+    sums = np.empty(rows)
+    index_bytes = np.empty(n_index, dtype=np.uint8)
+    sign_bytes = np.empty(n_sign, dtype=np.uint8)
 
     def shard(lo, hi):
         with np.errstate(invalid="ignore"):  # Inf times a clear mask bit
-            sums = _sequential_sums(shadow[lo:hi], mask[lo:hi])
-        return (sums, *_encode(q.codes[lo:hi]))
+            _sequential_sums(shadow[lo:hi], mask[lo:hi], out=sums[lo:hi])
+        start, stop = lo * per_row, hi * per_row  # triples; start is a multiple of 8
+        out = index_bytes[start // 2 : -(-stop // 2)], sign_bytes[start // 8 : -(-stop // 8)]
+        _encode(q.codes[lo:hi], out)
 
-    ranges = _row_ranges(rows, shadow.size, align=8)
-    sums, index_bytes, sign_bytes = map(_join, zip(*_run_shards(shard, ranges)))
+    _run_shards(shard, _row_ranges(rows, shadow.size, align=8))
     if not np.isfinite(sums).all():
         _require_finite(shadow)
+    bias = np.multiply(sums, lam, out=sums)
+    with np.errstate(over="ignore"):  # a value that overflows float32 is left for PackedLayer
+        scales, bias = np.asarray(q.scales, dtype=np.float64).astype("<f4"), bias.astype("<f4")
     return PackedLayer(
         rows=rows,
         cols=cols,
         group_size=_granularity_to_group_size(q.granularity, cols),
         index_bytes=index_bytes,
         sign_bytes=sign_bytes,
-        scales=_float32(q.scales),
-        bias=_float32(lam * sums),
+        scales=scales,
+        bias=bias,
     )
 
 

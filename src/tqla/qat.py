@@ -54,14 +54,15 @@ tequila's row sums, minima's ``sign(w) * dead`` or the coupling C.
 and b group sums, and ``w_q`` and C again. A per-group or per-channel group
 lies within one row, so every pass is exact per row. A layer of
 ``_LAYER_SHARD_MIN`` elements or more runs its kernels on row shards, one
-per usable CPU, on the export's thread pool (see ``quantizer``); it builds
-their layouts once, with its own. A smaller or per-tensor layer runs the
-same kernels inline, on one shard. The calling thread allocates every
+per usable CPU: the calling thread works the first and the export's
+thread pool the others (see ``quantizer``); the layer builds their
+layouts once, with its own. A smaller or per-tensor layer runs the same
+kernels inline, on one shard. The calling thread allocates every
 full-size output and each shard writes its own rows. Until a shard's rows
 of ``w_q`` take their values they are its scratch: the buffers of the
 forward's sequential sums, and the products the backward sums over groups
-or selects through. Beyond per-group and per-row arrays a worker then
-allocates only for a small shard (the compares of at most
+or selects through. Beyond per-group and per-row arrays a shard then
+allocates only when it is small (the compares of at most
 ``quantizer._SUM_BLOCK`` elements, masked sums whose two buffers do not
 fit) and for twn's kept-weight mask. Every matrix product (``x @ w_q.T``,
 ``x @ C.T``, ``sign(x) @ D.T``, ``g.T @ x``, ``g.T @ sign(x)``, ``g @ w_q``
@@ -72,11 +73,12 @@ split by rows does not give the bits of the whole one.
 ``quantizer._SUM_BLOCK`` elements, so that each block stays in cache
 across the dozen element-wise passes of one update; a parameter that fits
 in one block is passed whole. A step of ``quantizer._SHARD_MIN`` elements
-or more shares its blocks out over the usable CPUs on the export's thread
-pool, and a smaller one runs inline. Each ufunc is exact per element, so
+or more shares its blocks out over the usable CPUs, the calling thread
+working the first run of blocks and the export's thread pool the others,
+and a smaller one runs inline. Each ufunc is exact per element, so
 the bits are those of one full-size pass. The calling thread allocates
-the staged moments and values and every worker's block-sized scratch;
-the workers allocate nothing full-size.
+the staged moments and values and every shard's block-sized scratch;
+the shards allocate nothing full-size.
 """
 
 from __future__ import annotations
@@ -323,7 +325,8 @@ class QuantLinearLayer:
         entry = SCHEME_TABLE[self.scheme]
         if "alpha" in entry.learnable:
             # alpha becomes learnable; the threshold keeps its initial estimate
-            alpha, thresholds = _group_params(w, entry.estimator, layout)
+            alpha, thresholds = np.empty(layout.n_groups), np.empty(layout.n_groups)
+            _group_params(w, entry.estimator, layout, (alpha, thresholds))
             object.__setattr__(self, "learnable_alpha", alpha)
             object.__setattr__(self, "frozen_thresholds", thresholds)
         if "b" in entry.learnable:
@@ -418,11 +421,9 @@ def _forward_rows(layer, entry, q, mask, b, w_q, side, rows, groups, part):
     """
     w, codes, dead = layer.shadow_weights[rows], q.codes[rows], mask[rows]
     scratch = w_q[rows].reshape(-1)
-    if "alpha" in entry.learnable:
-        alpha, delta = q.scales[groups], q.thresholds[groups]
-    else:
-        alpha, delta = _group_params(w, entry.estimator, part, scratch)
-        q.scales[groups], q.thresholds[groups] = alpha, delta
+    alpha, delta = q.scales[groups], q.thresholds[groups]
+    if "alpha" not in entry.learnable:
+        _group_params(w, entry.estimator, part, (alpha, delta), scratch)
     _ternarize(w, part, alpha, delta, codes, dead)
     if entry.fill is not None:
         b = None if b is None else b[groups]
@@ -554,10 +555,11 @@ def optimizer_step(params: dict, grads: dict, state: OptimizerState) -> dict:
     which stay in cache across their dozen ufunc passes; a parameter of one
     block is its own block, not a view of it. A step of ``_SHARD_MIN``
     elements or more splits its block list as an export splits rows, one
-    run of blocks per usable CPU, on the export's thread pool; a smaller
-    step runs inline. The bits are those of one full-size pass. The staged
-    arrays and each run's scratch buffers are allocated here, in the
-    calling thread: the workers allocate nothing full-size.
+    run of blocks per usable CPU, the first in the calling thread and the
+    others on the export's thread pool; a smaller step runs inline. The
+    bits are those of one full-size pass. The staged arrays and each run's
+    scratch buffers are allocated here, in the calling thread: the shards
+    allocate nothing full-size.
     """
     for key in params:
         if key not in grads:

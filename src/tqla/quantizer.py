@@ -26,27 +26,28 @@ stays in cache.
 
 The three export calls, ``quantize``, ``deadzone_mask`` and
 ``packing.pack_model``, split a large matrix into row ranges ("shards"),
-one per usable CPU, and run them at once on a small thread pool while the
-calling thread waits. Three more callers split their work the same way:
-``qat.optimizer_step`` its parameters' blocks, a wide
-``qat.QuantLinearLayer`` the rows of its forward and backward (see
-``qat``), and ``diagnostics.take_snapshot`` its layers' row blocks (see
-``diagnostics``). numpy
-releases the GIL inside its ufunc, ``take`` and reduce loops, so the
-shards do run in parallel. Each export shard returns the arrays it
-computes and the caller joins them in row order; a single shard's arrays
-are used as they are. The split is exact: a per-group or
-per-channel group lies within one row, so a shard's sums, thresholds, codes
-and mask depend only on its own rows and are bit for bit those of one pass
-over the matrix, and ``pack_model`` cuts on multiples of 8 rows so that
-each shard encodes whole index and sign bytes. A per-tensor group spans
-every row, so ``quantize`` and ``deadzone_mask`` keep such a matrix on one
-shard.
+one per usable CPU, and run them at once: the calling thread works the
+first shard itself while a small thread pool runs the others. Three more
+callers split their work the same way: ``qat.optimizer_step`` its
+parameters' blocks, a wide ``qat.QuantLinearLayer`` the rows of its
+forward and backward (see ``qat``), and ``diagnostics.take_snapshot`` its
+layers' row blocks (see ``diagnostics``). numpy releases the GIL inside
+its ufunc, ``take`` and reduce loops, so the shards do run in parallel.
+Every sharded pass follows one rule: the calling thread allocates every
+output, and each shard writes its own rows and groups of it, so no
+output is joined from pieces (a pack shard copies in only the sign bytes
+``np.packbits`` returns, 1/24 of the codes' size). The split is exact: a
+per-group or per-channel group lies within one row, so a shard's sums,
+thresholds, codes and mask depend only on its own rows and are bit for
+bit those of one pass over the matrix, and ``pack_model`` cuts on
+multiples of 8 rows so that each shard encodes whole index and sign
+bytes. A per-tensor group spans every row, so ``quantize`` and
+``deadzone_mask`` keep such a matrix on one shard.
 Matrices below ``_SHARD_MIN`` elements (a layer step has a threshold of its
 own) stay on one shard, run inline: for them the hand-over to the pool
 costs more than the second core gives.
-Workers call only the private kernels; every public entry point and each
-shard's ``GroupLayout`` run in the calling thread.
+Pool threads run only the shards' private kernels; every public entry
+point and each shard's ``GroupLayout`` run in the calling thread.
 
 The export checks each weight matrix for NaN and Inf once. ``quantize``
 reads finiteness from its ``|w|`` group sums and ``pack_model`` from its
@@ -199,16 +200,23 @@ class GroupLayout:
         return out
 
     def _reduce(self, run_sums, *elems: np.ndarray) -> np.ndarray:
-        """Apply ``run_sums`` (sums along the last axis) to every group's run of ``elems``."""
+        """Apply ``run_sums`` to every group's run of ``elems``; float64 (n_groups,).
+
+        ``run_sums(*runs, out=)`` writes the sums along the last axis of
+        ``runs`` into ``out``: the full runs into the first columns of the
+        (view rows, groups per row) table and the tail into its last.
+        """
         runs, tails = zip(*(self._views(e) for e in elems))
-        sums = run_sums(*runs)
+        table = np.empty((self.view[0], self.groups_per_row))
+        full = self._runs[1]
+        run_sums(*runs, out=table[:, :full])
         if tails[0] is not None:
-            sums = np.concatenate([sums, run_sums(*tails)], axis=1)
-        return sums.reshape(-1)
+            run_sums(*tails, out=table[:, full:])
+        return table.reshape(-1)
 
     def reduce_sum(self, elem: np.ndarray) -> np.ndarray:
-        """Sum a (rows, cols) matrix over each group; returns (n_groups,)."""
-        return self._reduce(lambda runs: runs.sum(axis=-1), elem)
+        """Sum a (rows, cols) matrix over each group; returns float64 (n_groups,)."""
+        return self._reduce(lambda runs, out: runs.sum(axis=-1, out=out), elem)
 
     def _seq_group_sums(self, elem, mask=None, magnitude=False, scratch=None) -> np.ndarray:
         """Left-to-right sequential group sums, matching a scalar loop exactly.
@@ -325,7 +333,7 @@ _lam = _real_where("finite", np.isfinite)
 _SUM_BLOCK = 1 << 16
 
 
-def _sequential_sums(a: np.ndarray, mask=None, magnitude=False, scratch=None) -> np.ndarray:
+def _sequential_sums(a: np.ndarray, mask=None, magnitude=False, scratch=None, out=None):
     """Strict left-to-right sums along the last axis, bit for bit.
 
     The summed terms are ``a``, or ``|a|`` with ``magnitude``, where the bool
@@ -340,10 +348,11 @@ def _sequential_sums(a: np.ndarray, mask=None, magnitude=False, scratch=None) ->
     multiplied by its mask into a second block-sized buffer, and ``np.abs``
     runs in place after the copy), and ``np.add.reduce`` over the buffer
     then adds its rows one after another, each output a left-to-right sum.
-    The buffers are slices of the 1-D float64 ``scratch`` when it is given
-    and holds them, so that a thread pool's worker need allocate none; a
-    buffer never holds more elements than ``a``. Two guards keep the result
-    exact:
+    The sums go into ``out`` (of shape ``a.shape[:-1]``, a view is fine)
+    when it is given, and it is returned. The buffers are slices of the
+    1-D float64 ``scratch`` when it is given and holds them, so that a
+    shard need allocate none; a buffer never holds more elements than
+    ``a``. Two guards keep the result exact:
 
     - A block holding a single run reduces as a 1-D array, which numpy sums
       pairwise; such a run (a row wider than half a block, or a short last
@@ -360,7 +369,8 @@ def _sequential_sums(a: np.ndarray, mask=None, magnitude=False, scratch=None) ->
     n = a.shape[-1]
     per_index = a[0].size
     step = max(1, _SUM_BLOCK // per_index)
-    out = np.empty(a.shape[:-1], dtype=a.dtype)
+    if out is None:
+        out = np.empty(a.shape[:-1], dtype=a.dtype)
     size = min(step, a.shape[0]) * per_index
     if per_index == n:  # every block of one index is a single run, summed in chunks
         size = min(size, _SUM_BLOCK)
@@ -451,11 +461,12 @@ def _group_shards(layout: GroupLayout, least=None) -> list[tuple[slice, slice, G
 def _run_shards(work, shards) -> list:
     """``[work(*shard) for shard in shards]``, all at once when there are several.
 
-    One shard runs inline. Several go to the pool, one task each, and wait
-    in its queue for a free thread; the calling thread waits for every one
-    of them, which frees its CPU for a pool thread. Each shard runs under
-    the caller's numpy error state. The results come in shard order; a
-    shard's exception is raised only once every shard has finished.
+    One shard runs inline. With several, every shard but the first goes to
+    the pool, one task each, and waits in its queue for a free thread; the
+    calling thread then runs the first shard itself and waits for the rest.
+    Each pool shard runs under the caller's numpy error state. The results
+    come in shard order; a shard's exception, the caller's own included, is
+    raised only once every shard has finished.
     """
     if len(shards) == 1:
         return [work(*shards[0])]
@@ -471,16 +482,14 @@ def _run_shards(work, shards) -> list:
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(len(shards), thread_name_prefix="tqla-shard")
+            _pool = ThreadPoolExecutor(len(shards) - 1, thread_name_prefix="tqla-shard")
         pool = _pool
-    futures = [pool.submit(run, shard) for shard in shards]
-    wait(futures)
-    return [future.result() for future in futures]
-
-
-def _join(arrays) -> np.ndarray:
-    """Shards' arrays joined in row order; a single shard's array as it is, not copied."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    futures = [pool.submit(run, shard) for shard in shards[1:]]
+    try:
+        first = work(*shards[0])
+    finally:
+        wait(futures)
+    return [first] + [future.result() for future in futures]
 
 
 def _drop_pool() -> None:
@@ -527,26 +536,26 @@ def _ternary(pos: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return codes, np.logical_not(live, out=live)
 
 
-def _group_params(w: np.ndarray, scheme: str, layout: GroupLayout, scratch=None):
-    """Per-group (alpha, delta) arrays for a static scheme.
+def _group_params(w: np.ndarray, scheme: str, layout: GroupLayout, out, scratch=None) -> None:
+    """Write the per-group (alpha, delta) of a static scheme into the pair of arrays ``out``.
 
     ``scratch`` is passed on to ``_sequential_sums``.
     """
+    alphas, deltas = out
     counts = np.tile(layout.lens.astype(np.float64), layout.view[0])
-    means = layout._seq_group_sums(w, magnitude=True, scratch=scratch) / counts
+    sums = layout._seq_group_sums(w, magnitude=True, scratch=scratch)
     if scheme == "absmean":
-        return means, means / 2.0
+        np.divide(np.divide(sums, counts, out=alphas), 2.0, out=deltas)
+        return
     # twn: threshold first, then alpha is the mean of |w| over the kept elements
     # (|w| >= delta), which minimizes the squared reconstruction error for that
     # fixed delta; a group that keeps none gets alpha = 0 (degenerate)
-    deltas = 0.75 * means
+    np.multiply(0.75, np.divide(sums, counts, out=deltas), out=deltas)
     keep = _sides(w, layout, deltas)[1]
     kept_totals = layout._seq_group_sums(w, keep, magnitude=True, scratch=scratch)
     kept_counts = layout.reduce_sum(keep)
-    alphas = np.divide(
-        kept_totals, kept_counts, out=np.zeros_like(kept_totals), where=kept_counts > 0
-    )
-    return alphas, deltas
+    alphas[...] = 0.0
+    np.divide(kept_totals, kept_counts, out=alphas, where=kept_counts > 0)
 
 
 def quantize(w, scheme: str, granularity: Granularity) -> QuantizedTensor:
@@ -567,13 +576,16 @@ def quantize(w, scheme: str, granularity: Granularity) -> QuantizedTensor:
         _require_finite(w)  # a non-finite weight is reported first
         raise
 
-    def shard(rows, _, part):
-        alphas, deltas = _group_params(w[rows], scheme, part)
-        codes = np.empty((part.rows, part.cols), dtype=np.int8)
-        _ternarize(w[rows], part, alphas, deltas, codes, np.empty(codes.shape, dtype=bool))
-        return codes, alphas, deltas
+    codes = np.empty(w.shape, dtype=np.int8)
+    dead = np.empty(w.shape, dtype=bool)  # the ternarizer's scratch
+    scales, thresholds = np.empty(layout.n_groups), np.empty(layout.n_groups)
 
-    codes, scales, thresholds = map(_join, zip(*_run_shards(shard, _group_shards(layout))))
+    def shard(rows, groups, part):
+        alphas, deltas = scales[groups], thresholds[groups]
+        _group_params(w[rows], scheme, part, (alphas, deltas))
+        _ternarize(w[rows], part, alphas, deltas, codes[rows], dead[rows])
+
+    _run_shards(shard, _group_shards(layout))
     # each threshold is a finite multiple of its group's |w| sum, which is
     # NaN or Inf for a non-finite weight and Inf when finite weights overflow
     if not np.isfinite(thresholds).all():
@@ -624,12 +636,15 @@ def deadzone_mask(w, q: QuantizedTensor) -> np.ndarray:
         _require_finite(w)  # a non-finite weight is reported first
         raise
 
+    mask = np.empty(w.shape, dtype=bool)
+
     def shard(rows, groups, part):
         _require_finite(w[rows])
-        live = _sides(w[rows], part, thresholds[groups])[1]
-        return np.logical_not(live, out=live)
+        live = _sides(w[rows], part, thresholds[groups], out=(None, mask[rows]))[1]
+        np.logical_not(live, out=live)
 
-    return _join(_run_shards(shard, _group_shards(q.layout)))
+    _run_shards(shard, _group_shards(q.layout))
+    return mask
 
 
 def tequila_bias(w, mask, lam: float) -> np.ndarray:

@@ -375,6 +375,28 @@ def gemv_scalar(codes, scales, bias, x, kind, group_size):
     return y
 
 
+def packed_mlp_scalar(layers, x):
+    """Output of a tanh MLP run from packed layers, for one input vector, in Python loops.
+
+    ``layers`` are the layers of a TQLA file in order. Each is decoded by
+    ``unpack_codes_scalar`` (padding columns dropped) and run by
+    ``gemv_scalar`` with its float32 scales and bias as Python floats; a
+    file's group size 0 is per-tensor, and any other size is per-group
+    (per-channel is the group size ``cols``). tanh is applied between
+    layers, not after the last.
+    """
+    for k, layer in enumerate(layers):
+        rows, cols = layer.rows, layer.cols
+        padded = unpack_codes_scalar(bytes(layer.index_bytes), bytes(layer.sign_bytes), rows, cols)
+        codes = [row[:cols] for row in padded]
+        kind = "per-tensor" if layer.group_size == 0 else "per-group"
+        scales = [float(s) for s in layer.scales]
+        bias = [float(b) for b in layer.bias]
+        y = gemv_scalar(codes, scales, bias, x, kind, layer.group_size)
+        x = y if k == len(layers) - 1 else [math.tanh(v) for v in y]
+    return x
+
+
 def rel_err(a, b):
     """Normalized max deviation between two nested lists / arrays."""
     import numpy as np

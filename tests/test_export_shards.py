@@ -135,28 +135,72 @@ def test_concurrent_callers_under_a_short_switch_interval(monkeypatch):
     assert len(got) == 40 and all(g == expected for g in got)
 
 
-def test_a_failing_shard_raises_once_every_shard_has_finished(monkeypatch):
+def test_a_failing_shard_raises_once_every_shard_has_finished(monkeypatch, tmp_path):
+    # shard 0 runs in the calling thread, shards 1 and 2 on the pool; fail
+    # the caller's own shard, then a pool shard
     monkeypatch.setattr(quantizer, "_pool", None)
-    finished = []
-
-    def work(k, seconds):
-        if k == 1:
-            raise ValueError("shard 1 failed")
-        time.sleep(seconds)  # still running when shard 1 raises
-        finished.append(k)
-        return k
-
+    rng = np.random.default_rng(8)
+    layers = [
+        (rng.standard_normal((40, 30)), Granularity("per-group", 8)),
+        (rng.standard_normal((30, 40)), Granularity("per-channel")),
+    ]
+    one = export_bytes(layers, "absmean", tmp_path / "m.tqla", 1)
     try:
-        with pytest.raises(ValueError, match="shard 1 failed"):
-            quantizer._run_shards(work, [(0, 0.05), (1, 0.0), (2, 0.3)])
-        assert sorted(finished) == [0, 2]
-        pool = quantizer._pool
-        # the same pool serves the next call, in shard order
-        assert quantizer._run_shards(lambda k: k * k, [(k,) for k in range(3)]) == [0, 1, 4]
-        assert quantizer._pool is pool
+        for failing in (0, 1):
+            finished = []
+
+            def work(k, seconds):
+                if k == failing:
+                    raise ValueError(f"shard {k} failed")
+                time.sleep(seconds)  # still running when the failing shard raises
+                finished.append(k)
+                return k
+
+            with pytest.raises(ValueError, match=f"shard {failing} failed"):
+                quantizer._run_shards(work, [(0, 0.05), (1, 0.05), (2, 0.3)])
+            assert sorted(finished) == [k for k in range(3) if k != failing]
+            pool = quantizer._pool
+            # the same pool serves the next calls, in shard order
+            assert quantizer._run_shards(lambda k: k * k, [(k,) for k in range(3)]) == [0, 1, 4]
+            assert export_bytes(layers, "absmean", tmp_path / "m.tqla", 3) == one
+            assert quantizer._pool is pool
     finally:
         if quantizer._pool is not None:
             quantizer._pool.shutdown()
+
+
+def test_sharded_deploy_export_joins_nothing(monkeypatch, tmp_path):
+    # every shard writes into the outputs the calling thread allocated, so a
+    # 3-shard export of the deploy shapes concatenates nothing and hands out
+    # arrays that own their data, with the bytes of one shard
+    rng = np.random.default_rng(2)
+    layers = [
+        (rng.standard_normal((rows, cols)) / np.sqrt(cols), granularity)
+        for rows, cols, granularity in (
+            (1024, 1024, Granularity("per-group", 128)),
+            (1024, 1000, Granularity("per-group", 128)),  # a short last group, a padded triple
+            (1000, 1024, Granularity("per-channel")),
+        )
+    ]
+    one = export_bytes(layers, "absmean", tmp_path / "m.tqla", 1)
+    concatenate = np.concatenate
+    joined = []
+
+    def counted(*args, **kwargs):
+        joined.append(len(args[0]))
+        return concatenate(*args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", counted)
+    with pytest.MonkeyPatch.context() as mp:
+        sharding(mp, 3)
+        qs, masks, model = export(layers)
+    assert joined == []
+    for q, mask, layer in zip(qs, masks, model.layers):
+        arrays = [q.codes, q.scales, q.thresholds, mask]
+        arrays += [getattr(layer, name) for name in ("index_bytes", "sign_bytes", "scales", "bias")]
+        assert all(a.flags.owndata for a in arrays)
+    write_packed(model, tmp_path / "m.tqla")
+    assert [(tmp_path / "m.tqla").read_bytes()] + as_bytes(qs, masks, model) == one
 
 
 def test_row_ranges():
@@ -210,12 +254,20 @@ PUBLIC = [
 def test_sharded_export_calls_public_entry_points_from_the_calling_thread(monkeypatch):
     sharding(monkeypatch, 3)
     calls = []  # (name, thread)
-    kernel_threads = set()
+    kernels = []  # (whether the call is on a shard's first rows of a matrix, thread)
+    firsts = set()  # address of each matrix's first element: shard 0 starts there
 
     def wrap(name, fn):
         def wrapped(*args, **kwargs):
             calls.append((name, threading.current_thread()))
             return fn(*args, **kwargs)
+
+        return wrapped
+
+    def kernel(fn):
+        def wrapped(a, *args, **kwargs):
+            kernels.append((address(a) in firsts, threading.current_thread()))
+            return fn(a, *args, **kwargs)
 
         return wrapped
 
@@ -228,14 +280,9 @@ def test_sharded_export_calls_public_entry_points_from_the_calling_thread(monkey
                 if value is original:
                     monkeypatch.setattr(holder, key, wrap(name, original))
     monkeypatch.setattr(GroupLayout, "__init__", wrap("GroupLayout", GroupLayout.__init__))
-    sums = quantizer._sequential_sums
-
-    def counted_sums(*args, **kwargs):
-        kernel_threads.add(threading.current_thread())
-        return sums(*args, **kwargs)
-
-    monkeypatch.setattr(quantizer, "_sequential_sums", counted_sums)
-    monkeypatch.setattr(packing, "_sequential_sums", counted_sums)
+    # each shard's kernels take its rows of the weights or codes first
+    for module, name in ((quantizer, "_group_params"), (quantizer, "_sides"), (packing, "_encode")):
+        monkeypatch.setattr(module, name, kernel(getattr(module, name)))
 
     rng = np.random.default_rng(5)
     layers = [
@@ -244,13 +291,23 @@ def test_sharded_export_calls_public_entry_points_from_the_calling_thread(monkey
     ]
     stack = []
     for w, granularity in layers:
+        firsts.add(address(w))
         q = quantizer.quantize(w, "absmean", granularity)
+        firsts.add(address(q.codes))
         stack.append((q, w, quantizer.deadzone_mask(w, q)))
     packing.pack_model(stack, LAM)
     names = {name for name, _ in calls}
     assert {"quantize", "deadzone_mask", "pack_model", "GroupLayout"} <= names
     assert {thread for _, thread in calls} == {threading.main_thread()}
-    assert kernel_threads and threading.main_thread() not in kernel_threads  # on the pool
+    # shard 0 in the caller, every other shard on the pool
+    assert {thread for first, thread in kernels if first} == {threading.main_thread()}
+    others = {thread for first, thread in kernels if not first}
+    assert others and all(thread.name.startswith("tqla-shard") for thread in others)
+
+
+def address(a):
+    """Address of the first element of ``a``."""
+    return a.__array_interface__["data"][0]
 
 
 def _export_in_child(expected):

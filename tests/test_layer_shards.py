@@ -175,12 +175,20 @@ def test_kernels_run_on_the_pool_and_everything_else_in_the_caller(monkeypatch):
     # the tracer wraps public entry points and records spans from one thread:
     # none of them, and no pool submit, may run on a worker
     calls = []  # (name, thread)
-    kernels = []
+    kernels = []  # (name, whether it is shard 0, thread)
 
     def wrap(name, fn, into):
         def wrapped(*args, **kwargs):
             into.append((name, threading.current_thread()))
             return fn(*args, **kwargs)
+
+        return wrapped
+
+    def kernel(name, fn, into):
+        def wrapped(*args):
+            rows = args[-3]  # the shard's row slice, before its group slice and layout
+            into.append((name, rows.start == 0, threading.current_thread()))
+            return fn(*args)
 
         return wrapped
 
@@ -200,7 +208,7 @@ def test_kernels_run_on_the_pool_and_everything_else_in_the_caller(monkeypatch):
     ):
         monkeypatch.setattr(cls, name, wrap(name, getattr(cls, name), calls))
     for name in ("_forward_rows", "_backward_rows"):
-        monkeypatch.setattr(qat, name, wrap(name, getattr(qat, name), kernels))
+        monkeypatch.setattr(qat, name, kernel(name, getattr(qat, name), kernels))
     sharding(monkeypatch, 3)
     rng = np.random.default_rng(3)
     for scheme in SCHEMES:
@@ -210,8 +218,11 @@ def test_kernels_run_on_the_pool_and_everything_else_in_the_caller(monkeypatch):
     names = {name for name, _ in calls}
     assert {"forward", "backward", "submit", "__init__"} <= names
     assert {thread for _, thread in calls} == {threading.main_thread()}
-    assert {name for name, _ in kernels} == {"_forward_rows", "_backward_rows"}
-    assert threading.main_thread() not in {thread for _, thread in kernels}
+    assert {name for name, _, _ in kernels} == {"_forward_rows", "_backward_rows"}
+    # shard 0 in the caller, every other shard on the pool
+    assert {thread for _, first, thread in kernels if first} == {threading.main_thread()}
+    others = {thread for _, first, thread in kernels if not first}
+    assert others and all(thread.name.startswith("tqla-shard") for thread in others)
 
 
 @WORKERS

@@ -8,7 +8,13 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import gemv_scalar, pack_codes_scalar, rel_err, unpack_codes_scalar
+from oracles import (
+    gemv_scalar,
+    pack_codes_scalar,
+    packed_mlp_scalar,
+    rel_err,
+    unpack_codes_scalar,
+)
 
 from tqla import Granularity, deadzone_mask, quantize, quantizer, tequila_bias
 from tqla.errors import FormatError, InvalidParam, InvalidShape
@@ -716,6 +722,50 @@ def test_packed_forward_matches_scalar_gemv(tmp_path, granularity, cols):
         )
         # float32 products and sums of at most 11 terms against float64
         assert rel_err(y, ref) < 1e-5
+
+
+@pytest.mark.parametrize(
+    "stack",
+    [
+        # (rows, cols, granularity) per layer; each layer's cols are the rows below it
+        [
+            (8, 10, Granularity("per-group", 4)),  # cols % 3 == 1, a short last group
+            (6, 8, Granularity("per-channel")),  # cols % 3 == 2
+            (4, 6, Granularity("per-tensor")),
+        ],
+        [
+            (7, 11, Granularity("per-group", 4)),  # cols % 3 == 2, a short last group
+            (5, 7, Granularity("per-tensor")),  # cols % 3 == 1
+            (3, 5, Granularity("per-channel")),
+        ],
+    ],
+    ids=["cols%3=1-first", "cols%3=2-first"],
+)
+def test_packed_mlp_forward_matches_scalar_oracle(tmp_path, stack):
+    # a written and re-read 3-layer file, run as a tanh MLP in float64 from
+    # codes decoded by unpack_codes times the expanded scales, plus the bias
+    rng = np.random.default_rng(stack[0][1])
+    packed = []
+    for rows, cols, granularity in stack:
+        w = rng.standard_normal((rows, cols))
+        w[0, :4] = 0.0  # a degenerate group for per-group 4
+        q = quantize(w, "absmean", granularity)
+        packed.append((q, w, deadzone_mask(w, q)))
+    path = tmp_path / "mlp.tqla"
+    write_packed(pack_model(packed, 0.05), path)
+    layers = read_packed(path).layers
+    assert [(layer.rows, layer.cols) for layer in layers] == [s[:2] for s in stack]
+    for _ in range(3):
+        x = rng.standard_normal(stack[0][1])
+        h = x
+        for k, (layer, (rows, cols, granularity)) in enumerate(zip(layers, stack)):
+            codes = layer.unpack_codes()[:, :cols].astype(np.float64)
+            scales = GroupLayout(granularity, rows, cols).expand(layer.scales.astype(np.float64))
+            h = (codes * scales) @ h + layer.bias.astype(np.float64)
+            if k < len(layers) - 1:
+                h = np.tanh(h)
+        # float64 on both sides, summed in different orders
+        assert rel_err(h, packed_mlp_scalar(layers, x.tolist())) < 1e-12
 
 
 def _traced_peak(fn):

@@ -123,17 +123,20 @@ def test_sharded_snapshot_bytes_pinned(case, block, workers):
 
 def test_layouts_are_built_and_counted_where_they_should_be(monkeypatch):
     # layouts in the calling thread, one per distinct block shape; the
-    # counting kernel on the pool
-    layouts, kernels = [], set()
+    # counting kernel of shard 0 in the caller and of every other shard on
+    # the pool
+    layouts, kernels = [], []  # kernels: (whether it is shard 0, thread)
     init, kernel = GroupLayout.__init__, diagnostics._block_counts
 
     def counted_init(self, *args):
         layouts.append((args, threading.current_thread()))
         init(self, *args)
 
-    def counted_kernel(*args):
-        kernels.add(threading.current_thread())
-        return kernel(*args)
+    def counted_kernel(lower, upper, blocks, scratch):
+        # shard 0's first block starts at the first weight of the first layer
+        first = address(blocks[0][0]) == address(pairs[0][0])
+        kernels.append((first, threading.current_thread()))
+        return kernel(lower, upper, blocks, scratch)
 
     rng = np.random.default_rng(4)
     pairs = []
@@ -155,7 +158,14 @@ def test_layouts_are_built_and_counted_where_they_should_be(monkeypatch):
         (Granularity("per-channel"), 3, 11),
     ]
     assert {thread for _, thread in layouts} == {threading.main_thread()}
-    assert kernels and threading.main_thread() not in kernels
+    assert {thread for first, thread in kernels if first} == {threading.main_thread()}
+    others = {thread for first, thread in kernels if not first}
+    assert others and all(thread.name.startswith("tqla-shard") for thread in others)
+
+
+def address(a):
+    """Address of the first element of ``a``."""
+    return a.__array_interface__["data"][0]
 
 
 def overflowing_pairs():
