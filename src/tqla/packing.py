@@ -22,10 +22,13 @@ section of the wrong size raises InvalidShape. ``pack_model`` and
 ``read_packed`` build their results through these constructors, so neither
 can hand out what the other would refuse; a layer keeps read-only copies of
 its sections and a model its own list of layers, so neither changes once
-built. ``read_packed`` itself only frames bytes: magic, version, truncation
-and trailing bytes; a fault a constructor finds is re-raised as
-``FormatError`` at that byte of the file. Every framing fault is reported
-before any content fault.
+built. The one exception is a section whose memory is an immutable
+``bytes`` object and that is aligned for its dtype, as ``read_packed``
+frames most of them over the file's bytes: nothing can write to it, so the
+layer keeps it without a copy. ``read_packed`` itself only frames bytes:
+magic, version, truncation and trailing bytes; a fault a constructor finds
+is re-raised as ``FormatError`` at that byte of the file. Every framing
+fault is reported before any content fault.
 
 On-disk "TQLA" layout (all little-endian):
 
@@ -45,9 +48,13 @@ triples by their two keys; keys order triples lexicographically with the
 zero triple at 13, so a triple's sign bit is set exactly when its key is
 below 13. Decoding reads each index byte with the two sign bits of its
 triples as one 16-bit key, ``index byte | sign pair << 8``: a 256-entry
-table splits every sign byte into its four 2-bit pairs, one per index byte,
-and the keys index a table of 1024 entries, each holding the six signed
-codes of a byte, so a layer decodes with one gather.
+table puts each of a sign byte's four 2-bit pairs into the high byte of the
+key of its index byte, and the keys index a table of 1024 entries, each
+holding the six signed codes of a byte, so each shard of a layer decodes
+with one gather. ``unpack_codes`` allocates the result and cuts its rows
+into shards as ``pack_model`` does, on multiples of 8 rows, so every shard
+starts on a whole index byte and a whole sign byte and gathers straight
+into its own rows; only the last can end in a half index byte.
 """
 
 from __future__ import annotations
@@ -122,9 +129,9 @@ def _build_decode_table() -> np.ndarray:
 
 _DECODE = _build_decode_table()
 
-# _SIGN_PAIRS[s]: sign byte s split into its four 2-bit pairs, little-endian
-# byte j holding pair j, the sign bits of the j-th of the four index bytes it covers
-_SIGN_PAIRS = sum(((np.arange(256) >> 2 * j) & 3) << 8 * j for j in range(4)).astype("<u4")
+# _SIGN_KEYS[s, j]: pair j of sign byte s, the sign bits of the j-th of the four
+# index bytes it covers, shifted into the high byte of that index byte's key
+_SIGN_KEYS = (((np.arange(256)[:, None] >> 2 * np.arange(4)) & 3) << 8).astype("<u2")
 
 # _TAIL_ZERO[r][i]: pattern i is zero after its first r elements, so it may
 # close a row whose cols % 3 == r
@@ -133,6 +140,12 @@ _TAIL_ZERO = (None,) + tuple(~PATTERNS[:, r:].any(axis=1) for r in (1, 2))
 
 def _triples_per_row(cols: int) -> int:
     return -(-cols // 3)
+
+
+def _shard_bytes(index_bytes, sign_bytes, lo: int, hi: int, per_row: int):
+    """The index and sign bytes of rows ``lo:hi``; ``lo`` is a multiple of 8."""
+    start, stop = lo * per_row, hi * per_row  # triples; start is a multiple of 8
+    return index_bytes[start // 2 : -(-stop // 2)], sign_bytes[start // 8 : -(-stop // 8)]
 
 
 def _encode(codes: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
@@ -159,6 +172,24 @@ def _encode(codes: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     _PAIR_TO_BYTE.take(pairs, out=index_bytes, mode="clip")
     sign_bytes[...] = np.packbits(keys[:n] < _ZERO_KEY, bitorder="little")  # packbits has no out
     return out
+
+
+def _decode(index_bytes: np.ndarray, sign_bytes: np.ndarray, out: np.ndarray) -> None:
+    """Write the codes of packed triples into ``out``, a C-contiguous int8 array.
+
+    ``out`` holds three codes per triple; the sections start on its first
+    triple and cover all of them. An odd triple count ends in a half index
+    byte, whose three codes are copied on their own.
+    """
+    codes = out.reshape(-1)
+    n = codes.size // 3
+    m = n // 2  # whole index bytes
+    keys = _SIGN_KEYS.take(sign_bytes, axis=0).reshape(-1)[: m + n % 2]
+    np.bitwise_or(keys, index_bytes, out=keys)
+    # every key is in range; "clip" lets take write into out without a buffer
+    _DECODE.take(keys[:m], out=codes[: 6 * m].view(_DECODE.dtype), mode="clip")
+    if n % 2:
+        codes[6 * m :] = _DECODE[keys[m:]].view(np.int8)[:3]
 
 
 def _section_sizes(rows: int, cols: int, group_size: int) -> tuple[int, int, int, int]:
@@ -256,7 +287,8 @@ class PackedLayer:
     the zero pattern. Scales and biases are finite. Any other value raises
     InvalidParam naming the field or section, and for a value that breaks a
     rule the byte within it. The layer keeps a read-only copy of each
-    section, checked after copying, so a built layer stays valid.
+    section, checked after copying, so a built layer stays valid; an
+    aligned section over an immutable ``bytes`` object is kept as it is.
     """
 
     rows: int
@@ -285,9 +317,10 @@ class PackedLayer:
                 raise InvalidShape(
                     f"{self.rows}x{self.cols} layer needs {size} {name}, got {section.size}"
                 )
-            section = section.copy()
-            section.setflags(write=False)
-            object.__setattr__(self, name, section)
+            if not (isinstance(section.base, bytes) and section.flags.aligned):
+                section = section.copy()
+                section.setflags(write=False)
+                object.__setattr__(self, name, section)
         _validate_codes(self.index_bytes, self.sign_bytes, self.rows, self.cols)
         _require_finite32(self.scales, "scales", "scale")
         _require_finite32(self.bias, "bias", "bias")
@@ -301,14 +334,20 @@ class PackedLayer:
         return 3 * self.n_triples_per_row
 
     def unpack_codes(self) -> np.ndarray:
-        """Ternary codes (rows, padded_cols), padding columns included."""
-        n = self.rows * self.n_triples_per_row
-        m = self.index_bytes.size
-        keys = np.empty((m, 2), dtype=np.uint8)  # little-endian u2: index byte, sign pair
-        keys[:, 0] = self.index_bytes
-        keys[:, 1] = _SIGN_PAIRS.take(self.sign_bytes).view(np.uint8)[:m]
-        codes = _DECODE.take(keys.view("<u2").reshape(m))
-        return codes.view(np.int8)[: 3 * n].reshape(self.rows, self.padded_cols)
+        """Ternary codes (rows, padded_cols), padding columns included.
+
+        The result is allocated here and each row shard decodes into its own
+        rows. Shards cut on multiples of 8 rows, as ``pack_model``'s do, so
+        each one starts on whole index and sign bytes.
+        """
+        rows, per_row = self.rows, self.n_triples_per_row
+        out = np.empty((rows, 3 * per_row), dtype=np.int8)
+
+        def shard(lo, hi):
+            _decode(*_shard_bytes(self.index_bytes, self.sign_bytes, lo, hi, per_row), out[lo:hi])
+
+        _run_shards(shard, _row_ranges(rows, out.size, align=8))
+        return out
 
 
 @dataclass(frozen=True)
@@ -362,9 +401,7 @@ def _pack_layer(
     def shard(lo, hi):
         with np.errstate(invalid="ignore"):  # Inf times a clear mask bit
             _sequential_sums(shadow[lo:hi], mask[lo:hi], out=sums[lo:hi])
-        start, stop = lo * per_row, hi * per_row  # triples; start is a multiple of 8
-        out = index_bytes[start // 2 : -(-stop // 2)], sign_bytes[start // 8 : -(-stop // 8)]
-        _encode(q.codes[lo:hi], out)
+        _encode(q.codes[lo:hi], _shard_bytes(index_bytes, sign_bytes, lo, hi, per_row))
 
     _run_shards(shard, _row_ranges(rows, shadow.size, align=8))
     if not np.isfinite(sums).all():

@@ -27,12 +27,15 @@ stays in cache.
 The three export calls, ``quantize``, ``deadzone_mask`` and
 ``packing.pack_model``, split a large matrix into row ranges ("shards"),
 one per usable CPU, and run them at once: the calling thread works the
-first shard itself while a small thread pool runs the others. Three more
+first shard itself while a small thread pool runs the others. Four more
 callers split their work the same way: ``qat.optimizer_step`` its
 parameters' blocks, a wide ``qat.QuantLinearLayer`` the rows of its
-forward and backward (see ``qat``), and ``diagnostics.take_snapshot`` its
-layers' row blocks (see ``diagnostics``). numpy releases the GIL inside
-its ufunc, ``take`` and reduce loops, so the shards do run in parallel.
+forward and backward (see ``qat``), ``diagnostics.take_snapshot`` its
+layers' row blocks (see ``diagnostics``), and
+``packing.PackedLayer.unpack_codes`` the rows of the codes it decodes,
+cut as ``pack_model`` cuts them (see ``packing``). numpy releases the GIL
+inside its ufunc, ``take`` and reduce loops, so the shards do run in
+parallel.
 Every sharded pass follows one rule: the calling thread allocates every
 output, and each shard writes its own rows and groups of it, so no
 output is joined from pieces (a pack shard copies in only the sign bytes
@@ -416,7 +419,7 @@ def _sequential_sums(a: np.ndarray, mask=None, magnitude=False, scratch=None, ou
 #: up, but only 3-10% in 3-4 of 5 from 512x512 to 600x600.
 _SHARD_MIN = 3 << 17
 
-_pool = None  # a concurrent.futures.ThreadPoolExecutor, made on first use
+_pool = None  # a concurrent.futures.ThreadPoolExecutor, made on first use, replaced to grow
 _pool_lock = threading.Lock()
 
 
@@ -462,8 +465,10 @@ def _run_shards(work, shards) -> list:
     """``[work(*shard) for shard in shards]``, all at once when there are several.
 
     One shard runs inline. With several, every shard but the first goes to
-    the pool, one task each, and waits in its queue for a free thread; the
-    calling thread then runs the first shard itself and waits for the rest.
+    the pool, one task each, and the calling thread then runs the first
+    shard itself and waits for the rest. A call with more pool shards than
+    the pool has threads first makes a larger pool, so that its shards do
+    not queue for one another.
     Each pool shard runs under the caller's numpy error state. The results
     come in shard order; a shard's exception, the caller's own included, is
     raised only once every shard has finished.
@@ -481,7 +486,9 @@ def _run_shards(work, shards) -> list:
 
     global _pool
     with _pool_lock:
-        if _pool is None:
+        if _pool is None or _pool._max_workers < len(shards) - 1:
+            # a smaller pool is dropped, not shut down: a caller that took it
+            # may still submit to it, and its threads exit once it is freed
             _pool = ThreadPoolExecutor(len(shards) - 1, thread_name_prefix="tqla-shard")
         pool = _pool
     futures = [pool.submit(run, shard) for shard in shards[1:]]

@@ -1,9 +1,10 @@
-"""Row-sharded export: same bytes as one pass, same errors, calls from the calling thread.
+"""Row-sharded export and decode: one pass's bytes, same errors, calls from the calling thread.
 
-``quantize``, ``deadzone_mask`` and ``pack_model`` split a matrix of at
-least ``quantizer._SHARD_MIN`` elements into one row range per usable CPU.
-These tests lower that constant and set the CPU count, so that small
-matrices are split into 2 or 3 shards, and compare against one shard.
+``quantize``, ``deadzone_mask``, ``pack_model`` and ``PackedLayer.unpack_codes``
+split a matrix of at least ``quantizer._SHARD_MIN`` elements into one row
+range per usable CPU. These tests lower that constant and set the CPU
+count, so that small matrices are split into 2 or 3 shards, and compare
+against one shard.
 """
 
 import multiprocessing
@@ -17,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import unpack_codes_scalar
 
 import tqla
 from tqla import Granularity, deadzone_mask, packing, quantize, quantizer
@@ -238,6 +240,128 @@ def test_deploy_shapes_with_the_real_cpu_count():
     assert q.codes.tobytes() == q1.codes.tobytes() and mask.tobytes() == mask1.tobytes()
     for section in ("index_bytes", "sign_bytes", "scales", "bias"):
         assert getattr(packed, section).tobytes() == getattr(packed1, section).tobytes()
+
+
+def packed_layer(rows, cols, granularity=Granularity("per-channel")):
+    """A packed layer of a random ``rows`` x ``cols`` matrix, exported on one shard."""
+    w = np.random.default_rng(rows * cols).standard_normal((rows, cols))
+    with pytest.MonkeyPatch.context() as mp:
+        sharding(mp, 1)
+        (_, _, model) = export([(w, granularity)])
+    return model.layers[0]
+
+
+def unpack(layer, workers):
+    with pytest.MonkeyPatch.context() as mp:
+        sharding(mp, workers)
+        return layer.unpack_codes()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("granularity", [Granularity("per-tensor"), Granularity("per-channel")])
+@pytest.mark.parametrize(
+    "rows,cols",
+    [
+        # 3 triples a row: the last shard, rows 16-19, holds 9 triples and ends in a half byte
+        (19, 9),
+        (19, 7),
+        (19, 8),
+        # an even number of triples in every shard
+        (24, 12),
+        (30, 10),
+        (17, 11),
+        (1, 5),  # fewer rows than shards
+    ],
+)
+def test_sharded_decode_matches_one_shard_and_the_scalar_oracle(rows, cols, granularity, workers):
+    layer = packed_layer(rows, cols, granularity)
+    one = unpack(layer, 1)
+    index, signs = layer.index_bytes.tolist(), layer.sign_bytes.tolist()
+    assert one.tolist() == unpack_codes_scalar(index, signs, rows, cols)
+    got = unpack(layer, workers)
+    assert got.dtype == np.int8 and got.shape == one.shape
+    assert got.tobytes() == one.tobytes()
+    if rows == 19:
+        with pytest.MonkeyPatch.context() as mp:
+            sharding(mp, workers)
+            lo, hi = quantizer._row_ranges(rows, got.size, align=8)[-1]
+        assert (hi - lo) * layer.n_triples_per_row % 2 == 1
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_decoded_codes_are_a_fresh_writable_array(monkeypatch, workers):
+    layer = packed_layer(40, 31)
+    sharding(monkeypatch, workers)
+    codes = layer.unpack_codes()
+    assert codes.flags.owndata and codes.flags.c_contiguous and codes.flags.writeable
+    codes[:] = 0  # the layer's sections are untouched
+    assert layer.unpack_codes().any()
+
+
+def test_sharded_decode_runs_shard_0_in_the_calling_thread(monkeypatch):
+    layer = packed_layer(40, 31)
+    sharding(monkeypatch, 3)
+    decode = packing._decode
+    shards = []  # (address of the shard's first code, thread)
+
+    def recorded(index_bytes, sign_bytes, out):
+        shards.append((address(out), threading.current_thread()))
+        decode(index_bytes, sign_bytes, out)
+
+    monkeypatch.setattr(packing, "_decode", recorded)
+    codes = layer.unpack_codes()
+    assert len(shards) == 3
+    assert {thread for a, thread in shards if a == address(codes)} == {threading.main_thread()}
+    others = [thread for a, thread in shards if a != address(codes)]
+    assert len(others) == 2 and all(thread.name.startswith("tqla-shard") for thread in others)
+
+
+def test_the_pool_grows_when_a_call_needs_more_threads(monkeypatch):
+    # a 2-shard call makes a pool of one thread; a 3-shard call after it must
+    # run its two pool shards at once, which the barrier needs to open
+    layer = packed_layer(40, 31)
+    expected = unpack(layer, 1)
+    monkeypatch.setattr(quantizer, "_pool", None)
+    pools = []
+    try:
+        sharding(monkeypatch, 2)
+        assert layer.unpack_codes().tobytes() == expected.tobytes()
+        pools.append(quantizer._pool)
+        decode = packing._decode
+        barrier = threading.Barrier(3, timeout=10)
+        threads = []
+
+        def together(index_bytes, sign_bytes, out):
+            threads.append(threading.current_thread())
+            barrier.wait()
+            decode(index_bytes, sign_bytes, out)
+
+        monkeypatch.setattr(packing, "_decode", together)
+        sharding(monkeypatch, 3)
+        assert layer.unpack_codes().tobytes() == expected.tobytes()
+        pools.append(quantizer._pool)
+        assert pools[1] is not pools[0]
+        others = [thread for thread in threads if thread is not threading.main_thread()]
+        assert len(threads) == 3 and len(set(others)) == 2
+        # a call with fewer shards keeps the larger pool
+        monkeypatch.setattr(packing, "_decode", decode)
+        sharding(monkeypatch, 2)
+        layer.unpack_codes()
+        assert quantizer._pool is pools[1]
+    finally:
+        for pool in pools:
+            pool.shutdown()
+
+
+def test_deploy_decode_with_the_real_cpu_count():
+    # run again under one CPU (taskset -c 0), this takes the inline path
+    layer = packed_layer(1024, 1000, Granularity("per-group", 128))
+    assert layer.n_triples_per_row * layer.rows % 2 == 0
+    codes = layer.unpack_codes()
+    assert codes.tobytes() == unpack(layer, 1).tobytes()
+    odd = packed_layer(1023, 1003)  # an odd number of triples: the last shard ends in a half byte
+    assert odd.n_triples_per_row * odd.rows % 2 == 1
+    assert odd.unpack_codes().tobytes() == unpack(odd, 1).tobytes()
 
 
 PUBLIC = [

@@ -576,6 +576,27 @@ def test_a_built_model_does_not_change(tmp_path):
     assert not any(getattr(packed, name).flags.writeable for name in SECTION_DTYPES)
 
 
+def test_read_sections_share_the_file_bytes(tmp_path):
+    # sections framed over the immutable bytes of a file are kept as they are;
+    # an unaligned float32 section, and every section passed in, is copied
+    aligned = one_layer(rows=32, cols=3, index_bytes=[0] * 16, sign_bytes=[0] * 4, bias=[0.0] * 32)
+    unaligned = one_layer()
+    path = tmp_path / "model.tqla"
+    path.write_bytes(tqla_bytes(LAM, [aligned, unaligned]))
+    read = read_packed(path).layers
+    blob = read[0].index_bytes.base
+    assert isinstance(blob, bytes) and len(blob) == path.stat().st_size
+    assert all(getattr(read[0], name).base is blob for name in SECTION_DTYPES)
+    for name, dtype in SECTION_DTYPES.items():
+        section = getattr(read[1], name)
+        assert (section.base is blob) == (dtype == np.uint8)
+        assert section.flags.aligned and not section.flags.writeable
+    for layer in read:
+        assert not any(getattr(layer, name).flags.writeable for name in SECTION_DTYPES)
+    built = PackedLayer(**aligned)
+    assert all(getattr(built, name).flags.owndata for name in SECTION_DTYPES)
+
+
 @pytest.mark.parametrize("field,k", [("rows", 0), ("cols", 1)])
 def test_header_count_faults_point_at_their_field(tmp_path, field, k):
     # a 0-row or 0-column layer whose sections fit its sizes, so only the count is wrong
