@@ -16,8 +16,8 @@ near-boundary weights and bins it, writing every element-wise result into
 its shard's scratch, so a block stays in cache across its passes. It is
 the only code that runs off the calling thread: a snapshot of
 ``quantizer._SHARD_MIN`` elements or more splits its block list over the
-usable CPUs, the calling thread counting the first shard and the export's
-thread pool the others (see ``quantizer``), and a smaller one runs inline.
+usable CPUs, under the contract of ``quantizer._run_shards``, and a
+smaller one runs inline.
 The calling thread then adds up each layer's integer counts, forms the
 fractions and pushes the codes into the history. Every count is an
 integer sum, so the blocks and shards change no bit of a report.
@@ -178,11 +178,11 @@ def _block_counts(lower, upper, blocks, scratch) -> list:
 
     A block is ``(w, layout, thr, near_lo, near_hi, div, mixed)``: whole
     rows of one layer's weights, the ``GroupLayout`` of their shape, and the
-    per-group thresholds, band bounds and divisors of those rows. ``div``
-    is None when the layer bins its raw weights; ``mixed`` is set when some
-    of the layer's divisors are zero. Every element-wise result goes into
-    ``scratch``, two float64, two bool and one intp buffer of at least the
-    largest block's size; only each block's bin counts are allocated here.
+    per-group thresholds, band bounds and divisors of those rows; ``mixed``
+    is set when some of the layer's divisors are zero. Every element-wise
+    result goes into ``scratch``, two float64, two bool and one intp buffer
+    of at least the largest block's size; only each block's bin counts are
+    allocated here.
     """
     values, guess, flag, flag2, idx = scratch
     out = []
@@ -195,9 +195,7 @@ def _block_counts(lower, upper, blocks, scratch) -> list:
         layout.apply(np.less_equal, a, near_hi, out=hit2)
         near = np.count_nonzero(np.logical_and(hit, hit2, out=hit))
         # the values overwrite |w|
-        if div is None:
-            np.copyto(a, w)
-        elif not mixed:
+        if not mixed:
             layout.apply(np.divide, w, div, out=a)
         else:
             # a zero divisor sends a nonzero weight to its signed infinity and
@@ -220,7 +218,8 @@ def _layer_stats(pairs, band, bins) -> list:
     Runs in the calling thread but for ``_block_counts`` (see the module
     docstring). A layer divides its weights by its group thresholds; where
     some thresholds are zero (or not positive), nonzero weights there go
-    to the end bins; where all are zero, the raw weights are binned.
+    to the end bins; where all are zero, it divides by ones, which bins the
+    raw weights bit for bit.
     """
     band = _band("band", band)
     bins = _count("bins", bins, 2)
@@ -238,7 +237,7 @@ def _layer_stats(pairs, band, bins) -> list:
         thr = layout._table(q.thresholds).reshape(-1)
         normalized = not (thr == 0).all()
         positive = (thr > 0).all()
-        div = thr if positive else np.where(thr > 0, thr, 0.0) if normalized else None
+        div = thr if positive else np.where(thr > 0, thr, 0.0 if normalized else 1.0)
         tables = (thr, (1.0 - band) * thr, (1.0 + band) * thr, div)
         mixed = normalized and not positive
         rows, cols = w.shape
@@ -254,7 +253,7 @@ def _layer_stats(pairs, band, bins) -> list:
                 if key not in layouts:
                     layouts[key] = GroupLayout(*key)
                 groups = slice(lo * per_row, hi * per_row) if per_row else slice(None)
-                part = (None if t is None else t[groups] for t in tables)
+                part = (t[groups] for t in tables)
                 blocks.append((w[lo:hi], layouts[key], *part, mixed))
                 owners.append(k)
         largest = max(largest, min(rows, step) * cols)

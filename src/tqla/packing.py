@@ -51,10 +51,16 @@ triples as one 16-bit key, ``index byte | sign pair << 8``: a 256-entry
 table puts each of a sign byte's four 2-bit pairs into the high byte of the
 key of its index byte, and the keys index a table of 1024 entries, each
 holding the six signed codes of a byte, so each shard of a layer decodes
-with one gather. ``unpack_codes`` allocates the result and cuts its rows
-into shards as ``pack_model`` does, on multiples of 8 rows, so every shard
-starts on a whole index byte and a whole sign byte and gathers straight
-into its own rows; only the last can end in a half index byte.
+with one gather.
+
+``pack_model`` and ``PackedLayer.unpack_codes`` cut a layer of
+``quantizer._SHARD_MIN`` elements or more into row shards, one per usable
+CPU, under the contract of ``quantizer._run_shards``. The cut falls on
+multiples of 8 rows, so every shard starts on a whole index byte and a
+whole sign byte: an export shard encodes straight into the layer's
+sections, copying in only the sign bytes ``np.packbits`` returns (1/24 of
+the codes' size), and a decode shard gathers straight into its own rows of
+the result; only the last shard can end in a half index byte.
 """
 
 from __future__ import annotations
@@ -148,17 +154,14 @@ def _shard_bytes(index_bytes, sign_bytes, lo: int, hi: int, per_row: int):
     return index_bytes[start // 2 : -(-stop // 2)], sign_bytes[start // 8 : -(-stop // 8)]
 
 
-def _encode(codes: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """(index bytes, sign bytes) of a (rows, cols) int8 code matrix.
+def _encode(codes: np.ndarray, out) -> tuple[np.ndarray, np.ndarray]:
+    """Write the (index bytes, sign bytes) of a (rows, cols) int8 code matrix into ``out``.
 
-    They are written into ``out``, a pair of uint8 arrays of their sizes,
-    when it is given, and returned.
+    ``out`` is a pair of uint8 arrays of their sizes; it is returned.
     """
     rows, cols = codes.shape
     per_row = _triples_per_row(cols)
     n = rows * per_row
-    if out is None:
-        out = tuple(np.empty(k, dtype=np.uint8) for k in _section_sizes(rows, cols, 0)[:2])
     index_bytes, sign_bytes = out
     # a zero triple pads an odd count to whole index bytes
     flat = np.zeros(3 * (n + n % 2), dtype=np.int8)

@@ -54,17 +54,12 @@ tequila's row sums, minima's ``sign(w) * dead`` or the coupling C.
 and b group sums, and ``w_q`` and C again. A per-group or per-channel group
 lies within one row, so every pass is exact per row. A layer of
 ``_LAYER_SHARD_MIN`` elements or more runs its kernels on row shards, one
-per usable CPU: the calling thread works the first and the export's
-thread pool the others (see ``quantizer``); the layer builds their
-layouts once, with its own. A smaller or per-tensor layer runs the same
-kernels inline, on one shard. The calling thread allocates every
-full-size output and each shard writes its own rows. Until a shard's rows
-of ``w_q`` take their values they are its scratch: the buffers of the
+per usable CPU, under the contract of ``quantizer._run_shards``; the layer
+builds their layouts once, with its own. A smaller or per-tensor layer
+runs the same kernels inline, on one shard. Until a shard's rows of
+``w_q`` take their values they are its scratch: the buffers of the
 forward's sequential sums, and the products the backward sums over groups
-or selects through. Beyond per-group and per-row arrays a shard then
-allocates only when it is small (the compares of at most
-``quantizer._SUM_BLOCK`` elements, masked sums whose two buffers do not
-fit) and for twn's kept-weight mask. Every matrix product (``x @ w_q.T``,
+or selects through. Every matrix product (``x @ w_q.T``,
 ``x @ C.T``, ``sign(x) @ D.T``, ``g.T @ x``, ``g.T @ sign(x)``, ``g @ w_q``
 and ``g @ C``) stays in the calling thread on the full arrays: a product
 split by rows does not give the bits of the whole one.
@@ -73,12 +68,11 @@ split by rows does not give the bits of the whole one.
 ``quantizer._SUM_BLOCK`` elements, so that each block stays in cache
 across the dozen element-wise passes of one update; a parameter that fits
 in one block is passed whole. A step of ``quantizer._SHARD_MIN`` elements
-or more shares its blocks out over the usable CPUs, the calling thread
-working the first run of blocks and the export's thread pool the others,
-and a smaller one runs inline. Each ufunc is exact per element, so
-the bits are those of one full-size pass. The calling thread allocates
-the staged moments and values and every shard's block-sized scratch;
-the shards allocate nothing full-size.
+or more shares its blocks out over the usable CPUs, one run of blocks per
+shard, under the contract of ``quantizer._run_shards``; a smaller one runs
+inline. Each ufunc is exact per element, so the bits are those of one
+full-size pass. The calling thread allocates the staged moments and
+values and every shard's block-sized scratch.
 """
 
 from __future__ import annotations
@@ -198,7 +192,8 @@ class Scheme:
 
     #: ``quantize`` estimator; the starting alpha and delta when alpha is learnable
     estimator: str
-    #: learnable slots besides the shadow weights: "alpha" and/or "b"
+    #: learnable slots besides the shadow weights: "alpha" and/or "b"; with b,
+    #: S is a coupling C: the forward adds x @ C.T and the backward g @ C
     learnable: tuple = ()
     #: writes rows of the operand S the forward's row kernel builds (see above)
     fill: Callable | None = None
@@ -206,8 +201,6 @@ class Scheme:
     per_row: bool = False
     #: (layer, x, S) -> term added to y
     extra: Callable | None = None
-    #: S is a coupling C: the forward adds x @ C.T and the backward g @ C
-    coupling: bool = False
     #: (layer, e, g, x) -> the row kernels' dead-branch gradient (see above)
     dead_grad: Callable = _dead_ste
     #: (e, dead, alpha, layout, scratch) -> gradient of b for the rows of ``e``
@@ -223,7 +216,6 @@ SCHEME_TABLE = {
         learnable=("b",),
         fill=_seq_fill,
         extra=_coupling_term,
-        coupling=True,
         grad_b=_seq_grad_b,
     ),
     "dlt": Scheme(
@@ -231,7 +223,6 @@ SCHEME_TABLE = {
         learnable=("alpha", "b"),
         fill=_dlt_fill,
         extra=_coupling_term,
-        coupling=True,
         grad_b=_dlt_grad_b,
     ),
     "minima": Scheme("absmean", fill=_minima_fill, extra=_minima_term, dead_grad=_dead_minima),
@@ -399,12 +390,12 @@ class QuantLinearLayer:
         for key in entry.learnable:
             grads[key] = np.empty(self.layout.n_groups)
         w_q = np.empty(shape)
-        side = np.empty(shape) if entry.coupling else None
+        side = np.empty(shape) if "b" in entry.learnable else None
         dead_grad = entry.dead_grad(self, e, g, x)
         work = partial(_backward_rows, self, entry, cache, e, dead_grad, grads, w_q, side)
         _run_shards(work, self._shards)
         grad_x = g @ w_q
-        if entry.coupling:
+        if side is not None:
             grad_x = grad_x + g @ side
         return grad_x, grads
 
@@ -448,7 +439,7 @@ def _backward_rows(layer, entry, cache, e, dead_grad, grads, w_q, side, rows, gr
         grads["b"][groups] = entry.grad_b(er, dead, alpha, part, wq)
     _select(dead, dead_grad(rows), grad_w, wq)
     _dequantize_into(codes, alpha, part, wq)
-    if entry.coupling:
+    if "b" in grads:
         b = cache.learnable_b[groups]
         entry.fill(layer, layer.shadow_weights[rows], dead, alpha, b, part, side[rows], None)
 
@@ -554,12 +545,9 @@ def optimizer_step(params: dict, grads: dict, state: OptimizerState) -> dict:
     The staging runs on blocks of at most ``quantizer._SUM_BLOCK`` elements,
     which stay in cache across their dozen ufunc passes; a parameter of one
     block is its own block, not a view of it. A step of ``_SHARD_MIN``
-    elements or more splits its block list as an export splits rows, one
-    run of blocks per usable CPU, the first in the calling thread and the
-    others on the export's thread pool; a smaller step runs inline. The
-    bits are those of one full-size pass. The staged arrays and each run's
-    scratch buffers are allocated here, in the calling thread: the shards
-    allocate nothing full-size.
+    elements or more splits its block list into one run of blocks per
+    usable CPU (see the module docstring); a smaller step runs inline. The
+    bits are those of one full-size pass.
     """
     for key in params:
         if key not in grads:

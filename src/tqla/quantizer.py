@@ -24,33 +24,16 @@ compares ``w >= delta`` and ``w <= -delta`` that also give the codes. A
 smaller ``w`` is compared against one expansion of its thresholds, which
 stays in cache.
 
-The three export calls, ``quantize``, ``deadzone_mask`` and
-``packing.pack_model``, split a large matrix into row ranges ("shards"),
-one per usable CPU, and run them at once: the calling thread works the
-first shard itself while a small thread pool runs the others. Four more
-callers split their work the same way: ``qat.optimizer_step`` its
-parameters' blocks, a wide ``qat.QuantLinearLayer`` the rows of its
-forward and backward (see ``qat``), ``diagnostics.take_snapshot`` its
-layers' row blocks (see ``diagnostics``), and
-``packing.PackedLayer.unpack_codes`` the rows of the codes it decodes,
-cut as ``pack_model`` cuts them (see ``packing``). numpy releases the GIL
-inside its ufunc, ``take`` and reduce loops, so the shards do run in
-parallel.
-Every sharded pass follows one rule: the calling thread allocates every
-output, and each shard writes its own rows and groups of it, so no
-output is joined from pieces (a pack shard copies in only the sign bytes
-``np.packbits`` returns, 1/24 of the codes' size). The split is exact: a
-per-group or per-channel group lies within one row, so a shard's sums,
-thresholds, codes and mask depend only on its own rows and are bit for
-bit those of one pass over the matrix, and ``pack_model`` cuts on
-multiples of 8 rows so that each shard encodes whole index and sign
-bytes. A per-tensor group spans every row, so ``quantize`` and
-``deadzone_mask`` keep such a matrix on one shard.
-Matrices below ``_SHARD_MIN`` elements (a layer step has a threshold of its
-own) stay on one shard, run inline: for them the hand-over to the pool
-costs more than the second core gives.
-Pool threads run only the shards' private kernels; every public entry
-point and each shard's ``GroupLayout`` run in the calling thread.
+``quantize`` and ``deadzone_mask`` split a matrix of ``_SHARD_MIN``
+elements or more into row ranges ("shards"), one per usable CPU, and run
+them at once through ``_run_shards``, whose docstring states the contract
+every sharded pass of the package keeps. The split is exact: a per-group
+or per-channel group lies within one row, so a shard's sums, thresholds,
+codes and mask depend only on its own rows and are bit for bit those of
+one pass over the matrix. A per-tensor group spans every row, so such a
+matrix stays on one shard. A smaller matrix also stays on one shard, run
+inline: for it the hand-over to the pool costs more than the second core
+gives.
 
 The export checks each weight matrix for NaN and Inf once. ``quantize``
 reads finiteness from its ``|w|`` group sums and ``pack_model`` from its
@@ -169,10 +152,9 @@ class GroupLayout:
 
     def expand(self, per_group: np.ndarray, out=None) -> np.ndarray:
         """Broadcast one value per group to a full (rows, cols) matrix, or into ``out``."""
-        if out is None:
-            expanded = np.repeat(self._table(per_group), self.lens, axis=1)
-            return expanded.reshape(self.rows, self.cols)
         table = self._table(per_group)[:, :, None]
+        if out is None:
+            out = np.empty((self.rows, self.cols), dtype=table.dtype)
         runs, tail = self._views(out)
         full = self._runs[1]
         np.copyto(runs, table[:, :full])
@@ -180,21 +162,16 @@ class GroupLayout:
             np.copyto(tail, table[:, full:])
         return out
 
-    def apply(self, op: np.ufunc, elem: np.ndarray, per_group, out=None) -> np.ndarray:
+    def apply(self, op: np.ufunc, elem: np.ndarray, per_group, out: np.ndarray) -> np.ndarray:
         """``op(elem, self.expand(per_group), out=out)`` for a binary ufunc, without the expansion.
 
         The table of group values broadcasts over the full runs of the view
         and its last column over the tail, so every element meets the same
-        value as in the expanded matrix and the result is identical. ``out``,
-        when given, is a (rows, cols) array for the result; it may be ``elem``.
+        value as in the expanded matrix and the result is identical. ``out``
+        is a (rows, cols) array for the result; it may be ``elem``.
         """
         table = self._table(per_group)[:, :, None]
         runs, tail = self._views(elem)
-        if out is None:
-            if tail is None:
-                return op(runs, table).reshape(self.rows, self.cols)
-            dtype = op(elem[:0, :0], table[:0, 0]).dtype  # an empty call picks the loop
-            out = np.empty((self.rows, self.cols), dtype=dtype)
         out_runs, out_tail = self._views(out)
         full = self._runs[1]
         op(runs, table[:, :full], out=out_runs)
@@ -220,17 +197,6 @@ class GroupLayout:
     def reduce_sum(self, elem: np.ndarray) -> np.ndarray:
         """Sum a (rows, cols) matrix over each group; returns float64 (n_groups,)."""
         return self._reduce(lambda runs, out: runs.sum(axis=-1, out=out), elem)
-
-    def _seq_group_sums(self, elem, mask=None, magnitude=False, scratch=None) -> np.ndarray:
-        """Left-to-right sequential group sums, matching a scalar loop exactly.
-
-        The summed terms are those of ``_sequential_sums``: ``elem``, or
-        ``|elem|`` with ``magnitude``, where the bool ``mask`` is set.
-        ``scratch`` is passed on to it.
-        """
-        arrays = (elem,) if mask is None else (elem, mask)
-        sums = partial(_sequential_sums, magnitude=magnitude, scratch=scratch)
-        return self._reduce(sums, *arrays)
 
 
 @dataclass
@@ -336,7 +302,7 @@ _lam = _real_where("finite", np.isfinite)
 _SUM_BLOCK = 1 << 16
 
 
-def _sequential_sums(a: np.ndarray, mask=None, magnitude=False, scratch=None, out=None):
+def _sequential_sums(a: np.ndarray, mask=None, *, out, magnitude=False, scratch=None):
     """Strict left-to-right sums along the last axis, bit for bit.
 
     The summed terms are ``a``, or ``|a|`` with ``magnitude``, where the bool
@@ -351,11 +317,11 @@ def _sequential_sums(a: np.ndarray, mask=None, magnitude=False, scratch=None, ou
     multiplied by its mask into a second block-sized buffer, and ``np.abs``
     runs in place after the copy), and ``np.add.reduce`` over the buffer
     then adds its rows one after another, each output a left-to-right sum.
-    The sums go into ``out`` (of shape ``a.shape[:-1]``, a view is fine)
-    when it is given, and it is returned. The buffers are slices of the
-    1-D float64 ``scratch`` when it is given and holds them, so that a
-    shard need allocate none; a buffer never holds more elements than
-    ``a``. Two guards keep the result exact:
+    The sums go into ``out`` (of shape ``a.shape[:-1]``, a view is fine),
+    which is returned. The buffers are slices of the 1-D float64
+    ``scratch`` when it is given and holds them, so that a shard need
+    allocate none; a buffer never holds more elements than ``a``. Two
+    guards keep the result exact:
 
     - A block holding a single run reduces as a 1-D array, which numpy sums
       pairwise; such a run (a row wider than half a block, or a short last
@@ -372,8 +338,6 @@ def _sequential_sums(a: np.ndarray, mask=None, magnitude=False, scratch=None, ou
     n = a.shape[-1]
     per_index = a[0].size
     step = max(1, _SUM_BLOCK // per_index)
-    if out is None:
-        out = np.empty(a.shape[:-1], dtype=a.dtype)
     size = min(step, a.shape[0]) * per_index
     if per_index == n:  # every block of one index is a single run, summed in chunks
         size = min(size, _SUM_BLOCK)
@@ -414,9 +378,13 @@ def _sequential_sums(a: np.ndarray, mask=None, magnitude=False, scratch=None, ou
     return out
 
 
-#: Elements (3 MiB of float64) from which a matrix is split into shards. In
-#: four-layer export loops on 2 cores sharding won 5 of 5 pairs from 660x660
-#: up, but only 3-10% in 3-4 of 5 from 512x512 to 600x600.
+#: Elements (3 MiB of float64) from which a matrix is split into shards.
+#: Each export shard allocates its own sum buffers of up to ``_SUM_BLOCK``
+#: elements, two for masked sums, so two shards at once hold more than one
+#: float64 matrix below this size, the bound that
+#: ``test_export_holds_no_full_size_float64_temporary`` sets: at 5 << 15
+#: the traced peak of a 512x500 or 500x512 export was 2.82-2.84 MB, against
+#: 2.05 MB.
 _SHARD_MIN = 3 << 17
 
 _pool = None  # a concurrent.futures.ThreadPoolExecutor, made on first use, replaced to grow
@@ -464,14 +432,30 @@ def _group_shards(layout: GroupLayout, least=None) -> list[tuple[slice, slice, G
 def _run_shards(work, shards) -> list:
     """``[work(*shard) for shard in shards]``, all at once when there are several.
 
+    Every sharded pass of the package runs through here and keeps one
+    contract:
+
+    - The calling thread allocates every output, and every scratch buffer
+      it hands a shard; each shard writes only its own rows, groups or
+      blocks of them, so no output is joined from pieces.
+    - Besides per-group, per-row and per-block results (a block's bin
+      counts), a shard allocates only sum buffers of at most ``_SUM_BLOCK``
+      elements (two for masked sums) when it is handed none, the expanded
+      thresholds and ``|w|`` of compares of at most ``_SUM_BLOCK`` elements,
+      the runs ``_sequential_sums`` sums again because their sum is zero,
+      and int8, bool and index arrays (masks, the encoder's keys).
+    - Every public entry point, and every ``GroupLayout``, runs in the
+      calling thread; the pool's threads (named ``tqla-shard``) run only the
+      shards' private kernels. numpy releases the GIL inside its ufunc,
+      ``take`` and reduce loops, so the shards do run in parallel.
+
     One shard runs inline. With several, every shard but the first goes to
-    the pool, one task each, and the calling thread then runs the first
-    shard itself and waits for the rest. A call with more pool shards than
-    the pool has threads first makes a larger pool, so that its shards do
-    not queue for one another.
-    Each pool shard runs under the caller's numpy error state. The results
-    come in shard order; a shard's exception, the caller's own included, is
-    raised only once every shard has finished.
+    the pool, one task each, and the calling thread then runs shard 0
+    itself and waits for the rest. A call with more pool shards than the
+    pool has threads first makes a larger pool, so that its shards do not
+    queue for one another. Each pool shard runs under the caller's numpy
+    error state. The results come in shard order; a shard's exception, the
+    caller's own included, is raised only once every shard has finished.
     """
     if len(shards) == 1:
         return [work(*shards[0])]
@@ -519,28 +503,19 @@ def _sides(w: np.ndarray, layout: GroupLayout, deltas, out=(None, None)):
     its size. A smaller one is compared against one expansion of the
     thresholds and its ``|w|``: both stay in cache, where numpy's
     contiguous compares beat broadcasts over short group runs. Both give
-    the same bits. ``out`` may give the two bool arrays to write.
+    the same bits. ``out`` is the pair of bool arrays to write; each that
+    is None is allocated here.
     """
-    pos, live = out
+    pos, live = (np.empty(w.shape, dtype=bool) if a is None else a for a in out)
     if w.size > _SUM_BLOCK:
-        pos = layout.apply(np.greater_equal, w, deltas, out=pos)
-        live = layout.apply(np.less_equal, w, -deltas, out=live)
-        return pos, np.logical_or(live, pos, out=live)
-    thr = layout.expand(deltas)
-    return np.greater_equal(w, thr, out=pos), np.greater_equal(np.abs(w), thr, out=live)
-
-
-def _ternary(pos: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(int8 codes, bool deadzone mask) of the top-down ternarizer; consumes both.
-
-    ``pos`` is ``w >= delta`` and ``live`` is ``|w| >= delta``: +1 where
-    ``pos``, -1 where ``live`` but not ``pos``, 0 (the deadzone) elsewhere.
-    So at delta == 0 a zero weight takes the first branch (+1).
-    """
-    codes = pos.view(np.int8)
-    np.add(codes, codes, out=codes)  # pos implies live: code = 2 * pos - live
-    np.subtract(codes, live.view(np.int8), out=codes)
-    return codes, np.logical_not(live, out=live)
+        layout.apply(np.greater_equal, w, deltas, out=pos)
+        layout.apply(np.less_equal, w, -deltas, out=live)
+        np.logical_or(live, pos, out=live)
+    else:
+        thr = layout.expand(deltas)
+        np.greater_equal(w, thr, out=pos)
+        np.greater_equal(np.abs(w), thr, out=live)
+    return pos, live
 
 
 def _group_params(w: np.ndarray, scheme: str, layout: GroupLayout, out, scratch=None) -> None:
@@ -550,7 +525,9 @@ def _group_params(w: np.ndarray, scheme: str, layout: GroupLayout, out, scratch=
     """
     alphas, deltas = out
     counts = np.tile(layout.lens.astype(np.float64), layout.view[0])
-    sums = layout._seq_group_sums(w, magnitude=True, scratch=scratch)
+    # each group's |w|, or the |w| a mask keeps, summed as a scalar loop sums them
+    magnitudes = partial(_sequential_sums, magnitude=True, scratch=scratch)
+    sums = layout._reduce(magnitudes, w)
     if scheme == "absmean":
         np.divide(np.divide(sums, counts, out=alphas), 2.0, out=deltas)
         return
@@ -559,7 +536,7 @@ def _group_params(w: np.ndarray, scheme: str, layout: GroupLayout, out, scratch=
     # fixed delta; a group that keeps none gets alpha = 0 (degenerate)
     np.multiply(0.75, np.divide(sums, counts, out=deltas), out=deltas)
     keep = _sides(w, layout, deltas)[1]
-    kept_totals = layout._seq_group_sums(w, keep, magnitude=True, scratch=scratch)
+    kept_totals = layout._reduce(magnitudes, w, keep)
     kept_counts = layout.reduce_sum(keep)
     alphas[...] = 0.0
     np.divide(kept_totals, kept_counts, out=alphas, where=kept_counts > 0)
@@ -603,11 +580,18 @@ def quantize(w, scheme: str, granularity: Granularity) -> QuantizedTensor:
 def _ternarize(w: np.ndarray, layout: GroupLayout, alphas, deltas, codes, dead) -> None:
     """Write the int8 ``codes`` and bool deadzone mask ``dead`` of ``w``, without validation.
 
-    ``codes`` and ``dead`` have ``w``'s shape. The mask ``|w| < delta`` is
-    the ternarizer's zero branch, so it comes from the same compares as the
-    codes. Groups with alpha == 0 have their codes forced to zero.
+    ``codes`` and ``dead`` have ``w``'s shape. The top-down ternarizer gives
+    +1 where ``w >= delta``, -1 where ``|w| >= delta`` but not ``w >= delta``
+    and 0 elsewhere, so at delta == 0 a zero weight takes the first branch
+    (+1). Its zero branch is the deadzone ``|w| < delta``, so the mask comes
+    from the same compares as the codes. Groups with alpha == 0 have their
+    codes forced to zero.
     """
-    _ternary(*_sides(w, layout, deltas, out=(codes.view(bool), dead)))
+    # codes and dead first hold w >= delta and |w| >= delta; the first implies the second
+    _sides(w, layout, deltas, out=(codes.view(bool), dead))
+    np.add(codes, codes, out=codes)  # code = 2 * (w >= delta) - (|w| >= delta)
+    np.subtract(codes, dead.view(np.int8), out=codes)
+    np.logical_not(dead, out=dead)
     degenerate = alphas == 0.0
     if degenerate.any():
         codes[layout.expand(degenerate)] = 0
@@ -669,4 +653,4 @@ def _tequila_bias(w: np.ndarray, dead: np.ndarray, lam: float, scratch=None) -> 
     The sums are those of ``np.where(dead, w, 0.0)``, the selected weights
     formed block by block inside ``_sequential_sums``, with ``scratch``.
     """
-    return lam * _sequential_sums(w, dead, scratch=scratch)
+    return lam * _sequential_sums(w, dead, out=np.empty(w.shape[0]), scratch=scratch)

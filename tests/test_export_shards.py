@@ -19,21 +19,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import unpack_codes_scalar
+from shards import ThreadProbe, address, sharding
 
-import tqla
 from tqla import Granularity, deadzone_mask, packing, quantize, quantizer
 from tqla.errors import InvalidParam, InvalidShape, InvalidThreshold, UnsupportedScheme
-from tqla.packing import pack_model, write_packed
+from tqla.packing import PackedLayer, pack_model, write_packed
 from tqla.quantizer import GroupLayout, QuantizedTensor
 
 LAM = 1e-3
 NON_FINITE = "weight matrix contains NaN or Inf"
-
-
-def sharding(monkeypatch, workers):
-    """Split every matrix into ``workers`` shards (1: never split)."""
-    monkeypatch.setattr(quantizer, "_SHARD_MIN", 1 if workers > 1 else 1 << 62)
-    monkeypatch.setattr(quantizer, "_usable_cpus", lambda: workers)
 
 
 def export(layers, scheme="absmean"):
@@ -300,20 +294,15 @@ def test_decoded_codes_are_a_fresh_writable_array(monkeypatch, workers):
 
 def test_sharded_decode_runs_shard_0_in_the_calling_thread(monkeypatch):
     layer = packed_layer(40, 31)
+    expected = unpack(layer, 1)
     sharding(monkeypatch, 3)
-    decode = packing._decode
-    shards = []  # (address of the shard's first code, thread)
-
-    def recorded(index_bytes, sign_bytes, out):
-        shards.append((address(out), threading.current_thread()))
-        decode(index_bytes, sign_bytes, out)
-
-    monkeypatch.setattr(packing, "_decode", recorded)
-    codes = layer.unpack_codes()
-    assert len(shards) == 3
-    assert {thread for a, thread in shards if a == address(codes)} == {threading.main_thread()}
-    others = [thread for a, thread in shards if a != address(codes)]
-    assert len(others) == 2 and all(thread.name.startswith("tqla-shard") for thread in others)
+    probe = ThreadProbe(monkeypatch, (quantizer, packing), [(PackedLayer, "unpack_codes")])
+    # shard 0 decodes from the layer's first index byte
+    first = address(layer.index_bytes)
+    probe.kernel(packing, "_decode", lambda index_bytes, *_: address(index_bytes) == first)
+    assert layer.unpack_codes().tobytes() == expected.tobytes()
+    assert len(probe.kernels) == 3 and "unpack_codes" in probe.names()
+    probe.check()
 
 
 def test_the_pool_grows_when_a_call_needs_more_threads(monkeypatch):
@@ -364,49 +353,13 @@ def test_deploy_decode_with_the_real_cpu_count():
     assert odd.unpack_codes().tobytes() == unpack(odd, 1).tobytes()
 
 
-PUBLIC = [
-    (module, name)
-    for module in (quantizer, packing)
-    for name, value in vars(module).items()
-    if callable(value)
-    and not name.startswith("_")
-    and not isinstance(value, type)
-    and getattr(value, "__module__", None) == module.__name__
-]
-
-
 def test_sharded_export_calls_public_entry_points_from_the_calling_thread(monkeypatch):
     sharding(monkeypatch, 3)
-    calls = []  # (name, thread)
-    kernels = []  # (whether the call is on a shard's first rows of a matrix, thread)
+    probe = ThreadProbe(monkeypatch, (quantizer, packing))
     firsts = set()  # address of each matrix's first element: shard 0 starts there
-
-    def wrap(name, fn):
-        def wrapped(*args, **kwargs):
-            calls.append((name, threading.current_thread()))
-            return fn(*args, **kwargs)
-
-        return wrapped
-
-    def kernel(fn):
-        def wrapped(a, *args, **kwargs):
-            kernels.append((address(a) in firsts, threading.current_thread()))
-            return fn(a, *args, **kwargs)
-
-        return wrapped
-
-    modules = [m for m in vars(tqla).values() if getattr(m, "__name__", "").startswith("tqla.")]
-    modules.append(tqla)
-    for module, name in PUBLIC:
-        original = getattr(module, name)
-        for holder in modules:
-            for key, value in list(vars(holder).items()):
-                if value is original:
-                    monkeypatch.setattr(holder, key, wrap(name, original))
-    monkeypatch.setattr(GroupLayout, "__init__", wrap("GroupLayout", GroupLayout.__init__))
     # each shard's kernels take its rows of the weights or codes first
     for module, name in ((quantizer, "_group_params"), (quantizer, "_sides"), (packing, "_encode")):
-        monkeypatch.setattr(module, name, kernel(getattr(module, name)))
+        probe.kernel(module, name, lambda a, *_: address(a) in firsts)
 
     rng = np.random.default_rng(5)
     layers = [
@@ -420,18 +373,8 @@ def test_sharded_export_calls_public_entry_points_from_the_calling_thread(monkey
         firsts.add(address(q.codes))
         stack.append((q, w, quantizer.deadzone_mask(w, q)))
     packing.pack_model(stack, LAM)
-    names = {name for name, _ in calls}
-    assert {"quantize", "deadzone_mask", "pack_model", "GroupLayout"} <= names
-    assert {thread for _, thread in calls} == {threading.main_thread()}
-    # shard 0 in the caller, every other shard on the pool
-    assert {thread for first, thread in kernels if first} == {threading.main_thread()}
-    others = {thread for first, thread in kernels if not first}
-    assert others and all(thread.name.startswith("tqla-shard") for thread in others)
-
-
-def address(a):
-    """Address of the first element of ``a``."""
-    return a.__array_interface__["data"][0]
+    assert {"quantize", "deadzone_mask", "pack_model", "__init__"} <= probe.names()
+    probe.check()
 
 
 def _export_in_child(expected):

@@ -9,7 +9,6 @@ which every layer here runs inline. A layer takes its shards when it is
 built, so each is built under the setting it is run with.
 """
 
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -17,27 +16,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import tqla
+from shards import ThreadProbe, sharding
 from test_qat import LAYER_DIGESTS, PIN_GRANULARITIES, _digest, layer_step_outputs
 from tqla import Granularity, qat, quantizer
 from tqla.errors import InvalidShape
 from tqla.qat import SCHEMES, QuantLinearLayer
-from tqla.quantizer import GroupLayout
 from tqla.training import QuantMlp
 
 WORKERS = pytest.mark.parametrize("workers", [1, 2, 3])
-
-
-def sharding(mp, workers, block=None):
-    """Build every layer to split its steps over ``workers`` row shards.
-
-    ``block`` replaces ``quantizer._SUM_BLOCK``, which sizes the sum buffers
-    and picks the compares of the kernels.
-    """
-    mp.setattr(qat, "_LAYER_SHARD_MIN", 1 if workers > 1 else 1 << 62)
-    mp.setattr(quantizer, "_usable_cpus", lambda: workers)
-    if block is not None:
-        mp.setattr(quantizer, "_SUM_BLOCK", block)
 
 
 def sharded(workers, fn, *args, block=None, **kw):
@@ -160,69 +146,23 @@ def test_the_callers_error_state_reaches_every_shard(workers):
     assert np.isinf(got[1]["w"]).any()
 
 
-PUBLIC = [
-    (module, name)
-    for module in (quantizer, qat)
-    for name, value in vars(module).items()
-    if callable(value)
-    and not name.startswith("_")
-    and not isinstance(value, type)
-    and getattr(value, "__module__", None) == module.__name__
-]
-
-
 def test_kernels_run_on_the_pool_and_everything_else_in_the_caller(monkeypatch):
     # the tracer wraps public entry points and records spans from one thread:
     # none of them, and no pool submit, may run on a worker
-    calls = []  # (name, thread)
-    kernels = []  # (name, whether it is shard 0, thread)
-
-    def wrap(name, fn, into):
-        def wrapped(*args, **kwargs):
-            into.append((name, threading.current_thread()))
-            return fn(*args, **kwargs)
-
-        return wrapped
-
-    def kernel(name, fn, into):
-        def wrapped(*args):
-            rows = args[-3]  # the shard's row slice, before its group slice and layout
-            into.append((name, rows.start == 0, threading.current_thread()))
-            return fn(*args)
-
-        return wrapped
-
-    modules = [m for m in vars(tqla).values() if getattr(m, "__name__", "").startswith("tqla.")]
-    modules.append(tqla)
-    for module, name in PUBLIC:
-        original = getattr(module, name)
-        for holder in modules:
-            for key, value in list(vars(holder).items()):
-                if value is original:
-                    monkeypatch.setattr(holder, key, wrap(name, original, calls))
-    for cls, name in (
-        (GroupLayout, "__init__"),
-        (QuantLinearLayer, "forward"),
-        (QuantLinearLayer, "backward"),
-        (ThreadPoolExecutor, "submit"),
-    ):
-        monkeypatch.setattr(cls, name, wrap(name, getattr(cls, name), calls))
+    methods = [(QuantLinearLayer, "forward"), (QuantLinearLayer, "backward")]
+    probe = ThreadProbe(monkeypatch, (quantizer, qat), methods + [(ThreadPoolExecutor, "submit")])
     for name in ("_forward_rows", "_backward_rows"):
-        monkeypatch.setattr(qat, name, kernel(name, getattr(qat, name), kernels))
+        # the shard's row slice comes before its group slice and layout
+        probe.kernel(qat, name, lambda *args: args[-3].start == 0)
     sharding(monkeypatch, 3)
     rng = np.random.default_rng(3)
     for scheme in SCHEMES:
         layer = QuantLinearLayer(rng.standard_normal((9, 10)), scheme, Granularity("per-group", 4))
         layer.forward(rng.standard_normal((2, 10)))
         layer.backward(rng.standard_normal((2, 9)))
-    names = {name for name, _ in calls}
-    assert {"forward", "backward", "submit", "__init__"} <= names
-    assert {thread for _, thread in calls} == {threading.main_thread()}
-    assert {name for name, _, _ in kernels} == {"_forward_rows", "_backward_rows"}
-    # shard 0 in the caller, every other shard on the pool
-    assert {thread for _, first, thread in kernels if first} == {threading.main_thread()}
-    others = {thread for _, first, thread in kernels if not first}
-    assert others and all(thread.name.startswith("tqla-shard") for thread in others)
+    assert {"forward", "backward", "submit", "__init__"} <= probe.names()
+    assert {name for name, _, _ in probe.kernels} == {"_forward_rows", "_backward_rows"}
+    probe.check()
 
 
 @WORKERS

@@ -142,6 +142,12 @@ def layer_of_keys(keys, rows, cols):
     return layer
 
 
+def encode(codes):
+    """(index bytes, sign bytes) of an int8 code matrix, in fresh arrays."""
+    sizes = _section_sizes(*codes.shape, 0)[:2]
+    return _encode(codes, tuple(np.empty(n, dtype=np.uint8) for n in sizes))
+
+
 def code_layer(rows, cols, index_bytes, sign_bytes):
     """A per-tensor layer of the given packed codes, unit scale and zero bias."""
     scales, bias = np.ones(1, np.float32), np.zeros(rows, np.float32)
@@ -186,7 +192,7 @@ def test_every_sign_byte_matches_scalar_oracle():
 
 def test_sign_bit_marks_a_first_nonzero_minus_one():
     triples = list(itertools.product((-1, 0, 1), repeat=3))
-    _, sign_bytes = _encode(np.array([ALL_TRIPLES], dtype=np.int8))
+    _, sign_bytes = encode(np.array([ALL_TRIPLES], dtype=np.int8))
     negative = np.unpackbits(sign_bytes, count=len(triples), bitorder="little")
     for (a, b, c), bit in zip(triples, negative):
         first = next((v for v in (a, b, c) if v), 0)
@@ -637,7 +643,7 @@ def layer_fields(draw):
     group_size = draw(st.sampled_from([0, cols, draw(st.integers(1, cols + 2))]))
     sizes = dict(zip(SECTION_DTYPES, _section_sizes(rows, cols, group_size)))
     codes = draw(st.lists(st.integers(-1, 1), min_size=rows * cols, max_size=rows * cols))
-    fields = dict(zip(SECTION_DTYPES, _encode(np.array(codes, np.int8).reshape(rows, cols))))
+    fields = dict(zip(SECTION_DTYPES, encode(np.array(codes, np.int8).reshape(rows, cols))))
     for name in ("index_bytes", "sign_bytes"):
         if draw(st.booleans()):
             raw = draw(st.binary(min_size=sizes[name], max_size=sizes[name]))

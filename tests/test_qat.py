@@ -3,13 +3,15 @@ import hashlib
 import itertools
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from tqla import Granularity, dequantize, quantize, quantizer, tequila_bias
+from shards import ThreadProbe, address, sharding
+from tqla import Granularity, dequantize, qat, quantize, quantizer, tequila_bias
 from tqla.errors import CacheError, GradientError, InvalidParam, InvalidShape, UnsupportedScheme
 from tqla.qat import SCHEMES, OptimizerState, QuantLinearLayer, optimizer_step
 
@@ -781,12 +783,33 @@ class TestOptimizer:
             warnings.simplefilter("error")
             self.test_overflowing_update_aborts_without_mutation()
 
+    def test_blocks_run_on_the_pool_and_everything_else_in_the_caller(self, monkeypatch):
+        # the tracer wraps public entry points and records spans from one
+        # thread: none of them, and no pool submit, may run on a worker
+        rng = np.random.default_rng(32)
+        params = {f"p{i}": rng.standard_normal((5, 7)) for i in range(3)}
+        grads = {key: rng.standard_normal(p.shape) for key, p in params.items()}
+        expected = stepped_bytes(params, [grads], workers=1, block=1 << 62)
+        sharding(monkeypatch, 3, block=8)  # 5 blocks a parameter, 5 blocks a shard
+        probe = ThreadProbe(monkeypatch, (quantizer, qat), [(ThreadPoolExecutor, "submit")])
+        # shard 0's first block holds the first elements of the first parameter
+        first = address(params["p0"])
+        probe.kernel(qat, "_adam_blocks", lambda *args: address(args[3][0][4]) == first)
+        state = OptimizerState(STEP_LR)
+        optimizer_step(params, grads, state)
+        assert stepped_state(params, state) == expected
+        assert len(probe.kernels) == 3 and "submit" in probe.names()
+        probe.check()
 
-def sharding(mp, workers, block):
-    """Cut parameters into blocks of ``block`` elements; split every step over ``workers``."""
-    mp.setattr(quantizer, "_SUM_BLOCK", block)
-    mp.setattr(quantizer, "_SHARD_MIN", 1 if workers > 1 else 1 << 62)
-    mp.setattr(quantizer, "_usable_cpus", lambda: workers)
+    def test_wide_step_with_the_real_cpu_count(self):
+        # the wide-trap shape; run again under one CPU (taskset -c 0), this takes the inline path
+        rng = np.random.default_rng(33)
+        params = {f"w{i}": rng.standard_normal((512, 512)) / np.sqrt(512) for i in range(3)}
+        steps = [{key: rng.standard_normal(p.shape) for key, p in params.items()} for _ in range(2)]
+        total = 3 * 512 * 512
+        ranges = quantizer._row_ranges(total // quantizer._SUM_BLOCK, total)
+        assert (len(ranges) == 1) == (quantizer._usable_cpus() == 1)
+        assert stepped_bytes(params, steps) == stepped_bytes(params, steps, workers=1)
 
 
 def stepped_state(params, state):
@@ -816,12 +839,17 @@ def scalar_steps(params, steps):
     return stepped_state(params, state)
 
 
-def stepped_bytes(params, steps, workers, block):
-    """``stepped_state`` after ``steps`` from copies of ``params``, sharded as given."""
+def stepped_bytes(params, steps, workers=None, block=None):
+    """``stepped_state`` after ``steps`` from copies of ``params``.
+
+    With ``workers``, the steps are sharded as ``sharding`` sets them;
+    without, as the process's usable CPUs have them.
+    """
     params = {key: p.copy() for key, p in params.items()}
     state = OptimizerState(STEP_LR)
     with pytest.MonkeyPatch.context() as mp:
-        sharding(mp, workers, block)
+        if workers is not None:
+            sharding(mp, workers, block)
         for grads in steps:
             optimizer_step(params, grads, state)
     return stepped_state(params, state)

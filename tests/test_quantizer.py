@@ -11,7 +11,7 @@ from tqla.diagnostics import take_snapshot
 from tqla.errors import InvalidParam, InvalidShape, InvalidThreshold, UnsupportedScheme
 from tqla.packing import pack_model
 from tqla.qat import QuantLinearLayer
-from tqla.quantizer import _SUM_BLOCK, GroupLayout, _sequential_sums, _sides, _ternary
+from tqla.quantizer import _SUM_BLOCK, GroupLayout, _sequential_sums, _sides, _ternarize
 
 PT = Granularity("per-tensor")
 PC = Granularity("per-channel")
@@ -143,10 +143,18 @@ class TestTwnParams:
             assert err <= grid_err * (1 + 1e-6)
 
 
+def ternarized(values, thresholds):
+    """(codes, deadzone mask) of ``values`` under one threshold each, in groups of one."""
+    w = np.array(values, dtype=np.float64).reshape(1, -1)
+    layout = GroupLayout(Granularity("per-group", 1), 1, w.size)
+    codes, dead = np.empty(w.shape, dtype=np.int8), np.empty(w.shape, dtype=bool)
+    _ternarize(w, layout, np.ones(w.size), np.broadcast_to(thresholds, w.size), codes, dead)
+    return codes[0], dead[0]
+
+
 def ternary(values, delta):
     """Codes of the top-down ternarizer for one threshold ``delta``."""
-    w = np.array(values)
-    return _ternary(w >= delta, np.abs(w) >= delta)[0].tolist()
+    return ternarized(values, delta)[0].tolist()
 
 
 class TestTernarize:
@@ -178,7 +186,7 @@ class TestTernarize:
         # per-element thresholds, as quantize passes them, with some exactly zero
         rng = np.random.default_rng(seed)
         thr = np.where(rng.random(w.size) < 0.5, 0.0, rng.uniform(0.0, 2.0, w.size))
-        codes, dead = _ternary(w >= thr, np.abs(w) >= thr)
+        codes, dead = ternarized(values, thr)
         assert codes.dtype == np.int8
         assert dead.tolist() == (np.abs(w) < thr).tolist()
         assert codes.tolist() == [oracles.ternarize_scalar(v, d) for v, d in zip(values, thr)]
@@ -445,13 +453,18 @@ def _int_bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+def sequential_sums(a, mask=None, **kw):
+    """``_sequential_sums`` into a fresh array, of ``a.shape[:-1]``."""
+    return _sequential_sums(a, mask, out=np.empty(a.shape[:-1]), **kw)
+
+
 class TestSequentialSums:
     @settings(max_examples=60, deadline=None)
     @given(sum_inputs())
     @example(np.full((3, 5), -0.0))
     @example(np.full((2 * (_SUM_BLOCK // 8) + 1, 8), -0.0))
     def test_matches_accumulate_bit_for_bit(self, a):
-        got = _sequential_sums(a)
+        got = sequential_sums(a)
         ref = np.add.accumulate(a, axis=-1)[..., -1]
         assert got.shape == ref.shape
         np.testing.assert_array_equal(_int_bits(got), _int_bits(ref))
@@ -469,10 +482,10 @@ class TestSequentialSums:
             mask[: a.shape[0] // 2] = False
         terms = np.abs(a) if magnitude else a
         ref = np.add.accumulate(np.where(mask, terms, 0.0), axis=-1)[..., -1]
-        got = _sequential_sums(a, mask, magnitude=magnitude)
+        got = sequential_sums(a, mask, magnitude=magnitude)
         np.testing.assert_array_equal(_int_bits(got), _int_bits(ref))
         ref = np.add.accumulate(terms, axis=-1)[..., -1]
-        got = _sequential_sums(a, magnitude=magnitude)
+        got = sequential_sums(a, magnitude=magnitude)
         np.testing.assert_array_equal(_int_bits(got), _int_bits(ref))
 
     @pytest.mark.parametrize("shape", SUM_BRANCH_SHAPES, ids=str)
@@ -482,7 +495,7 @@ class TestSequentialSums:
         a[::2] = -0.0
         a[1::4] = np.where(rng.random(a[1::4].shape) < 0.5, -0.0, 0.0)
         ref = np.add.accumulate(a, axis=-1)[..., -1]
-        np.testing.assert_array_equal(_int_bits(_sequential_sums(a)), _int_bits(ref))
+        np.testing.assert_array_equal(_int_bits(sequential_sums(a)), _int_bits(ref))
 
 
 BROADCAST_OPS = [np.multiply, np.divide, np.greater_equal, np.less_equal, np.less]
@@ -508,13 +521,16 @@ class TestGroupLayoutApply:
             values = rng.uniform(0.1, 2.0, layout.n_groups)
             values[rng.random(layout.n_groups) < 0.3] *= -1
             for op in BROADCAST_OPS:
-                got = layout.apply(op, elem, values)
                 ref = op(elem, layout.expand(values))
-                assert got.dtype == ref.dtype and got.shape == ref.shape
+                got = layout.apply(op, elem, values, out=np.empty_like(ref))
                 assert got.tobytes() == ref.tobytes(), (layout.view, layout.size, op)
             codes = rng.integers(-1, 2, size=shape).astype(np.int8)
-            got = layout.apply(np.multiply, codes, values)
+            got = layout.apply(np.multiply, codes, values, out=np.empty(shape))
             assert got.tobytes() == (codes * layout.expand(values)).tobytes()
+            # into the elements themselves, as the dequantization writes
+            ref = elem * layout.expand(values)
+            assert layout.apply(np.multiply, elem, values, out=elem) is elem
+            assert elem.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("shape", [(13, 510), (130, 510)], ids=["cached", "broadcast"])
     def test_sides_match_the_expanded_compares(self, shape):
@@ -540,9 +556,9 @@ class TestGroupLayoutApply:
     def test_shape_checks(self):
         layout = GroupLayout(Granularity("per-group", 3), 2, 7)
         with pytest.raises(InvalidShape):
-            layout.apply(np.multiply, np.ones((2, 7)), np.ones(5))
+            layout.apply(np.multiply, np.ones((2, 7)), np.ones(5), out=np.empty((2, 7)))
         with pytest.raises(InvalidShape):
-            layout.apply(np.multiply, np.ones((7, 2)), np.ones(6))
+            layout.apply(np.multiply, np.ones((7, 2)), np.ones(6), out=np.empty((2, 7)))
 
 
 class TestInvariants:
@@ -600,7 +616,7 @@ def pinned_outputs(name):
     out = [
         layout.reduce_sum(w),
         layout.reduce_sum(a),
-        layout._seq_group_sums(a),
+        layout._reduce(_sequential_sums, a),
         layout.expand(rng.standard_normal(layout.n_groups)),
     ]
     for scheme in ("absmean", "twn"):

@@ -11,27 +11,19 @@ under which every layer here is one block, run inline.
 import hashlib
 import json
 import sys
-import threading
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shards import ThreadProbe, address, sharding
 from test_diagnostics import SNAPSHOT_DIGESTS, snapshot_cases
 from tqla import Granularity, diagnostics, quantize, quantizer
 from tqla.diagnostics import take_snapshot
 from tqla.errors import DegenerateNormalization
-from tqla.quantizer import GroupLayout
 
 WORKERS = pytest.mark.parametrize("workers", [1, 2, 3])
-
-
-def sharding(mp, workers, block):
-    """Cut layers into blocks of ``block`` elements; split every snapshot over ``workers``."""
-    mp.setattr(quantizer, "_SUM_BLOCK", block)
-    mp.setattr(quantizer, "_SHARD_MIN", 1 if workers > 1 else 1 << 62)
-    mp.setattr(quantizer, "_usable_cpus", lambda: workers)
 
 
 def report_and_warnings(pairs, **kw):
@@ -125,19 +117,6 @@ def test_layouts_are_built_and_counted_where_they_should_be(monkeypatch):
     # layouts in the calling thread, one per distinct block shape; the
     # counting kernel of shard 0 in the caller and of every other shard on
     # the pool
-    layouts, kernels = [], []  # kernels: (whether it is shard 0, thread)
-    init, kernel = GroupLayout.__init__, diagnostics._block_counts
-
-    def counted_init(self, *args):
-        layouts.append((args, threading.current_thread()))
-        init(self, *args)
-
-    def counted_kernel(lower, upper, blocks, scratch):
-        # shard 0's first block starts at the first weight of the first layer
-        first = address(blocks[0][0]) == address(pairs[0][0])
-        kernels.append((first, threading.current_thread()))
-        return kernel(lower, upper, blocks, scratch)
-
     rng = np.random.default_rng(4)
     pairs = []
     for shape, granularity in (
@@ -150,22 +129,16 @@ def test_layouts_are_built_and_counted_where_they_should_be(monkeypatch):
         pairs.append((w, quantize(w, "absmean", granularity)))
     expected = report_and_warnings(pairs)
     sharding(monkeypatch, 3, 40)
-    monkeypatch.setattr(GroupLayout, "__init__", counted_init)
-    monkeypatch.setattr(diagnostics, "_block_counts", counted_kernel)
+    probe = ThreadProbe(monkeypatch, (quantizer, diagnostics))
+    # shard 0's first block starts at the first weight of the first layer
+    first = address(pairs[0][0])
+    probe.kernel(diagnostics, "_block_counts", lambda *args: address(args[2][0][0]) == first)
     assert report_and_warnings(pairs) == expected
-    assert [args for args, _ in layouts] == [
+    assert [args[1:] for name, args, _ in probe.calls if name == "__init__"] == [
         (Granularity("per-group", 3), 4, 10),
         (Granularity("per-channel"), 3, 11),
     ]
-    assert {thread for _, thread in layouts} == {threading.main_thread()}
-    assert {thread for first, thread in kernels if first} == {threading.main_thread()}
-    others = {thread for first, thread in kernels if not first}
-    assert others and all(thread.name.startswith("tqla-shard") for thread in others)
-
-
-def address(a):
-    """Address of the first element of ``a``."""
-    return a.__array_interface__["data"][0]
+    probe.check()
 
 
 def overflowing_pairs():

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import oracles
-from tqla import qat, quantizer, training
+from shards import sharding
+from tqla import training
 from tqla.errors import CacheError, InvalidParam, InvalidShape, UnsupportedScheme
 from tqla.qat import SCHEMES, OptimizerState, QuantLinearLayer, optimizer_step
 from tqla.quantizer import Granularity
@@ -264,10 +265,7 @@ def test_three_steps_match_the_scalar_oracle(scheme, gran_name, task, sharded, m
     granularity = ORACLE_GRANULARITIES[gran_name]
     kind, size = granularity.kind, granularity.group_size
     if sharded:  # layer steps, optimizer steps and their blocks split over two workers
-        monkeypatch.setattr(qat, "_LAYER_SHARD_MIN", 1)
-        monkeypatch.setattr(quantizer, "_SHARD_MIN", 1)
-        monkeypatch.setattr(quantizer, "_SUM_BLOCK", 3)
-        monkeypatch.setattr(quantizer, "_usable_cpus", lambda: 2)
+        sharding(monkeypatch, 2, block=3)
     rng = np.random.default_rng([SCHEMES.index(scheme), len(gran_name), TASKS.index(task)])
     shapes = list(zip(ORACLE_WIDTHS[1:], ORACLE_WIDTHS))
     weights = [rng.standard_normal(shape) / np.sqrt(shape[1]) for shape in shapes]
