@@ -53,14 +53,17 @@ key of its index byte, and the keys index a table of 1024 entries, each
 holding the six signed codes of a byte, so each shard of a layer decodes
 with one gather.
 
-``pack_model`` and ``PackedLayer.unpack_codes`` cut a layer of
-``quantizer._SHARD_MIN`` elements or more into row shards, one per usable
-CPU, under the contract of ``quantizer._run_shards``. The cut falls on
-multiples of 8 rows, so every shard starts on a whole index byte and a
-whole sign byte: an export shard encodes straight into the layer's
-sections, copying in only the sign bytes ``np.packbits`` returns (1/24 of
-the codes' size), and a decode shard gathers straight into its own rows of
-the result; only the last shard can end in a half index byte.
+``pack_model`` cuts a layer of ``quantizer._SHARD_MIN`` elements or more,
+and ``PackedLayer.unpack_codes`` one of ``_DECODE_SHARD_MIN`` or more, into
+row shards, one per usable CPU, under the contract of
+``quantizer._run_shards``. The cut falls on multiples of 8 rows, so every
+shard starts on a whole index byte and a whole sign byte: an export shard
+sums its rows' deadzone weights in buffers sized from its share of the
+layer (``quantizer._export_block``), frees them, and encodes straight into
+the layer's sections, copying in only the sign bytes ``np.packbits``
+returns (1/24 of the codes' size); a decode shard gathers straight into
+its own rows of the result; only the last shard can end in a half index
+byte.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ from .quantizer import (
     QuantizedTensor,
     _as_matrix,
     _count,
+    _export_block,
     _real,
     _require_finite,
     _require_ternary,
@@ -193,6 +197,14 @@ def _decode(index_bytes: np.ndarray, sign_bytes: np.ndarray, out: np.ndarray) ->
     _DECODE.take(keys[:m], out=codes[: 6 * m].view(_DECODE.dtype), mode="clip")
     if n % 2:
         codes[6 * m :] = _DECODE[keys[m:]].view(np.int8)[:3]
+
+
+#: Elements (3 MiB of int8 codes) from which ``PackedLayer.unpack_codes``
+#: decodes on row shards: it stays above the export's ``_SHARD_MIN``
+#: because, with both the export and the decode sharded at 512x512, a loop
+#: that exported and then loaded read 17% slower per load (0.561 -> 0.659 ms
+#: on 2 cores).
+_DECODE_SHARD_MIN = 3 << 17
 
 
 def _section_sizes(rows: int, cols: int, group_size: int) -> tuple[int, int, int, int]:
@@ -349,7 +361,7 @@ class PackedLayer:
         def shard(lo, hi):
             _decode(*_shard_bytes(self.index_bytes, self.sign_bytes, lo, hi, per_row), out[lo:hi])
 
-        _run_shards(shard, _row_ranges(rows, out.size, align=8))
+        _run_shards(shard, _row_ranges(rows, out.size, align=8, least=_DECODE_SHARD_MIN))
         return out
 
 
@@ -390,9 +402,11 @@ def _pack_layer(
     The row sums, index bytes and sign bytes are allocated here and each
     shard writes its own part of them. Shards cut on multiples of 8 rows,
     so each one encodes whole index and sign bytes and the bytes are those
-    of one pass. A non-finite shadow weight makes its row's masked sum
-    non-finite (NaN and Inf times a clear mask bit are NaN); only then is
-    ``shadow`` scanned, to tell it from finite weights whose sum overflows.
+    of one pass. A shard's two sum buffers, of ``_export_block`` elements,
+    are freed before it encodes. A non-finite shadow weight makes its row's
+    masked sum non-finite (NaN and Inf times a clear mask bit are NaN); only
+    then is ``shadow`` scanned, to tell it from finite weights whose sum
+    overflows.
     """
     rows, cols = q.codes.shape
     per_row = _triples_per_row(cols)
@@ -401,12 +415,15 @@ def _pack_layer(
     index_bytes = np.empty(n_index, dtype=np.uint8)
     sign_bytes = np.empty(n_sign, dtype=np.uint8)
 
+    ranges = _row_ranges(rows, shadow.size, align=8)
+    block = _export_block(shadow.size, len(ranges))
+
     def shard(lo, hi):
         with np.errstate(invalid="ignore"):  # Inf times a clear mask bit
-            _sequential_sums(shadow[lo:hi], mask[lo:hi], out=sums[lo:hi])
+            _sequential_sums(shadow[lo:hi], mask[lo:hi], out=sums[lo:hi], block=block)
         _encode(q.codes[lo:hi], _shard_bytes(index_bytes, sign_bytes, lo, hi, per_row))
 
-    _run_shards(shard, _row_ranges(rows, shadow.size, align=8))
+    _run_shards(shard, ranges)
     if not np.isfinite(sums).all():
         _require_finite(shadow)
     bias = np.multiply(sums, lam, out=sums)

@@ -53,13 +53,15 @@ tequila's row sums, minima's ``sign(w) * dead`` or the coupling C.
 ``_backward_rows`` forms ``e * alpha``, the dead-branch select, the alpha
 and b group sums, and ``w_q`` and C again. A per-group or per-channel group
 lies within one row, so every pass is exact per row. A layer of
-``_LAYER_SHARD_MIN`` elements or more runs its kernels on row shards, one
-per usable CPU, under the contract of ``quantizer._run_shards``; the layer
-builds their layouts once, with its own. A smaller or per-tensor layer
-runs the same kernels inline, on one shard. Until a shard's rows of
+``quantizer._SHARD_MIN`` elements or more, the size from which every pass
+over float64 weights shards, runs its kernels on row shards, one per
+usable CPU, under the contract of ``quantizer._run_shards``; the layer
+builds their layouts once, with its own. A smaller or per-tensor
+layer runs the same kernels inline, on one shard. Until a shard's rows of
 ``w_q`` take their values they are its scratch: the buffers of the
-forward's sequential sums, and the products the backward sums over groups
-or selects through. Every matrix product (``x @ w_q.T``,
+forward's sequential sums, in blocks of ``quantizer._SUM_BLOCK`` elements
+whether the layer is sharded or not, and the products the backward sums
+over groups or selects through. Every matrix product (``x @ w_q.T``,
 ``x @ C.T``, ``sign(x) @ D.T``, ``g.T @ x``, ``g.T @ sign(x)``, ``g @ w_q``
 and ``g @ C``) stays in the calling thread on the full arrays: a product
 split by rows does not give the bits of the whole one.
@@ -106,14 +108,6 @@ DEFAULT_LAMBDA = 1e-3
 DEFAULT_EPSILON = 1e-3
 DEFAULT_LEARNING_RATE = 1e-4
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # optimizer_step's moment decays and epsilon
-
-#: Elements (160 Ki, a 405x405 layer) from which a layer's forward and
-#: backward run on row shards. In-process on 2 cores (one BLAS thread, batch
-#: 32, per-group 128), a sharded absmean, dlt, minima or tequila step read
-#: 1.23-1.54 of the inline one at 256x256, 1.01-1.10 at 384x384 (tequila
-#: 0.97), 0.87-0.94 at 416x416 and 0.85-0.96 at 512x512.
-_LAYER_SHARD_MIN = 5 << 15
-
 
 # Entry callables reach quantizer functions through this module's globals
 # (never a stored reference), so rebinding those names reaches every scheme.
@@ -312,7 +306,7 @@ class QuantLinearLayer:
         object.__setattr__(self, "epsilon", _epsilon("epsilon", self.epsilon))
         layout = GroupLayout(self.granularity, *w.shape)
         object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "_shards", _group_shards(layout, least=_LAYER_SHARD_MIN))
+        object.__setattr__(self, "_shards", _group_shards(layout))
         entry = SCHEME_TABLE[self.scheme]
         if "alpha" in entry.learnable:
             # alpha becomes learnable; the threshold keeps its initial estimate

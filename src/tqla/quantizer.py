@@ -33,7 +33,10 @@ codes and mask depend only on its own rows and are bit for bit those of
 one pass over the matrix. A per-tensor group spans every row, so such a
 matrix stays on one shard. A smaller matrix also stays on one shard, run
 inline: for it the hand-over to the pool costs more than the second core
-gives.
+gives. The shards of a split matrix size their float64 buffers, the sum
+buffers and any expanded compare, from their share of it
+(``_export_block``), so that all of them at once hold about half a float64
+matrix at most; a call on one shard keeps blocks of ``_SUM_BLOCK``.
 
 The export checks each weight matrix for NaN and Inf once. ``quantize``
 reads finiteness from its ``|w|`` group sums and ``pack_model`` from its
@@ -302,7 +305,7 @@ _lam = _real_where("finite", np.isfinite)
 _SUM_BLOCK = 1 << 16
 
 
-def _sequential_sums(a: np.ndarray, mask=None, *, out, magnitude=False, scratch=None):
+def _sequential_sums(a: np.ndarray, mask=None, *, out, magnitude=False, scratch=None, block=None):
     """Strict left-to-right sums along the last axis, bit for bit.
 
     The summed terms are ``a``, or ``|a|`` with ``magnitude``, where the bool
@@ -310,17 +313,18 @@ def _sequential_sums(a: np.ndarray, mask=None, *, out, magnitude=False, scratch=
     result equals ``np.add.accumulate(np.where(mask, t, 0.0), axis=-1)[..., -1]``
     with ``t`` those terms. Each sum is that of a scalar loop starting from
     the run's first term (not from 0.0, so a run of -0.0 sums to -0.0).
-    ``a`` has at least two axes. Blocks of about ``_SUM_BLOCK`` elements,
-    whole indices of the first axis at a time, are copied with all axes
-    reversed into one reused contiguous buffer, so the summed axis comes
-    first; the terms are formed on the way (a masked block is first
-    multiplied by its mask into a second block-sized buffer, and ``np.abs``
-    runs in place after the copy), and ``np.add.reduce`` over the buffer
-    then adds its rows one after another, each output a left-to-right sum.
-    The sums go into ``out`` (of shape ``a.shape[:-1]``, a view is fine),
-    which is returned. The buffers are slices of the 1-D float64
-    ``scratch`` when it is given and holds them, so that a shard need
-    allocate none; a buffer never holds more elements than ``a``. Two
+    ``a`` has at least two axes. Blocks of about ``block`` elements
+    (``_SUM_BLOCK`` when None), whole indices of the first axis at a time,
+    are copied with all axes reversed into one reused contiguous buffer, so
+    the summed axis comes first; the terms are formed on the way (a masked
+    block is first multiplied by its mask into a second block-sized buffer,
+    and ``np.abs`` runs in place after the copy), and ``np.add.reduce`` over
+    the buffer then adds its rows one after another, each output a
+    left-to-right sum. The sums go into ``out`` (of shape ``a.shape[:-1]``,
+    a view is fine), which is returned. The buffers are slices of the 1-D
+    float64 ``scratch`` when it is given and holds them, so that a shard
+    need allocate none. A buffer never holds more elements than ``a``, nor
+    more than ``block`` or one index of ``a``, whichever is larger. Two
     guards keep the result exact:
 
     - A block holding a single run reduces as a 1-D array, which numpy sums
@@ -335,12 +339,13 @@ def _sequential_sums(a: np.ndarray, mask=None, *, out, magnitude=False, scratch=
       the ``np.where`` form of their runs. Magnitudes hold no -0.0, so with
       ``magnitude`` every zero output is already +0.0 and none is redone.
     """
+    block = _SUM_BLOCK if block is None else block
     n = a.shape[-1]
     per_index = a[0].size
-    step = max(1, _SUM_BLOCK // per_index)
+    step = max(1, block // per_index)
     size = min(step, a.shape[0]) * per_index
     if per_index == n:  # every block of one index is a single run, summed in chunks
-        size = min(size, _SUM_BLOCK)
+        size = min(size, block)
     need = size if mask is None else 2 * size
     if scratch is None or scratch.size < need:
         scratch = np.empty(need, dtype=a.dtype)
@@ -378,14 +383,19 @@ def _sequential_sums(a: np.ndarray, mask=None, *, out, magnitude=False, scratch=
     return out
 
 
-#: Elements (3 MiB of float64) from which a matrix is split into shards.
-#: Each export shard allocates its own sum buffers of up to ``_SUM_BLOCK``
-#: elements, two for masked sums, so two shards at once hold more than one
-#: float64 matrix below this size, the bound that
-#: ``test_export_holds_no_full_size_float64_temporary`` sets: at 5 << 15
-#: the traced peak of a 512x500 or 500x512 export was 2.82-2.84 MB, against
-#: 2.05 MB.
-_SHARD_MIN = 3 << 17
+#: Elements (160 Ki, a 405x405 layer) from which a pass over float64 weights
+#: is split into shards: the export (``quantize``, ``deadzone_mask``,
+#: ``pack_model``), the layer step, ``qat.optimizer_step`` and
+#: ``diagnostics.take_snapshot``. In-process on 2 cores (one BLAS thread),
+#: sharded over inline time: a layer step (batch 32, per-group 128) read
+#: 1.23-1.54 at 256x256, 1.01-1.10 at 384x384 (tequila 0.97), 0.87-0.94 at
+#: 416x416 and 0.85-0.96 at 512x512; the export of one per-group 128 layer
+#: 1.47 at 300x300, 0.97 at 405x405 and 0.71 at 512x512; the optimizer
+#: step 0.85 and the snapshot 0.80 on three 256x256 layers. An export
+#: shard sizes its float64 buffers from its share of the matrix
+#: (``_export_block``), so that the shards at once stay well under one
+#: float64 matrix of the weights.
+_SHARD_MIN = 5 << 15
 
 _pool = None  # a concurrent.futures.ThreadPoolExecutor, made on first use, replaced to grow
 _pool_lock = threading.Lock()
@@ -412,15 +422,28 @@ def _row_ranges(rows: int, size: int, align: int = 1, least=None) -> list[tuple[
     return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
-def _group_shards(layout: GroupLayout, least=None) -> list[tuple[slice, slice, GroupLayout]]:
+def _export_block(size: int, shards: int) -> int:
+    """Elements of each float64 buffer of one of ``shards`` export shards of ``size`` elements.
+
+    One shard keeps ``_SUM_BLOCK``. Several take a quarter of their share
+    of the matrix, at most ``_SUM_BLOCK``: a shard holds at most two such
+    buffers at once (a masked sum's, or the expanded thresholds and ``|w|``
+    of a compare), so all shards together hold about half a float64 matrix
+    at most, and a shard larger than its block compares by broadcasting.
+    """
+    if shards == 1:
+        return _SUM_BLOCK
+    return min(_SUM_BLOCK, -(-size // (4 * shards)))
+
+
+def _group_shards(layout: GroupLayout) -> list[tuple[slice, slice, GroupLayout]]:
     """(row slice, group-id slice, layout) of each shard of a matrix with ``layout``.
 
     Ranges run over the layout's view rows, so a per-tensor matrix is one
-    shard; a single shard keeps ``layout`` itself. ``least`` is passed on to
-    ``_row_ranges``. The shards' layouts are built here, in the calling
-    thread, one per distinct shard height.
+    shard; a single shard keeps ``layout`` itself. The shards' layouts are
+    built here, in the calling thread, one per distinct shard height.
     """
-    ranges = _row_ranges(layout.view[0], layout.rows * layout.cols, least=least)
+    ranges = _row_ranges(layout.view[0], layout.rows * layout.cols)
     if len(ranges) == 1:
         return [(slice(None), slice(None), layout)]
     g = layout.groups_per_row
@@ -439,11 +462,15 @@ def _run_shards(work, shards) -> list:
       it hands a shard; each shard writes only its own rows, groups or
       blocks of them, so no output is joined from pieces.
     - Besides per-group, per-row and per-block results (a block's bin
-      counts), a shard allocates only sum buffers of at most ``_SUM_BLOCK``
-      elements (two for masked sums) when it is handed none, the expanded
-      thresholds and ``|w|`` of compares of at most ``_SUM_BLOCK`` elements,
-      the runs ``_sequential_sums`` sums again because their sum is zero,
-      and int8, bool and index arrays (masks, the encoder's keys).
+      counts), a shard allocates only float64 buffers of at most the block
+      size its caller picks (two at once at most: a masked sum's, or the
+      expanded thresholds and ``|w|`` of a compare; a sum buffer may also
+      hold one index of the summed runs), the runs ``_sequential_sums``
+      sums again because their sum is zero, and int8, bool and index arrays
+      (masks, the encoder's keys). The layer step sums into scratch it is
+      handed, with blocks of ``_SUM_BLOCK``; an export shard allocates its
+      buffers, of ``_export_block`` elements, so that all shards together
+      hold about half a float64 matrix at most.
     - Every public entry point, and every ``GroupLayout``, runs in the
       calling thread; the pool's threads (named ``tqla-shard``) run only the
       shards' private kernels. numpy releases the GIL inside its ufunc,
@@ -493,21 +520,21 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _sides(w: np.ndarray, layout: GroupLayout, deltas, out=(None, None)):
+def _sides(w: np.ndarray, layout: GroupLayout, deltas, out=(None, None), block=None):
     """(``w >= delta``, ``|w| >= delta``) with each element's group threshold.
 
     Every delta is >= 0 or +inf; ``w`` is finite, or its caller rejects it
-    after the compares, where NaN is on neither side. A matrix larger than one
-    ``_SUM_BLOCK`` is compared by broadcasting, with ``|w| >= delta`` read
-    as ``w >= delta or w <= -delta``, so that it holds no float64 matrix of
-    its size. A smaller one is compared against one expansion of the
-    thresholds and its ``|w|``: both stay in cache, where numpy's
-    contiguous compares beat broadcasts over short group runs. Both give
-    the same bits. ``out`` is the pair of bool arrays to write; each that
-    is None is allocated here.
+    after the compares, where NaN is on neither side. A matrix larger than
+    ``block`` elements (``_SUM_BLOCK`` when None) is compared by
+    broadcasting, with ``|w| >= delta`` read as ``w >= delta or w <= -delta``,
+    so that it holds no float64 matrix of its size. A smaller one is
+    compared against one expansion of the thresholds and its ``|w|``: both
+    stay in cache, where numpy's contiguous compares beat broadcasts over
+    short group runs. Both give the same bits. ``out`` is the pair of bool
+    arrays to write; each that is None is allocated here.
     """
     pos, live = (np.empty(w.shape, dtype=bool) if a is None else a for a in out)
-    if w.size > _SUM_BLOCK:
+    if w.size > (_SUM_BLOCK if block is None else block):
         layout.apply(np.greater_equal, w, deltas, out=pos)
         layout.apply(np.less_equal, w, -deltas, out=live)
         np.logical_or(live, pos, out=live)
@@ -518,15 +545,17 @@ def _sides(w: np.ndarray, layout: GroupLayout, deltas, out=(None, None)):
     return pos, live
 
 
-def _group_params(w: np.ndarray, scheme: str, layout: GroupLayout, out, scratch=None) -> None:
+def _group_params(
+    w: np.ndarray, scheme: str, layout: GroupLayout, out, scratch=None, block=None
+) -> None:
     """Write the per-group (alpha, delta) of a static scheme into the pair of arrays ``out``.
 
-    ``scratch`` is passed on to ``_sequential_sums``.
+    ``scratch`` is passed on to ``_sequential_sums``, ``block`` to it and to ``_sides``.
     """
     alphas, deltas = out
     counts = np.tile(layout.lens.astype(np.float64), layout.view[0])
     # each group's |w|, or the |w| a mask keeps, summed as a scalar loop sums them
-    magnitudes = partial(_sequential_sums, magnitude=True, scratch=scratch)
+    magnitudes = partial(_sequential_sums, magnitude=True, scratch=scratch, block=block)
     sums = layout._reduce(magnitudes, w)
     if scheme == "absmean":
         np.divide(np.divide(sums, counts, out=alphas), 2.0, out=deltas)
@@ -535,7 +564,7 @@ def _group_params(w: np.ndarray, scheme: str, layout: GroupLayout, out, scratch=
     # (|w| >= delta), which minimizes the squared reconstruction error for that
     # fixed delta; a group that keeps none gets alpha = 0 (degenerate)
     np.multiply(0.75, np.divide(sums, counts, out=deltas), out=deltas)
-    keep = _sides(w, layout, deltas)[1]
+    keep = _sides(w, layout, deltas, block=block)[1]
     kept_totals = layout._reduce(magnitudes, w, keep)
     kept_counts = layout.reduce_sum(keep)
     alphas[...] = 0.0
@@ -564,12 +593,15 @@ def quantize(w, scheme: str, granularity: Granularity) -> QuantizedTensor:
     dead = np.empty(w.shape, dtype=bool)  # the ternarizer's scratch
     scales, thresholds = np.empty(layout.n_groups), np.empty(layout.n_groups)
 
+    shards = _group_shards(layout)
+    block = _export_block(w.size, len(shards))
+
     def shard(rows, groups, part):
         alphas, deltas = scales[groups], thresholds[groups]
-        _group_params(w[rows], scheme, part, (alphas, deltas))
-        _ternarize(w[rows], part, alphas, deltas, codes[rows], dead[rows])
+        _group_params(w[rows], scheme, part, (alphas, deltas), block=block)
+        _ternarize(w[rows], part, alphas, deltas, codes[rows], dead[rows], block)
 
-    _run_shards(shard, _group_shards(layout))
+    _run_shards(shard, shards)
     # each threshold is a finite multiple of its group's |w| sum, which is
     # NaN or Inf for a non-finite weight and Inf when finite weights overflow
     if not np.isfinite(thresholds).all():
@@ -577,7 +609,7 @@ def quantize(w, scheme: str, granularity: Granularity) -> QuantizedTensor:
     return QuantizedTensor(codes=codes, scales=scales, thresholds=thresholds, layout=layout)
 
 
-def _ternarize(w: np.ndarray, layout: GroupLayout, alphas, deltas, codes, dead) -> None:
+def _ternarize(w: np.ndarray, layout: GroupLayout, alphas, deltas, codes, dead, block=None) -> None:
     """Write the int8 ``codes`` and bool deadzone mask ``dead`` of ``w``, without validation.
 
     ``codes`` and ``dead`` have ``w``'s shape. The top-down ternarizer gives
@@ -585,10 +617,10 @@ def _ternarize(w: np.ndarray, layout: GroupLayout, alphas, deltas, codes, dead) 
     and 0 elsewhere, so at delta == 0 a zero weight takes the first branch
     (+1). Its zero branch is the deadzone ``|w| < delta``, so the mask comes
     from the same compares as the codes. Groups with alpha == 0 have their
-    codes forced to zero.
+    codes forced to zero. ``block`` is passed on to ``_sides``.
     """
     # codes and dead first hold w >= delta and |w| >= delta; the first implies the second
-    _sides(w, layout, deltas, out=(codes.view(bool), dead))
+    _sides(w, layout, deltas, out=(codes.view(bool), dead), block=block)
     np.add(codes, codes, out=codes)  # code = 2 * (w >= delta) - (|w| >= delta)
     np.subtract(codes, dead.view(np.int8), out=codes)
     np.logical_not(dead, out=dead)
@@ -628,13 +660,15 @@ def deadzone_mask(w, q: QuantizedTensor) -> np.ndarray:
         raise
 
     mask = np.empty(w.shape, dtype=bool)
+    shards = _group_shards(q.layout)
+    block = _export_block(w.size, len(shards))
 
     def shard(rows, groups, part):
         _require_finite(w[rows])
-        live = _sides(w[rows], part, thresholds[groups], out=(None, mask[rows]))[1]
+        live = _sides(w[rows], part, thresholds[groups], out=(None, mask[rows]), block=block)[1]
         np.logical_not(live, out=live)
 
-    _run_shards(shard, _group_shards(q.layout))
+    _run_shards(shard, shards)
     return mask
 
 

@@ -7,16 +7,17 @@ loads them in.
 
 Every sharded pass of ``tqla`` goes through ``quantizer._run_shards``.
 ``sharding`` sets the constants that decide how many shards a call gets, so
-that small inputs split as large ones do. ``ThreadProbe`` records the
-thread of each kernel call and of each public entry point, to check that
-shard 0 runs in the calling thread, every other shard on the pool, and
-everything else in the calling thread.
+that small inputs split as large ones do, and ``shard_counts`` records how
+many an export call got. ``ThreadProbe`` records the thread of each kernel
+call and of each public entry point, to check that shard 0 runs in the
+calling thread, every other shard on the pool, and everything else in the
+calling thread.
 """
 
 import threading
 
 import tqla
-from tqla import qat, quantizer
+from tqla import packing, quantizer
 from tqla.quantizer import GroupLayout
 
 
@@ -24,17 +25,38 @@ def sharding(mp, workers, block=None):
     """Split every sharded pass over ``workers`` shards through the monkeypatch ``mp``.
 
     One worker never splits; more workers split from one element, the
-    export, decode, snapshot and optimizer passes (``_SHARD_MIN``) and the
-    layer step (``_LAYER_SHARD_MIN``) alike. ``block`` replaces
-    ``quantizer._SUM_BLOCK``, which sizes the sum buffers and the blocks of
-    the snapshot and the optimizer, and picks the compares of the kernels.
+    export, layer step, snapshot and optimizer passes
+    (``quantizer._SHARD_MIN``) and the decode (``packing._DECODE_SHARD_MIN``)
+    alike. ``block`` replaces ``quantizer._SUM_BLOCK``, which sizes the sum
+    buffers and the blocks of the snapshot and the optimizer, and picks the
+    compares of the kernels.
     """
     least = 1 if workers > 1 else 1 << 62
     mp.setattr(quantizer, "_SHARD_MIN", least)
-    mp.setattr(qat, "_LAYER_SHARD_MIN", least)
+    mp.setattr(packing, "_DECODE_SHARD_MIN", least)
     mp.setattr(quantizer, "_usable_cpus", lambda: workers)
     if block is not None:
         mp.setattr(quantizer, "_SUM_BLOCK", block)
+
+
+def shard_counts(mp):
+    """Record the shards of every sharded export call through the monkeypatch ``mp``.
+
+    Returns a list that gets one ``(name, shards)`` pair per call of
+    ``_run_shards`` from ``quantizer`` or ``packing``: the function whose
+    shards ran (``quantize``, ``deadzone_mask``, ``_pack_layer``,
+    ``unpack_codes``) and how many there were.
+    """
+    calls = []
+    run = quantizer._run_shards
+
+    def recorded(work, shards):
+        calls.append((work.__qualname__.split(".")[-3], len(shards)))
+        return run(work, shards)
+
+    for module in (quantizer, packing):
+        mp.setattr(module, "_run_shards", recorded)
+    return calls
 
 
 def address(a):

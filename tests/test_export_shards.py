@@ -1,10 +1,11 @@
 """Row-sharded export and decode: one pass's bytes, same errors, calls from the calling thread.
 
-``quantize``, ``deadzone_mask``, ``pack_model`` and ``PackedLayer.unpack_codes``
-split a matrix of at least ``quantizer._SHARD_MIN`` elements into one row
-range per usable CPU. These tests lower that constant and set the CPU
-count, so that small matrices are split into 2 or 3 shards, and compare
-against one shard.
+``quantize``, ``deadzone_mask`` and ``pack_model`` split a matrix of at
+least ``quantizer._SHARD_MIN`` elements, and ``PackedLayer.unpack_codes``
+one of at least ``packing._DECODE_SHARD_MIN``, into one row range per
+usable CPU. These tests lower those constants and set the CPU count, so
+that small matrices are split into 2 or 3 shards, and compare against one
+shard.
 """
 
 import multiprocessing
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import unpack_codes_scalar
-from shards import ThreadProbe, address, sharding
+from shards import ThreadProbe, address, shard_counts, sharding
 
 from tqla import Granularity, deadzone_mask, packing, quantize, quantizer
 from tqla.errors import InvalidParam, InvalidShape, InvalidThreshold, UnsupportedScheme
@@ -215,6 +216,16 @@ def test_row_ranges():
         assert quantizer._group_shards(layout) == [(slice(None), slice(None), layout)]
 
 
+def test_export_blocks():
+    # one shard keeps the full block; several take a quarter of their share, at most a block
+    block = quantizer._SUM_BLOCK
+    assert quantizer._export_block(512 * 500, 1) == quantizer._export_block(7, 1) == block
+    assert quantizer._export_block(512 * 512, 2) == block // 2
+    assert quantizer._export_block(512 * 500, 4) == 16_000
+    assert quantizer._export_block(10, 3) == 1
+    assert quantizer._export_block(1024 * 1000, 2) == block
+
+
 def test_deploy_shapes_with_the_real_cpu_count():
     # run again under one CPU (taskset -c 0), this takes the inline path
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -234,6 +245,23 @@ def test_deploy_shapes_with_the_real_cpu_count():
     assert q.codes.tobytes() == q1.codes.tobytes() and mask.tobytes() == mask1.tobytes()
     for section in ("index_bytes", "sign_bytes", "scales", "bias"):
         assert getattr(packed, section).tobytes() == getattr(packed1, section).tobytes()
+
+
+def test_wide_trap_export_with_the_real_cpu_count(monkeypatch):
+    # the 512x512 per-group 128 layers of wide-trap split in two exactly
+    # when two CPUs are usable; run again under one CPU (taskset -c 0),
+    # this takes the inline path
+    cpus = quantizer._usable_cpus()
+    layers = [(np.random.default_rng(3).standard_normal((512, 512)), Granularity("per-group", 128))]
+    with pytest.MonkeyPatch.context() as mp:
+        sharding(mp, 1)
+        one = as_bytes(*export(layers))
+    counts = shard_counts(monkeypatch)
+    got = as_bytes(*export(layers))
+    assert [name for name, _ in counts] == ["quantize", "deadzone_mask", "_pack_layer"]
+    for _, shards in counts:
+        assert (shards == 2) == (cpus == 2) and (shards == 1) == (cpus == 1)
+    assert got == one
 
 
 def packed_layer(rows, cols, granularity=Granularity("per-channel")):

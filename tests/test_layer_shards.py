@@ -1,6 +1,6 @@
 """Row-sharded layer steps: the same forward and backward as inline, run off the calling thread.
 
-A ``QuantLinearLayer`` of ``qat._LAYER_SHARD_MIN`` elements or more runs the
+A ``QuantLinearLayer`` of ``quantizer._SHARD_MIN`` elements or more runs the
 element-wise passes of its forward and backward on row shards, one per
 usable CPU, while every matrix product stays in the calling thread. These
 tests lower the threshold and set the CPU count, so that small layers run on

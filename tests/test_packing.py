@@ -15,6 +15,7 @@ from oracles import (
     rel_err,
     unpack_codes_scalar,
 )
+from shards import shard_counts
 
 from tqla import Granularity, deadzone_mask, quantize, quantizer, tequila_bias
 from tqla.errors import FormatError, InvalidParam, InvalidShape
@@ -810,23 +811,26 @@ def _traced_peak(fn):
             tracemalloc.stop()
 
 
+@pytest.mark.parametrize("cpus", [2, 4])
 @pytest.mark.parametrize(
     "shape,granularity",
     [
         ((512, 500), Granularity("per-group", 128)),
         ((500, 512), Granularity("per-channel")),
         ((500, 512), Granularity("per-tensor")),  # one run, summed in buffer-sized chunks
-        # above the size constant: two shards, each with its own temporaries
         ((1024, 1000), Granularity("per-group", 128)),
         ((1000, 1024), Granularity("per-channel")),
     ],
     ids=lambda case: getattr(case, "kind", None),
 )
-def test_export_holds_no_full_size_float64_temporary(monkeypatch, shape, granularity):
+def test_export_holds_no_full_size_float64_temporary(monkeypatch, shape, granularity, cpus):
     # quantize, deadzone_mask and pack_model form |w|, the thresholds and the
     # deadzone sums block by block or by broadcasting; their peak, results
-    # included, stays below one float64 matrix of the weights' size
-    monkeypatch.setattr(quantizer, "_usable_cpus", lambda: 2)
+    # included, stays below one float64 matrix of the weights' size. Every
+    # shape is above the size constant: each shard holds its own
+    # temporaries, all at once
+    monkeypatch.setattr(quantizer, "_usable_cpus", lambda: cpus)
+    counts = shard_counts(monkeypatch)
     w = np.random.default_rng(0).standard_normal(shape)
 
     def export():
@@ -834,4 +838,8 @@ def test_export_holds_no_full_size_float64_temporary(monkeypatch, shape, granula
         pack_model([(q, w, deadzone_mask(w, q))], LAM)
 
     export()
+    shards = dict(counts)
+    # a per-tensor matrix is one group, quantized on one shard
+    assert shards["quantize"] == (1 if granularity.kind == "per-tensor" else cpus)
+    assert shards["_pack_layer"] == cpus
     assert _traced_peak(export) < w.nbytes

@@ -421,15 +421,14 @@ SUM_BRANCH_SHAPES = [
 ]
 
 
+#: Shapes of up to 40 elements along each of 2 or 3 axes.
+SMALL_SUM_SHAPES = st.lists(st.integers(1, 40), min_size=2, max_size=3).map(tuple)
+
+
 @st.composite
-def sum_inputs(draw):
-    """Arrays for ``_sequential_sums``, heavy in exact zeros of both signs."""
-    shape = draw(
-        st.one_of(
-            st.sampled_from(SUM_BRANCH_SHAPES),
-            st.lists(st.integers(1, 40), min_size=2, max_size=3).map(tuple),
-        )
-    )
+def sum_inputs(draw, shapes=st.one_of(st.sampled_from(SUM_BRANCH_SHAPES), SMALL_SUM_SHAPES)):
+    """Arrays of ``shapes`` for ``_sequential_sums``, heavy in exact zeros of both signs."""
+    shape = draw(shapes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mode = draw(st.sampled_from(["gaussian", "signed-zeros", "cancelling"]))
     # a wider base sliced back to ``shape`` gives a non-contiguous view
@@ -447,6 +446,13 @@ def sum_inputs(draw):
     # whole runs of -0.0
     a[rng.random(full[:-1]) < 0.3] = -0.0
     return a[..., : shape[-1]]
+
+
+@st.composite
+def blocked_sum_inputs(draw):
+    """(array, block size) for ``_sequential_sums``, the size from one element to past the array."""
+    a = draw(sum_inputs(SMALL_SUM_SHAPES))
+    return a, draw(st.one_of(st.integers(1, 8), st.integers(1, a.size + 1)))
 
 
 def _int_bits(a):
@@ -487,6 +493,27 @@ class TestSequentialSums:
         ref = np.add.accumulate(terms, axis=-1)[..., -1]
         got = sequential_sums(a, magnitude=magnitude)
         np.testing.assert_array_equal(_int_bits(got), _int_bits(ref))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        blocked_sum_inputs(), st.sampled_from([None, 0.3, 1.0]), st.booleans(), st.integers(0, 99)
+    )
+    @example((np.full((3, 5), -0.0), 1), 1.0, False, 0)  # one element per block, runs of -0.0
+    @example((np.full((4, 7), -0.0), 3), None, False, 0)  # single-run rows summed in chunks
+    @example((np.full((5, 3, 4), -0.0), 5), 0.3, True, 1)  # one index of the first axis per block
+    def test_every_block_size_gives_the_same_bits(self, case, density, magnitude, seed):
+        # an export shard's buffers hold from one element up to _SUM_BLOCK;
+        # masked, magnitude and plain sums keep the bits of the default block
+        a, block = case
+        mask = None if density is None else np.random.default_rng(seed).random(a.shape) < density
+        terms = np.abs(a) if magnitude else a
+        if mask is not None:
+            terms = np.where(mask, terms, 0.0)
+        ref = np.add.accumulate(terms, axis=-1)[..., -1]
+        got = sequential_sums(a, mask, magnitude=magnitude, block=block)
+        np.testing.assert_array_equal(_int_bits(got), _int_bits(ref))
+        default = sequential_sums(a, mask, magnitude=magnitude)
+        np.testing.assert_array_equal(_int_bits(got), _int_bits(default))
 
     @pytest.mark.parametrize("shape", SUM_BRANCH_SHAPES, ids=str)
     def test_branch_shapes_with_signed_zero_runs(self, shape):
