@@ -56,8 +56,8 @@ lies within one row, so every pass is exact per row. A layer of
 ``quantizer._SHARD_MIN`` elements or more, the size from which every pass
 over float64 weights shards, runs its kernels on row shards, one per
 usable CPU, under the contract of ``quantizer._run_shards``; the layer
-builds their layouts once, with its own. A smaller or per-tensor
-layer runs the same kernels inline, on one shard. Until a shard's rows of
+builds their layouts once, with its own. A smaller or per-tensor layer
+runs the same kernels inline, on one shard. Until a shard's rows of
 ``w_q`` take their values they are its scratch: the buffers of the
 forward's sequential sums, in blocks of ``quantizer._SUM_BLOCK`` elements
 whether the layer is sharded or not, and the products the backward sums
