@@ -311,7 +311,8 @@ class QuantLinearLayer:
         if "alpha" in entry.learnable:
             # alpha becomes learnable; the threshold keeps its initial estimate
             alpha, thresholds = np.empty(layout.n_groups), np.empty(layout.n_groups)
-            _group_params(w, entry.estimator, layout, (alpha, thresholds))
+            codes, dead = np.empty(w.shape, dtype=np.int8), np.empty(w.shape, dtype=bool)
+            _group_params(w, entry.estimator, layout, (alpha, thresholds), codes, dead)
             object.__setattr__(self, "learnable_alpha", alpha)
             object.__setattr__(self, "frozen_thresholds", thresholds)
         if "b" in entry.learnable:
@@ -408,7 +409,7 @@ def _forward_rows(layer, entry, q, mask, b, w_q, side, rows, groups, part):
     scratch = w_q[rows].reshape(-1)
     alpha, delta = q.scales[groups], q.thresholds[groups]
     if "alpha" not in entry.learnable:
-        _group_params(w, entry.estimator, part, (alpha, delta), scratch)
+        _group_params(w, entry.estimator, part, (alpha, delta), codes, dead, scratch)
     _ternarize(w, part, alpha, delta, codes, dead)
     if entry.fill is not None:
         b = None if b is None else b[groups]

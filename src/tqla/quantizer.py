@@ -19,10 +19,12 @@ For a ``w`` larger than one such block no step builds a float64 matrix of
 its size: the summed terms (``|w|``, or the weights a mask selects) are
 formed block by block on their way into the buffer; per-group thresholds
 and scales reach the elements by broadcasting (``GroupLayout.apply``), not
-by an expanded copy; and the deadzone ``|w| < delta`` is read from the
-compares ``w >= delta`` and ``w <= -delta`` that also give the codes. A
+by an expanded copy; and ``quantize`` reads the codes and the deadzone
+``|w| < delta`` from the compares ``w >= delta`` and ``w <= -delta``. A
 smaller ``w`` is compared against one expansion of its thresholds, which
-stays in cache.
+stays in cache. ``deadzone_mask`` reads each weight once: it forms ``|w|``
+in one block-sized float64 buffer and compares each element once with its
+group threshold, broadcast over the group's run.
 
 ``quantize`` and ``deadzone_mask`` split a matrix of ``_SHARD_MIN``
 elements or more into row ranges ("shards"), one per usable CPU, and run
@@ -34,15 +36,18 @@ one pass over the matrix. A per-tensor group spans every row, so such a
 matrix stays on one shard. A smaller matrix also stays on one shard, run
 inline: for it the hand-over to the pool costs more than the second core
 gives. The shards of a split matrix size their float64 buffers, the sum
-buffers and any expanded compare, from their share of it
-(``_export_block``), so that all of them at once hold about half a float64
-matrix at most; a call on one shard keeps blocks of ``_SUM_BLOCK``.
+buffers, any expanded compare and the deadzone's ``|w|`` block, from their
+share of it (``_export_block``), so that all of them at once hold about half
+a float64 matrix at most; a call on one shard keeps blocks of
+``_SUM_BLOCK``.
 
 The export checks each weight matrix for NaN and Inf once. ``quantize``
 reads finiteness from its ``|w|`` group sums and ``pack_model`` from its
 masked row sums (NaN and Inf times a clear mask bit are NaN); only when a
 sum is not finite is the matrix scanned, to tell a non-finite weight from
-finite weights whose sum overflows. ``deadzone_mask`` scans in its shards.
+finite weights whose sum overflows. ``deadzone_mask`` reads finiteness
+from the maximum of each ``|w|`` block, and scans only a block whose
+maximum is not finite.
 """
 
 from __future__ import annotations
@@ -428,8 +433,9 @@ def _export_block(size: int, shards: int) -> int:
     One shard keeps ``_SUM_BLOCK``. Several take a quarter of their share
     of the matrix, at most ``_SUM_BLOCK``: a shard holds at most two such
     buffers at once (a masked sum's, or the expanded thresholds and ``|w|``
-    of a compare), so all shards together hold about half a float64 matrix
-    at most, and a shard larger than its block compares by broadcasting.
+    of a compare; a deadzone shard holds one, its ``|w|`` block), so all
+    shards together hold about half a float64 matrix at most, and a shard
+    larger than its block compares by broadcasting.
     """
     if shards == 1:
         return _SUM_BLOCK
@@ -470,7 +476,10 @@ def _run_shards(work, shards) -> list:
       (masks, the encoder's keys). The layer step sums into scratch it is
       handed, with blocks of ``_SUM_BLOCK``; an export shard allocates its
       buffers, of ``_export_block`` elements, so that all shards together
-      hold about half a float64 matrix at most.
+      hold about half a float64 matrix at most. A ``deadzone_mask`` shard
+      allocates nothing: it holds one float64 block of ``_export_block``
+      elements, its ``|w|``, which the calling thread allocated and cut
+      into views with the shard's blocks.
     - Every public entry point, and every ``GroupLayout``, runs in the
       calling thread; the pool's threads (named ``tqla-shard``) run only the
       shards' private kernels. numpy releases the GIL inside its ufunc,
@@ -520,20 +529,20 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _sides(w: np.ndarray, layout: GroupLayout, deltas, out=(None, None), block=None):
-    """(``w >= delta``, ``|w| >= delta``) with each element's group threshold.
+def _sides(w: np.ndarray, layout: GroupLayout, deltas, out, block=None):
+    """Write ``w >= delta`` and ``|w| >= delta``, with each element's group threshold, into ``out``.
 
-    Every delta is >= 0 or +inf; ``w`` is finite, or its caller rejects it
-    after the compares, where NaN is on neither side. A matrix larger than
-    ``block`` elements (``_SUM_BLOCK`` when None) is compared by
+    ``out`` is the pair of bool arrays of ``w``'s shape to write, which is
+    returned. Every delta is >= 0 or +inf; ``w`` is finite, or its caller
+    rejects it after the compares, where NaN is on neither side. A matrix
+    larger than ``block`` elements (``_SUM_BLOCK`` when None) is compared by
     broadcasting, with ``|w| >= delta`` read as ``w >= delta or w <= -delta``,
     so that it holds no float64 matrix of its size. A smaller one is
     compared against one expansion of the thresholds and its ``|w|``: both
     stay in cache, where numpy's contiguous compares beat broadcasts over
-    short group runs. Both give the same bits. ``out`` is the pair of bool
-    arrays to write; each that is None is allocated here.
+    short group runs. Both give the same bits.
     """
-    pos, live = (np.empty(w.shape, dtype=bool) if a is None else a for a in out)
+    pos, live = out
     if w.size > (_SUM_BLOCK if block is None else block):
         layout.apply(np.greater_equal, w, deltas, out=pos)
         layout.apply(np.less_equal, w, -deltas, out=live)
@@ -546,11 +555,14 @@ def _sides(w: np.ndarray, layout: GroupLayout, deltas, out=(None, None), block=N
 
 
 def _group_params(
-    w: np.ndarray, scheme: str, layout: GroupLayout, out, scratch=None, block=None
+    w: np.ndarray, scheme: str, layout: GroupLayout, out, codes, dead, scratch=None, block=None
 ) -> None:
     """Write the per-group (alpha, delta) of a static scheme into the pair of arrays ``out``.
 
-    ``scratch`` is passed on to ``_sequential_sums``, ``block`` to it and to ``_sides``.
+    ``codes`` (int8) and ``dead`` (bool), of ``w``'s shape, are the
+    ternarizer's outputs, which it overwrites: ``twn`` compares ``w`` with
+    its thresholds into them, as ``_sides``' pair. ``scratch`` is passed
+    on to ``_sequential_sums``, ``block`` to it and to ``_sides``.
     """
     alphas, deltas = out
     counts = np.tile(layout.lens.astype(np.float64), layout.view[0])
@@ -564,8 +576,11 @@ def _group_params(
     # (|w| >= delta), which minimizes the squared reconstruction error for that
     # fixed delta; a group that keeps none gets alpha = 0 (degenerate)
     np.multiply(0.75, np.divide(sums, counts, out=deltas), out=deltas)
-    keep = _sides(w, layout, deltas, block=block)[1]
-    kept_totals = layout._reduce(magnitudes, w, keep)
+    keep = _sides(w, layout, deltas, (codes.view(bool), dead), block=block)[1]
+    # a masked sum holds two buffers, here beside the codes and the mask, so
+    # each takes half a block
+    half = max(1, (_SUM_BLOCK if block is None else block) // 2)
+    kept_totals = layout._reduce(partial(magnitudes, block=half), w, keep)
     kept_counts = layout.reduce_sum(keep)
     alphas[...] = 0.0
     np.divide(kept_totals, kept_counts, out=alphas, where=kept_counts > 0)
@@ -590,7 +605,7 @@ def quantize(w, scheme: str, granularity: Granularity) -> QuantizedTensor:
         raise
 
     codes = np.empty(w.shape, dtype=np.int8)
-    dead = np.empty(w.shape, dtype=bool)  # the ternarizer's scratch
+    dead = np.empty(w.shape, dtype=bool)  # scratch of twn and of the ternarizer
     scales, thresholds = np.empty(layout.n_groups), np.empty(layout.n_groups)
 
     shards = _group_shards(layout)
@@ -598,8 +613,9 @@ def quantize(w, scheme: str, granularity: Granularity) -> QuantizedTensor:
 
     def shard(rows, groups, part):
         alphas, deltas = scales[groups], thresholds[groups]
-        _group_params(w[rows], scheme, part, (alphas, deltas), block=block)
-        _ternarize(w[rows], part, alphas, deltas, codes[rows], dead[rows], block)
+        w_rows, codes_rows, dead_rows = w[rows], codes[rows], dead[rows]
+        _group_params(w_rows, scheme, part, (alphas, deltas), codes_rows, dead_rows, block=block)
+        _ternarize(w_rows, part, alphas, deltas, codes_rows, dead_rows, block)
 
     _run_shards(shard, shards)
     # each threshold is a finite multiple of its group's |w| sum, which is
@@ -644,32 +660,101 @@ def deadzone_mask(w, q: QuantizedTensor) -> np.ndarray:
     """Bool mask of elements with |w| strictly below their group threshold.
 
     Every threshold must be >= 0 (+inf included), as ``quantize`` makes
-    them; a NaN or negative one raises InvalidThreshold.
+    them; a NaN or negative one raises InvalidThreshold. The calling thread
+    checks the inputs, allocates the mask and plans every block of every
+    shard (``_deadzone_plan``); the shards then run ``_deadzone_blocks``,
+    which reads each weight once: into ``|w|`` in its shard's one float64
+    block, then one compare per element against its group threshold.
     """
     w = _as_matrix(w, scan=False)
     thresholds = np.asarray(q.thresholds)
+    layout = q.layout
     try:
         if w.shape != q.codes.shape:
             raise InvalidShape(f"weights {w.shape} do not match codes {q.codes.shape}")
+        if w.shape != (layout.rows, layout.cols):
+            raise InvalidShape(f"weights {w.shape} do not match layout {layout.rows, layout.cols}")
         if not (thresholds >= 0).all():
             bad = thresholds[~(thresholds >= 0)][0]
             raise InvalidThreshold(f"thresholds must be >= 0, got {bad}")
-        q.layout._table(thresholds)  # one per group, before the shards slice them
+        table = layout._table(thresholds)
     except TqlaError:
         _require_finite(w)  # a non-finite weight is reported first
         raise
 
     mask = np.empty(w.shape, dtype=bool)
-    shards = _group_shards(q.layout)
-    block = _export_block(w.size, len(shards))
+    ranges = _row_ranges(layout.view[0], w.size)
+    block = _export_block(w.size, len(ranges))
+    plans = [(_deadzone_plan(w, layout, table, mask, lo, hi, block),) for lo, hi in ranges]
 
-    def shard(rows, groups, part):
-        _require_finite(w[rows])
-        live = _sides(w[rows], part, thresholds[groups], out=(None, mask[rows]), block=block)[1]
-        np.logical_not(live, out=live)
+    def shard(blocks):
+        _deadzone_blocks(blocks)
 
-    _run_shards(shard, shards)
+    _run_shards(shard, plans)
     return mask
+
+
+def _deadzone_plan(w, layout: GroupLayout, table, mask, lo: int, hi: int, block: int) -> list:
+    """The blocks of view rows ``lo:hi`` of ``w`` for ``_deadzone_blocks``, with their scratch.
+
+    A view row of at most ``block`` elements goes whole into a block of as
+    many rows as fit; a wider one (a per-tensor view, or a row wider than
+    the block) is cut into pieces of at most ``block`` elements that hold
+    whole groups, or lie within one group. A block is ``(w, |w|, compares)``:
+    its weights, its ``|w|`` view of the shard's one float64 scratch, and
+    one ``(|w| runs, thresholds, mask runs)`` triple for its full group
+    runs and one for a group it holds only part of (a tail), each
+    threshold table broadcasting over its runs. Every view is made here,
+    from ``layout`` and ``table`` (its thresholds as one table), so the
+    shard builds none.
+    """
+    wv, mv = w.reshape(layout.view), mask.reshape(layout.view)
+    width, run = layout.view[1], layout.size
+    if width <= block:
+        step = block // width
+        cuts = [(r, min(r + step, hi), 0, width) for r in range(lo, hi, step)]
+    else:  # pieces of whole groups, or of at most a block within one group
+        span = run if run > block else block // run * run
+        piece = min(span, block)
+        cuts = [
+            (r, r + 1, a, min(a + piece, s + span, width))
+            for r in range(lo, hi)
+            for s in range(0, width, span)
+            for a in range(s, min(s + span, width), piece)
+        ]
+    scratch = np.empty(max((r1 - r0) * (b - a) for r0, r1, a, b in cuts))
+    blocks = []
+    for r0, r1, a, b in cuts:
+        n, m = r1 - r0, b - a
+        mag, dead, thr = scratch[: n * m].reshape(n, m), mv[r0:r1, a:b], table[r0:r1]
+        k = a // run
+        full = m // run if a % run == 0 else 0
+        cut = full * run
+        compares = []
+        if full:
+            runs = (n, full, run)
+            table_runs = thr[:, k : k + full, None]
+            compares.append((mag[:, :cut].reshape(runs), table_runs, dead[:, :cut].reshape(runs)))
+        if cut < m:
+            compares.append((mag[:, None, cut:], thr[:, k + full, None, None], dead[:, None, cut:]))
+        blocks.append((wv[r0:r1, a:b], mag, compares))
+    return blocks
+
+
+def _deadzone_blocks(blocks) -> None:
+    """Write the deadzone mask of each of ``blocks`` (see ``_deadzone_plan``); ufunc calls only.
+
+    ``|w|`` goes into the block's scratch, and its maximum tells whether
+    the block is finite: NaN propagates through ``np.maximum`` and
+    ``inf < inf`` is false. Only a block that is not finite is scanned, to
+    raise. Each element is then compared once, ``|w| < delta``.
+    """
+    for w, mag, compares in blocks:
+        np.abs(w, out=mag)
+        if not np.maximum.reduce(mag, axis=None) < np.inf:
+            _require_finite(w)
+        for runs, thr, dead in compares:
+            np.less(runs, thr, out=dead)
 
 
 def tequila_bias(w, mask, lam: float) -> np.ndarray:

@@ -28,8 +28,8 @@ def sharding(mp, workers, block=None):
     export, layer step, snapshot and optimizer passes
     (``quantizer._SHARD_MIN``) and the decode (``packing._DECODE_SHARD_MIN``)
     alike. ``block`` replaces ``quantizer._SUM_BLOCK``, which sizes the sum
-    buffers and the blocks of the snapshot and the optimizer, and picks the
-    compares of the kernels.
+    buffers and the blocks of the deadzone mask, the snapshot and the
+    optimizer, and picks the compares of the kernels.
     """
     least = 1 if workers > 1 else 1 << 62
     mp.setattr(quantizer, "_SHARD_MIN", least)

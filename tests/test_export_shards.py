@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import unpack_codes_scalar
+from oracles import deadzone_mask_scalar, unpack_codes_scalar
 from shards import ThreadProbe, address, shard_counts, sharding
 
 from tqla import Granularity, deadzone_mask, packing, quantize, quantizer
@@ -488,6 +488,112 @@ def test_deadzone_mask_reports_non_finite_weights_first(monkeypatch, workers):
         bad[9, 0] = value
         with pytest.raises(InvalidParam, match=NON_FINITE):
             deadzone_mask(bad, q)
+
+
+@SHARDS
+def test_deadzone_mask_rejects_a_layout_of_another_shape(monkeypatch, workers):
+    # 4x6 codes on a 6x4 layout: the group count matches, the shape does not
+    sharding(monkeypatch, workers)
+    w = matrix(4, 6)
+    g = Granularity("per-group", 2)
+    q = quantize(w, "absmean", g)
+    swapped = QuantizedTensor(q.codes, q.scales, q.thresholds, GroupLayout(g, 6, 4))
+    with pytest.raises(InvalidShape, match="do not match layout"):
+        deadzone_mask(w, swapped)
+    bad = w.copy()
+    bad[3, 5] = np.nan
+    with pytest.raises(InvalidParam, match=NON_FINITE):
+        deadzone_mask(bad, swapped)
+
+
+def deadzone_case(rows, cols, granularity, seed=0):
+    """Weights and a tensor with thresholds of 0 and +inf, weights at +-delta and -0.0."""
+    rng = np.random.default_rng(seed)
+    layout = GroupLayout(granularity, rows, cols)
+    thresholds = rng.choice([0.0, 0.3, 0.7, 1.2, np.inf], layout.n_groups)
+    w = rng.standard_normal((rows, cols))
+    thr = layout.expand(thresholds)
+    at = rng.random(w.shape)
+    w = np.where((at < 0.15) & np.isfinite(thr), np.where(at < 0.08, thr, -thr), w)
+    w[rng.random(w.shape) < 0.1] = -0.0
+    w[rng.random(w.shape) < 0.05] = 0.0
+    codes = np.zeros(w.shape, dtype=np.int8)
+    return w, QuantizedTensor(codes, np.ones(layout.n_groups), thresholds, layout)
+
+
+#: ((rows, cols, granularity), block, workers) of the deadzone kernel's cases
+DEADZONE_CASES = [
+    # 3 rows a block; the second shard's last block has 2 rows; a 2-column group tail
+    ((23, 10, Granularity("per-group", 4)), 30, 2),
+    ((23, 10, Granularity("per-channel")), 30, 3),
+    # one view row of 230 elements: pieces of 30 within the one group, the last of 20
+    ((23, 10, Granularity("per-tensor")), 30, 2),
+    # rows wider than the block: pieces of two whole groups, the last a 2-column tail
+    ((5, 50, Granularity("per-group", 8)), 20, 2),
+    # groups wider than the block: pieces within one group, the tail group in one piece
+    ((5, 50, Granularity("per-group", 32)), 20, 2),
+    ((5, 50, Granularity("per-channel")), 20, 3),
+    ((7, 5, Granularity("per-group", 2)), 1, 3),  # one element a block
+    ((40, 30, Granularity("per-group", 8)), None, 2),  # the full-size block: one block a shard
+    ((1, 1, Granularity("per-channel")), 1, 2),
+]
+DEADZONE_IDS = [f"{r}x{c}-{g.kind}-{g.group_size}-b{b}-w{n}" for (r, c, g), b, n in DEADZONE_CASES]
+
+
+@pytest.mark.parametrize("case,block,workers", DEADZONE_CASES, ids=DEADZONE_IDS)
+def test_deadzone_blocks_match_the_scalar_oracle(monkeypatch, case, block, workers):
+    rows, cols, granularity = case
+    w, q = deadzone_case(rows, cols, granularity)
+    kind, size = granularity.kind, granularity.group_size
+    expected = deadzone_mask_scalar(w.tolist(), q.thresholds.tolist(), kind, size)
+    sharding(monkeypatch, workers, block=block)
+    counts = shard_counts(monkeypatch)
+    mask = deadzone_mask(w, q)
+    assert mask.dtype == bool and mask.flags.c_contiguous
+    assert mask.tolist() == expected
+    # a per-tensor matrix is one group, on one shard
+    assert counts == [("deadzone_mask", 1 if kind == "per-tensor" or rows == 1 else workers)]
+    # a weight-sized float64 array is read the same, whatever its memory order
+    assert deadzone_mask(np.asfortranarray(w), q).tolist() == expected
+
+
+@pytest.mark.parametrize("case,block,workers", DEADZONE_CASES, ids=DEADZONE_IDS)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight_in_the_last_block_is_reported_first(
+    monkeypatch, case, block, workers, value
+):
+    # the last element is in the last block of the last shard; every other
+    # fault of the call is reported after it
+    rows, cols, granularity = case
+    w, q = deadzone_case(rows, cols, granularity)
+    sharding(monkeypatch, workers, block=block)
+    bad = w.copy()
+    bad[-1, -1] = value
+    layout = q.layout
+    faults = [
+        q,
+        QuantizedTensor(q.codes, q.scales, -np.ones(layout.n_groups), layout),
+        QuantizedTensor(q.codes, q.scales, np.append(q.thresholds, 1.0), layout),
+        QuantizedTensor(q.codes[:, :0], q.scales, q.thresholds, layout),
+        QuantizedTensor(q.codes, q.scales, q.thresholds[:1], GroupLayout(q.granularity, 1, 1)),
+    ]
+    for fault in faults:
+        with pytest.raises(InvalidParam, match=NON_FINITE):
+            deadzone_mask(bad, fault)
+
+
+def test_sharded_deadzone_mask_plans_every_block_in_the_calling_thread(monkeypatch):
+    # the shards run only the kernel: the calling thread made every view and
+    # buffer, and builds no GroupLayout for the blocks or the shards
+    w, q = deadzone_case(40, 30, Granularity("per-group", 8))
+    expected = deadzone_mask_scalar(w.tolist(), q.thresholds.tolist(), "per-group", 8)
+    sharding(monkeypatch, 3, block=50)
+    probe = ThreadProbe(monkeypatch, (quantizer,))
+    first = address(w)  # shard 0's first block starts there
+    probe.kernel(quantizer, "_deadzone_blocks", lambda blocks: address(blocks[0][0]) == first)
+    assert quantizer.deadzone_mask(w, q).tolist() == expected
+    assert len(probe.kernels) == 3 and probe.names() == {"deadzone_mask"}
+    probe.check()
 
 
 @SHARDS

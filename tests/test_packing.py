@@ -828,18 +828,21 @@ def test_export_holds_no_full_size_float64_temporary(monkeypatch, shape, granula
     # deadzone sums block by block or by broadcasting; their peak, results
     # included, stays below one float64 matrix of the weights' size. Every
     # shape is above the size constant: each shard holds its own
-    # temporaries, all at once
+    # temporaries, all at once. twn compares into the codes and the
+    # ternarizer's mask
     monkeypatch.setattr(quantizer, "_usable_cpus", lambda: cpus)
     counts = shard_counts(monkeypatch)
     w = np.random.default_rng(0).standard_normal(shape)
+    for scheme in ("absmean", "twn"):
 
-    def export():
-        q = quantize(w, "absmean", granularity)
-        pack_model([(q, w, deadzone_mask(w, q))], LAM)
+        def export():
+            q = quantize(w, scheme, granularity)
+            pack_model([(q, w, deadzone_mask(w, q))], LAM)
 
-    export()
-    shards = dict(counts)
-    # a per-tensor matrix is one group, quantized on one shard
-    assert shards["quantize"] == (1 if granularity.kind == "per-tensor" else cpus)
-    assert shards["_pack_layer"] == cpus
-    assert _traced_peak(export) < w.nbytes
+        counts.clear()
+        export()
+        shards = dict(counts)
+        # a per-tensor matrix is one group, quantized on one shard
+        assert shards["quantize"] == (1 if granularity.kind == "per-tensor" else cpus)
+        assert shards["_pack_layer"] == cpus
+        assert _traced_peak(export) < w.nbytes, scheme

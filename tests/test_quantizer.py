@@ -576,7 +576,7 @@ class TestGroupLayoutApply:
         w[~np.isfinite(w)] = 0.5
         w[rng.random(shape) < 0.05] = -0.0
         w[rng.random(shape) < 0.05] = 0.0
-        pos, live = _sides(w, layout, deltas)
+        pos, live = _sides(w, layout, deltas, (np.empty(shape, bool), np.empty(shape, bool)))
         assert pos.tolist() == (w >= thr).tolist()
         assert live.tolist() == (np.abs(w) >= thr).tolist()
 
