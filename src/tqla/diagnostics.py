@@ -6,18 +6,21 @@ and how often ternary codes flip between snapshots. A snapshot makes one
 pass over each layer's weights, with the group thresholds broadcast over
 them, and reads every metric from that pass.
 
-The pass runs on blocks. The calling thread validates every pair, picks
-each layer's normalization, cuts each layer into blocks of whole rows of
-at most ``quantizer._SUM_BLOCK`` elements (a layer that fits in one block
-is its own block, on its own layout), builds the ``GroupLayout`` of each
-distinct block shape and allocates one block-sized scratch set per shard.
-The kernel, ``_block_counts``, counts each block's deadzone and
-near-boundary weights and bins it, writing every element-wise result into
-its shard's scratch, so a block stays in cache across its passes. It is
-the only code that runs off the calling thread: a snapshot of
-``quantizer._SHARD_MIN`` elements or more splits its block list over the
-usable CPUs, under the contract of ``quantizer._run_shards``, and a
-smaller one runs inline.
+The pass runs on blocks. The calling thread scans the weights for NaN
+and Inf, checks every pair as ``deadzone_mask`` does
+(``quantizer._checked_pair``), picks each layer's normalization and plans
+every block with the planner of the deadzone mask,
+``quantizer._block_plan``: blocks of at most ``quantizer._SUM_BLOCK``
+elements, each with the views of its group runs of the weights and of
+the per-group tables (thresholds, band bounds, divisors) that broadcast
+over them. No ``GroupLayout`` is built per block. The calling thread also
+allocates one block-sized scratch set per shard. The kernel,
+``_block_counts``, counts each block's deadzone and near-boundary weights
+and bins it, writing every element-wise result into its shard's scratch,
+so a block stays in cache across its passes. It is the only code that
+runs off the calling thread: a snapshot of ``quantizer._SHARD_MIN``
+elements or more splits its block list over the usable CPUs, under the
+contract of ``quantizer._run_shards``, and a smaller one runs inline.
 The calling thread then adds up each layer's integer counts, forms the
 fractions and pushes the codes into the history. Every count is an
 integer sum, so the blocks and shards change no bit of a report.
@@ -41,10 +44,10 @@ import numpy as np
 from . import quantizer
 from .errors import DegenerateNormalization, InsufficientHistory, InvalidParam, InvalidShape
 from .quantizer import (
-    PER_TENSOR,
-    GroupLayout,
     _as_matrix,
+    _block_plan,
     _count,
+    _checked_pair,
     _real_where,
     _require_ternary,
     _row_ranges,
@@ -176,36 +179,37 @@ def _bin_counts(x, lower, upper, guess, idx, flag) -> np.ndarray:
 def _block_counts(lower, upper, blocks, scratch) -> list:
     """(dead, near, bin counts) of each of ``blocks``; the snapshot's kernel.
 
-    A block is ``(w, layout, thr, near_lo, near_hi, div, mixed)``: whole
-    rows of one layer's weights, the ``GroupLayout`` of their shape, and the
-    per-group thresholds, band bounds and divisors of those rows; ``mixed``
+    A block is ``((w, groups), mixed)``: a block of ``quantizer._block_plan``
+    of one layer, whose groups each hold the run views of ``w`` and the
+    thresholds, band bounds and divisors that broadcast over them; ``mixed``
     is set when some of the layer's divisors are zero. Every element-wise
     result goes into ``scratch``, two float64, two bool and one intp buffer
-    of at least the largest block's size; only each block's bin counts are
-    allocated here.
+    of at least the largest block's size, where each group's runs take the
+    next elements in the shape of its run view; only each block's bin
+    counts are allocated here.
     """
     values, guess, flag, flag2, idx = scratch
     out = []
-    for w, layout, thr, near_lo, near_hi, div, mixed in blocks:
-        n = w.size
-        a, hit, hit2 = (buf[:n].reshape(w.shape) for buf in (values, flag, flag2))
-        np.abs(w, out=a)
-        dead = np.count_nonzero(layout.apply(np.less, a, thr, out=hit))
-        layout.apply(np.greater_equal, a, near_lo, out=hit)
-        layout.apply(np.less_equal, a, near_hi, out=hit2)
-        near = np.count_nonzero(np.logical_and(hit, hit2, out=hit))
-        # the values overwrite |w|
-        if not mixed:
-            layout.apply(np.divide, w, div, out=a)
-        else:
-            # a zero divisor sends a nonzero weight to its signed infinity and
-            # a zero weight to NaN, which is set to 0 with every other zero weight
-            with np.errstate(divide="ignore", invalid="ignore"):
-                layout.apply(np.divide, w, div, out=a)
-            np.copyto(a, 0.0, where=np.equal(w, 0.0, out=hit))
-        np.clip(a, -HISTOGRAM_RANGE, HISTOGRAM_RANGE, out=a)
-        counts = _bin_counts(values[:n], lower, upper, guess[:n], idx[:n], flag[:n])
-        out.append((dead, near, counts))
+    # only a zero divisor divides by zero or makes 0 / 0, and its results are meant
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for (_, groups), mixed in blocks:
+            n = dead = near = 0
+            for w, thr, near_lo, near_hi, div in groups:
+                a, hit, hit2 = (x[n : n + w.size].reshape(w.shape) for x in (values, flag, flag2))
+                n += w.size
+                np.abs(w, out=a)
+                dead += np.count_nonzero(np.less(a, thr, out=hit))
+                np.greater_equal(a, near_lo, out=hit)
+                np.less_equal(a, near_hi, out=hit2)
+                near += np.count_nonzero(np.logical_and(hit, hit2, out=hit))
+                np.divide(w, div, out=a)  # the values overwrite |w|
+                if mixed:
+                    # a zero divisor sends a nonzero weight to its signed infinity and
+                    # a zero weight to NaN, which is set to 0 with every other zero weight
+                    np.copyto(a, 0.0, where=np.equal(w, 0.0, out=hit))
+            np.clip(values[:n], -HISTOGRAM_RANGE, HISTOGRAM_RANGE, out=values[:n])
+            counts = _bin_counts(values[:n], lower, upper, guess[:n], idx[:n], flag[:n])
+            out.append((dead, near, counts))
     return out
 
 
@@ -217,60 +221,39 @@ def _layer_stats(pairs, band, bins) -> list:
 
     Runs in the calling thread but for ``_block_counts`` (see the module
     docstring). A layer divides its weights by its group thresholds; where
-    some thresholds are zero (or not positive), nonzero weights there go
-    to the end bins; where all are zero, it divides by ones, which bins the
-    raw weights bit for bit.
+    some thresholds are zero, nonzero weights there go to the end bins;
+    where all are zero, it divides by ones, which bins the raw weights bit
+    for bit.
     """
     band = _band("band", band)
     bins = _count("bins", bins, 2)
     edges, lower, upper = _edge_tables(bins)
     layers, blocks, owners = [], [], []
-    layouts = {}
-    largest = total = 0
+    largest = 0
     for k, (w, q) in enumerate(pairs):
-        w = _as_matrix(w)
-        layout = q.layout
-        if w.shape != q.codes.shape:
-            raise InvalidShape(f"weights {w.shape} do not match codes {q.codes.shape}")
-        if w.shape != (layout.rows, layout.cols):
-            raise InvalidShape(f"weights {w.shape} do not match layout {layout.rows, layout.cols}")
-        thr = layout._table(q.thresholds).reshape(-1)
+        w, thr = _checked_pair(_as_matrix(w), q)
         normalized = not (thr == 0).all()
         positive = (thr > 0).all()
         div = thr if positive else np.where(thr > 0, thr, 0.0 if normalized else 1.0)
         tables = (thr, (1.0 - band) * thr, (1.0 + band) * thr, div)
-        mixed = normalized and not positive
-        rows, cols = w.shape
-        step = max(1, quantizer._SUM_BLOCK // cols)
-        if rows <= step:  # one block: the layer itself, on its own layout
-            blocks.append((w, layout, *tables, mixed))
-            owners.append(k)
-        else:
-            per_row = 0 if layout.granularity.kind == PER_TENSOR else layout.groups_per_row
-            for lo in range(0, rows, step):
-                hi = min(lo + step, rows)
-                key = (layout.granularity, hi - lo, cols)
-                if key not in layouts:
-                    layouts[key] = GroupLayout(*key)
-                groups = slice(lo * per_row, hi * per_row) if per_row else slice(None)
-                part = (t[groups] for t in tables)
-                blocks.append((w[lo:hi], layouts[key], *part, mixed))
-                owners.append(k)
-        largest = max(largest, min(rows, step) * cols)
-        total += w.size
+        plan = _block_plan(q.layout, tables, 0, q.layout.view[0], quantizer._SUM_BLOCK, (w,))
+        blocks += [(b, normalized and not positive) for b in plan]
+        owners += [k] * len(plan)
+        largest = max(largest, *(b[0].size for b in plan))
         layers.append((w.size, normalized))
+    total = sum(n for n, _ in layers)
     buffers = (np.float64, np.float64, bool, bool, np.intp)
     shards = [
         (blocks[lo:hi], tuple(np.empty(largest, dtype=t) for t in buffers))
         for lo, hi in _row_ranges(len(blocks), total)
     ]
-    dead, near, counts = [0] * len(layers), [0] * len(layers), [None] * len(layers)
+    dead, near, counts = [0] * len(layers), [0] * len(layers), [0] * len(layers)
     work = partial(_block_counts, lower, upper)
     results = (r for shard in _run_shards(work, shards) for r in shard)
     for k, (d, b, c) in zip(owners, results):
         dead[k] += d
         near[k] += b
-        counts[k] = c if counts[k] is None else np.add(counts[k], c, out=counts[k])
+        counts[k] += c
     return [
         (n, dead[k] / n, near[k] / n, Histogram(edges, counts[k], normalized))
         for k, (n, normalized) in enumerate(layers)

@@ -24,7 +24,12 @@ by an expanded copy; and ``quantize`` reads the codes and the deadzone
 smaller ``w`` is compared against one expansion of its thresholds, which
 stays in cache. ``deadzone_mask`` reads each weight once: it forms ``|w|``
 in one block-sized float64 buffer and compares each element once with its
-group threshold, broadcast over the group's run.
+group threshold, broadcast over the group's run. One planner,
+``_block_plan``, cuts the blocks of both passes that compare weights with
+their thresholds, ``deadzone_mask`` and the trap snapshot
+(``diagnostics.take_snapshot``), and makes their views in the calling
+thread; one check, ``_checked_pair``, checks the (weights, quantized)
+pair of either.
 
 ``quantize`` and ``deadzone_mask`` split a matrix of ``_SHARD_MIN``
 elements or more into row ranges ("shards"), one per usable CPU, and run
@@ -468,18 +473,26 @@ def _run_shards(work, shards) -> list:
       it hands a shard; each shard writes only its own rows, groups or
       blocks of them, so no output is joined from pieces.
     - Besides per-group, per-row and per-block results (a block's bin
-      counts), a shard allocates only float64 buffers of at most the block
-      size its caller picks (two at once at most: a masked sum's, or the
-      expanded thresholds and ``|w|`` of a compare; a sum buffer may also
-      hold one index of the summed runs), the runs ``_sequential_sums``
-      sums again because their sum is zero, and int8, bool and index arrays
-      (masks, the encoder's keys). The layer step sums into scratch it is
-      handed, with blocks of ``_SUM_BLOCK``; an export shard allocates its
-      buffers, of ``_export_block`` elements, so that all shards together
-      hold about half a float64 matrix at most. A ``deadzone_mask`` shard
-      allocates nothing: it holds one float64 block of ``_export_block``
-      elements, its ``|w|``, which the calling thread allocated and cut
-      into views with the shard's blocks.
+      counts, and their sum over a layer's blocks), a shard allocates only
+      float64 buffers of at most the block size its caller picks (two at
+      once at most: a masked sum's, or the expanded thresholds and ``|w|``
+      of a compare; a sum buffer may also hold one index of the summed
+      runs), the runs ``_sequential_sums`` sums again because their sum is
+      zero, and int8, bool and index arrays (masks, the encoder's keys).
+      The layer step sums into scratch it is handed, with blocks of
+      ``_SUM_BLOCK``; an export shard allocates its buffers, of
+      ``_export_block`` elements, so that all shards together hold about
+      half a float64 matrix at most. A ``deadzone_mask`` shard and a
+      snapshot shard allocate no buffer: the calling thread allocates
+      their scratch, the ``|w|`` block of ``_export_block`` elements that
+      ``_block_plan`` cuts into the blocks' views, and the snapshot's
+      scratch set of ``_SUM_BLOCK`` elements. Not counted above:
+      numpy allocates iterator buffers for each broadcast of a table over
+      group runs, with no cast too: about 0.14 MB per shard at the deploy
+      shapes (a compare of a 65x7x128 ``|w|`` run view with its
+      thresholds) and 0.07 MB for a 128x4x128 snapshot block. Both
+      ``deadzone_mask`` and the snapshot make such broadcasts in their
+      shards.
     - Every public entry point, and every ``GroupLayout``, runs in the
       calling thread; the pool's threads (named ``tqla-shard``) run only the
       shards' private kernels. numpy releases the GIL inside its ufunc,
@@ -656,15 +669,15 @@ def _dequantize_into(codes, scales, layout: GroupLayout, out: np.ndarray) -> np.
     return layout.apply(np.multiply, out, scales, out=out)
 
 
-def deadzone_mask(w, q: QuantizedTensor) -> np.ndarray:
-    """Bool mask of elements with |w| strictly below their group threshold.
+def _checked_pair(w, q: QuantizedTensor) -> tuple[np.ndarray, np.ndarray]:
+    """(``w`` as a float64 matrix, ``q``'s thresholds as one table) of a (weights, quantized) pair.
 
-    Every threshold must be >= 0 (+inf included), as ``quantize`` makes
-    them; a NaN or negative one raises InvalidThreshold. The calling thread
-    checks the inputs, allocates the mask and plans every block of every
-    shard (``_deadzone_plan``); the shards then run ``_deadzone_blocks``,
-    which reads each weight once: into ``|w|`` in its shard's one float64
-    block, then one compare per element against its group threshold.
+    The check ``deadzone_mask`` and the trap snapshot share: ``w`` must
+    match the codes and the layout of ``q``, and every threshold must be
+    >= 0 (+inf included), as ``quantize`` makes them; a NaN or negative one
+    raises InvalidThreshold. A non-finite weight is reported before any
+    other fault of the pair; ``w`` is scanned for one only then. The table
+    is ``q.layout._table`` of the thresholds.
     """
     w = _as_matrix(w, scan=False)
     thresholds = np.asarray(q.thresholds)
@@ -677,38 +690,32 @@ def deadzone_mask(w, q: QuantizedTensor) -> np.ndarray:
         if not (thresholds >= 0).all():
             bad = thresholds[~(thresholds >= 0)][0]
             raise InvalidThreshold(f"thresholds must be >= 0, got {bad}")
-        table = layout._table(thresholds)
+        return w, layout._table(thresholds)
     except TqlaError:
         _require_finite(w)  # a non-finite weight is reported first
         raise
 
-    mask = np.empty(w.shape, dtype=bool)
-    ranges = _row_ranges(layout.view[0], w.size)
-    block = _export_block(w.size, len(ranges))
-    plans = [(_deadzone_plan(w, layout, table, mask, lo, hi, block),) for lo, hi in ranges]
 
-    def shard(blocks):
-        _deadzone_blocks(blocks)
-
-    _run_shards(shard, plans)
-    return mask
-
-
-def _deadzone_plan(w, layout: GroupLayout, table, mask, lo: int, hi: int, block: int) -> list:
-    """The blocks of view rows ``lo:hi`` of ``w`` for ``_deadzone_blocks``, with their scratch.
+def _block_plan(layout, tables, lo: int, hi: int, block: int, runs, whole=()) -> list:
+    """The blocks of view rows ``lo:hi`` of a matrix with ``layout`` and the views its kernel reads.
 
     A view row of at most ``block`` elements goes whole into a block of as
     many rows as fit; a wider one (a per-tensor view, or a row wider than
     the block) is cut into pieces of at most ``block`` elements that hold
-    whole groups, or lie within one group. A block is ``(w, |w|, compares)``:
-    its weights, its ``|w|`` view of the shard's one float64 scratch, and
-    one ``(|w| runs, thresholds, mask runs)`` triple for its full group
-    runs and one for a group it holds only part of (a tail), each
-    threshold table broadcasting over its runs. Every view is made here,
-    from ``layout`` and ``table`` (its thresholds as one table), so the
-    shard builds none.
+    whole groups, or lie within one group. ``runs`` and ``whole`` hold
+    arrays: a matrix of the layout's shape, whose block is the block's part
+    of it, or a 1-D scratch buffer of at least the largest block's size,
+    whose block is its first elements. ``tables`` hold one value per group
+    each, as (view rows, groups per row) tables.
+
+    A block is ``(*views, groups)``: the block of each array of ``runs``
+    and then of ``whole``, and one tuple in ``groups`` for the block's full
+    group runs and one for a group it holds only part of (a tail). Such a
+    tuple holds the run views of each array of ``runs`` and then the view
+    of each table that broadcasts over them. Every view of these arrays
+    and tables is made here, in the calling thread; only ``runs`` arrays
+    get run views, as each costs Python time per block.
     """
-    wv, mv = w.reshape(layout.view), mask.reshape(layout.view)
     width, run = layout.view[1], layout.size
     if width <= block:
         step = block // width
@@ -722,38 +729,73 @@ def _deadzone_plan(w, layout: GroupLayout, table, mask, lo: int, hi: int, block:
             for s in range(0, width, span)
             for a in range(s, min(s + span, width), piece)
         ]
-    scratch = np.empty(max((r1 - r0) * (b - a) for r0, r1, a, b in cuts))
+    arrays = [x.reshape(layout.view) if x.ndim == 2 else x for x in (*runs, *whole)]
+    count = len(runs)
     blocks = []
     for r0, r1, a, b in cuts:
         n, m = r1 - r0, b - a
-        mag, dead, thr = scratch[: n * m].reshape(n, m), mv[r0:r1, a:b], table[r0:r1]
         k = a // run
         full = m // run if a % run == 0 else 0
         cut = full * run
-        compares = []
+        views, fulls, tails = [], [], []
+        for i, x in enumerate(arrays):
+            v = x[r0:r1, a:b] if x.ndim == 2 else x[: n * m].reshape(n, m)
+            views.append(v)
+            if i < count and full:
+                fulls.append(v[:, :cut].reshape(n, full, run))
+            if i < count and cut < m:
+                tails.append(v[:, None, cut:])
+        groups = []
         if full:
-            runs = (n, full, run)
-            table_runs = thr[:, k : k + full, None]
-            compares.append((mag[:, :cut].reshape(runs), table_runs, dead[:, :cut].reshape(runs)))
+            groups.append(fulls + [t[r0:r1, k : k + full, None] for t in tables])
         if cut < m:
-            compares.append((mag[:, None, cut:], thr[:, k + full, None, None], dead[:, None, cut:]))
-        blocks.append((wv[r0:r1, a:b], mag, compares))
+            groups.append(tails + [t[r0:r1, k + full, None, None] for t in tables])
+        blocks.append((*views, groups))
     return blocks
 
 
-def _deadzone_blocks(blocks) -> None:
-    """Write the deadzone mask of each of ``blocks`` (see ``_deadzone_plan``); ufunc calls only.
+def deadzone_mask(w, q: QuantizedTensor) -> np.ndarray:
+    """Bool mask of elements with |w| strictly below their group threshold.
 
-    ``|w|`` goes into the block's scratch, and its maximum tells whether
-    the block is finite: NaN propagates through ``np.maximum`` and
+    Every threshold must be >= 0 (+inf included), as ``quantize`` makes
+    them; a NaN or negative one raises InvalidThreshold. The calling
+    thread checks the inputs (``_checked_pair``), allocates the mask and
+    each shard's one float64 block, and plans every block of every shard
+    (``_block_plan``); the shards then run ``_deadzone_blocks``, which
+    reads each weight once: into ``|w|`` in its shard's block, then one
+    compare per element against its group threshold.
+    """
+    w, table = _checked_pair(w, q)
+    layout = q.layout
+    mask = np.empty(w.shape, dtype=bool)
+    ranges = _row_ranges(layout.view[0], w.size)
+    block = _export_block(w.size, len(ranges))
+    plans = []
+    for lo, hi in ranges:
+        mag = np.empty(min(block, (hi - lo) * layout.view[1]))
+        plans.append((_block_plan(layout, (table,), lo, hi, block, (mag, mask), (w,)),))
+
+    def shard(blocks):
+        _deadzone_blocks(blocks)
+
+    _run_shards(shard, plans)
+    return mask
+
+
+def _deadzone_blocks(blocks) -> None:
+    """Write the deadzone mask of each of ``blocks``; ufunc calls only.
+
+    A block is ``(|w|, mask, w, groups)`` of ``_block_plan``, with ``|w|``
+    in its shard's scratch. ``|w|`` is formed first, and its maximum tells
+    whether the block is finite: NaN propagates through ``np.maximum`` and
     ``inf < inf`` is false. Only a block that is not finite is scanned, to
     raise. Each element is then compared once, ``|w| < delta``.
     """
-    for w, mag, compares in blocks:
+    for mag, _, w, groups in blocks:
         np.abs(w, out=mag)
         if not np.maximum.reduce(mag, axis=None) < np.inf:
             _require_finite(w)
-        for runs, thr, dead in compares:
+        for runs, dead, thr in groups:
             np.less(runs, thr, out=dead)
 
 

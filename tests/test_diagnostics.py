@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from tqla import Granularity, quantize
+from tqla import Granularity, deadzone_mask, quantize
 from tqla.diagnostics import (
     DEFAULT_BAND,
     DEFAULT_BINS,
@@ -18,7 +18,13 @@ from tqla.diagnostics import (
     flip_rate,
     take_snapshot,
 )
-from tqla.errors import DegenerateNormalization, InsufficientHistory, InvalidParam, InvalidShape
+from tqla.errors import (
+    DegenerateNormalization,
+    InsufficientHistory,
+    InvalidParam,
+    InvalidShape,
+    InvalidThreshold,
+)
 from tqla.quantizer import GroupLayout, QuantizedTensor
 
 PT = Granularity("per-tensor")
@@ -450,6 +456,28 @@ class TestSnapshotAndExport:
         with pytest.raises(InvalidParam):
             take_snapshot(0, 1.0, [], history)
         assert len(history) == 0
+
+    def test_thresholds_deadzone_mask_refuses_are_refused(self):
+        # one check of a (weights, quantized) pair for the snapshot and the mask
+        w = np.random.default_rng(0).standard_normal((4, 6))
+        good = quantize(w, "absmean", Granularity("per-channel"))
+        q = quantize(w, "absmean", Granularity("per-channel"))
+        q.thresholds[1] = np.nan
+        q.thresholds[2] = -0.5
+        with pytest.raises(InvalidThreshold):
+            deadzone_mask(w, q)
+        history = CodeHistory(window=4)
+        take_snapshot(0, 1.0, [(w, good)], history)
+        last = history._last
+        for pairs in ([(w, q)], [(w, good), (w, q)]):
+            with pytest.raises(InvalidThreshold, match="thresholds must be >= 0"):
+                take_snapshot(1, 1.0, pairs, history)
+        assert len(history) == 1 and history._last is last
+        # a non-finite weight is still reported first
+        bad = w.copy()
+        bad[3, 5] = np.nan
+        with pytest.raises(InvalidParam, match="NaN or Inf"):
+            take_snapshot(1, 1.0, [(bad, q)], history)
 
 
 def uneven_snapshots(seed):

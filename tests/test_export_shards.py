@@ -590,7 +590,7 @@ def test_sharded_deadzone_mask_plans_every_block_in_the_calling_thread(monkeypat
     sharding(monkeypatch, 3, block=50)
     probe = ThreadProbe(monkeypatch, (quantizer,))
     first = address(w)  # shard 0's first block starts there
-    probe.kernel(quantizer, "_deadzone_blocks", lambda blocks: address(blocks[0][0]) == first)
+    probe.kernel(quantizer, "_deadzone_blocks", lambda blocks: address(blocks[0][2]) == first)
     assert quantizer.deadzone_mask(w, q).tolist() == expected
     assert len(probe.kernels) == 3 and probe.names() == {"deadzone_mask"}
     probe.check()

@@ -1,11 +1,12 @@
 """Blocked and sharded trap snapshots: the same reports as one pass, counted off the calling thread.
 
-``take_snapshot`` cuts each layer into row blocks of at most
-``quantizer._SUM_BLOCK`` elements and, from ``quantizer._SHARD_MIN``
-elements up, splits the block list over the usable CPUs. These tests lower
-both constants and set the CPU count, so that small layers are cut into
-many blocks on 1, 2 or 3 shards, and compare against the default constants,
-under which every layer here is one block, run inline.
+``take_snapshot`` cuts each layer into blocks of at most
+``quantizer._SUM_BLOCK`` elements (``quantizer._block_plan``) and, from
+``quantizer._SHARD_MIN`` elements up, splits the block list over the
+usable CPUs. These tests lower both constants and set the CPU count, so
+that small layers are cut into many blocks on 1, 2 or 3 shards, and
+compare against the default constants, under which every layer here is
+one block, run inline.
 """
 
 import hashlib
@@ -20,8 +21,9 @@ from hypothesis import given, settings, strategies as st
 from shards import ThreadProbe, address, sharding
 from test_diagnostics import SNAPSHOT_DIGESTS, snapshot_cases
 from tqla import Granularity, diagnostics, quantize, quantizer
-from tqla.diagnostics import take_snapshot
-from tqla.errors import DegenerateNormalization
+from tqla.diagnostics import CodeHistory, take_snapshot
+from tqla.errors import DegenerateNormalization, InvalidParam
+from tqla.quantizer import GroupLayout
 
 WORKERS = pytest.mark.parametrize("workers", [1, 2, 3])
 
@@ -114,31 +116,46 @@ def test_sharded_snapshot_bytes_pinned(case, block, workers):
 
 
 def test_layouts_are_built_and_counted_where_they_should_be(monkeypatch):
-    # layouts in the calling thread, one per distinct block shape; the
-    # counting kernel of shard 0 in the caller and of every other shard on
-    # the pool
+    # a snapshot builds no layout and applies none: its blocks and their
+    # views come from the quantizer's block plan, in the calling thread; the
+    # counting kernel of shard 0 runs in the caller and of every other shard
+    # on the pool
     rng = np.random.default_rng(4)
     pairs = []
     for shape, granularity in (
         ((20, 10), Granularity("per-group", 3)),  # blocks of 4 rows
-        ((12, 10), Granularity("per-group", 3)),  # the same block shape
+        ((12, 10), Granularity("per-group", 3)),
         ((9, 11), Granularity("per-channel")),  # blocks of 3 rows
-        ((5, 7), Granularity("per-tensor")),  # one block: the layer's own layout
+        ((5, 7), Granularity("per-tensor")),  # one view row, in one block
     ):
         w = rng.standard_normal(shape)
         pairs.append((w, quantize(w, "absmean", granularity)))
     expected = report_and_warnings(pairs)
     sharding(monkeypatch, 3, 40)
-    probe = ThreadProbe(monkeypatch, (quantizer, diagnostics))
+    probe = ThreadProbe(monkeypatch, (quantizer, diagnostics), ((GroupLayout, "apply"),))
     # shard 0's first block starts at the first weight of the first layer
     first = address(pairs[0][0])
-    probe.kernel(diagnostics, "_block_counts", lambda *args: address(args[2][0][0]) == first)
-    assert report_and_warnings(pairs) == expected
-    assert [args[1:] for name, args, _ in probe.calls if name == "__init__"] == [
-        (Granularity("per-group", 3), 4, 10),
-        (Granularity("per-channel"), 3, 11),
-    ]
+    probe.kernel(diagnostics, "_block_counts", lambda *args: address(args[2][0][0][0]) == first)
+    report = diagnostics.take_snapshot(3, 0.5, pairs)
+    assert json.dumps(report.to_dict(), sort_keys=True) == expected[0]
+    assert probe.names() == {"take_snapshot"} and len(probe.kernels) == 3
     probe.check()
+
+
+@WORKERS
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight_is_reported(workers, value):
+    # in the last block of the last layer, whose pair is otherwise valid
+    rng = np.random.default_rng(8)
+    pairs = []
+    for shape in ((9, 10), (7, 6)):
+        w = rng.standard_normal(shape)
+        pairs.append((w, quantize(w, "absmean", Granularity("per-group", 4))))
+    pairs[-1][0][-1, -1] = value
+    history = CodeHistory()
+    with pytest.raises(InvalidParam, match="NaN or Inf"):
+        sharded(workers, 12, take_snapshot, 0, 1.0, pairs, history)
+    assert len(history) == 0
 
 
 def overflowing_pairs():
@@ -195,7 +212,8 @@ def test_wide_snapshot_with_the_real_cpu_count():
     for _ in range(3):
         w = rng.standard_normal((512, 512)) * 0.05
         pairs.append((w, quantize(w, "absmean", Granularity("per-group", 128))))
-    blocks = 3 * 512 // (quantizer._SUM_BLOCK // 512)
+    layout = pairs[0][1].layout
+    blocks = 3 * len(quantizer._block_plan(layout, (), 0, 512, quantizer._SUM_BLOCK, ()))
     ranges = quantizer._row_ranges(blocks, 3 * 512 * 512)
     assert (len(ranges) == 1) == (quantizer._usable_cpus() == 1)
     expected = sharded(1, 1 << 62, report_and_warnings, pairs)
